@@ -4,6 +4,8 @@
 * :mod:`repro.detect.kernels` — the cascade evaluation kernel;
 * :mod:`repro.detect.pipeline` — the Fig. 1 pipeline with serial vs
   concurrent kernel execution;
+* :mod:`repro.detect.devicebatch` — the one lane-parallel executor of the
+  Fig. 1 stage sequence and the per-worker :class:`FrameWorkspace`;
 * :mod:`repro.detect.engine` — the batched multi-frame throughput engine;
 * :mod:`repro.detect.grouping` — S_eyes-based detection merging;
 * :mod:`repro.detect.display` — the display (rectangle overlay) kernel;

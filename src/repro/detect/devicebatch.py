@@ -1,28 +1,33 @@
-"""Cross-frame device batching: fused multi-frame kernels, one schedule.
+"""The lane-parallel Fig. 1 executor: one stage loop for every path.
 
-The paper's Fig. 5 lesson is that the device only saturates when kernels
-from *independent* work items overlap on concurrent streams.  PR 8's
-backend seam made every per-frame kernel pluggable; this module applies
-the same seam one axis further and fuses the *frame* dimension: N
-same-shaped in-flight frames are stacked into ``(n, h, w)`` arrays and
-every pyramid / integral / cascade kernel runs once per batch over the
-stack (``apply_batch`` / ``compute_batch`` / ``evaluate_batch``) instead
-of once per frame.  Pixels cross the host<->device boundary once per
-batch per kernel site — :class:`TransferStats` accounts for both what
-was paid and what the per-frame path would have paid.
+The paper's Fig. 1 is one pipeline (pyramid -> integral -> cascade ->
+display) and its Fig. 5 runs the per-scale kernels as concurrent
+streams.  This module writes that sequence once, over N same-shaped
+frames treated as N lanes of the same per-level streams:
 
-The simulated GPU timeline fuses the same way: each kernel site becomes
-one :class:`~repro.gpusim.kernel.KernelLaunch` whose grid covers all N
-frames (per-block work arrays tiled or concatenated across frames, cost
-cohorts scaled), keeping the per-level stream assignment of the
-per-frame path.  The scheduler then overlays the N-frame grid on the
-same concurrent streams — the Fig. 5 overlap picture with frames, not
-just scales, feeding the streams — and the whole batch pays *one*
-schedule instead of N.
+* a single frame is a batch of N=1.  It runs the per-frame kernels
+  (``apply`` / ``compute`` / ``evaluate``), pays its own simulated
+  schedule and reports unfused :class:`TransferStats`;
+* a fused device batch is N>1.  The frames are stacked into ``(n, h, w)``
+  arrays and every kernel site runs once over the stack (``apply_batch``
+  / ``compute_batch`` / ``evaluate_batch``).  Frame-independent launches
+  tile their grid n-fold, cascade launches concatenate per level, and
+  the whole batch pays *one* schedule: the Fig. 5 overlap picture with
+  frames, not just scales, feeding the streams;
+* the two-tier fast path (:mod:`repro.detect.fastpath`) is a per-level
+  reuse decision inside the same level loop.  A bit-equal level reuses
+  its cached :class:`~repro.detect.kernels.CascadeKernelResult`, a dirty
+  level under ``fast`` goes through ``evaluate_masked``, and a
+  whole-frame hit is the case where every level is clean: grouping and
+  the schedule then replay from the cache.
 
-Functional outputs are unchanged: every lane of every fused kernel is
-bit-identical to the per-frame path on bitexact backends (the batched
-goldens assert it), so detections do not depend on the batch size.
+:class:`FrameWorkspace` owns the per-shape geometry and the temporal
+cache and feeds the executor;
+:meth:`~repro.detect.pipeline.FaceDetectionPipeline.process_frame` runs
+the same executor once over fresh geometry with the fast path off.
+Functional outputs do not depend on N: every lane of every fused kernel
+is bit-identical to the per-frame kernels on bitexact backends (the
+goldens assert it).
 """
 
 from __future__ import annotations
@@ -31,21 +36,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backend.base import BilinearPlan, CascadeMaps, ComputeBackend
 from repro.detect.display import display_launch
-from repro.detect.engine import FrameWorkspace, _Geometry
-from repro.detect.kernels import CascadeKernelResult
-from repro.detect.pipeline import FrameResult, collect_raw_detections
+from repro.detect.fastpath import (
+    FastpathConfig,
+    FastpathFrameStats,
+    FastpathPolicy,
+    dirty_window_mask,
+    expand_tile_mask,
+    tile_reduce_any,
+    tile_reduce_max,
+)
+from repro.detect.kernels import (
+    CascadeKernelResult,
+    CascadeLaunchTemplate,
+    cascade_launch_costs,
+)
+from repro.detect.pipeline import (
+    FaceDetectionPipeline,
+    FrameResult,
+    collect_raw_detections,
+)
+from repro.detect.windows import BlockMapping
 from repro.errors import ConfigurationError
 from repro.gpusim.kernel import BlockCohort, BlockWork, KernelLaunch, LaunchConfig
 from repro.gpusim.scheduler import ExecutionMode
-from repro.image.pyramid import PyramidLevel
+from repro.image.filtering import filtering_launch
+from repro.image.integral import integral_launches
+from repro.image.pyramid import PyramidLevel, pyramid_scales, scaling_launch
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.validation import check_shape_2d
 
 __all__ = [
     "TransferStats",
-    "BatchGroup",
-    "BatchPlan",
     "BatchExecution",
+    "FrameWorkspace",
     "BatchFrameWorkspace",
     "fuse_uniform_launch",
     "concat_launches",
@@ -64,7 +89,7 @@ class TransferStats:
     operand stack, download the result stack).  The fused path pays one
     per site per *batch*; the per-frame path pays one per site per
     *frame*.  ``saved`` is therefore ``sites * (n - 1)`` crossings per
-    fused batch in each direction, and zero for fallback batches.
+    fused batch in each direction, and zero for N=1 lanes.
     """
 
     frames: int = 0
@@ -80,16 +105,6 @@ class TransferStats:
         """Crossings avoided relative to the per-frame path."""
         return (self.per_frame_h2d + self.per_frame_d2h) - (self.h2d + self.d2h)
 
-    def merge(self, other: "TransferStats") -> None:
-        """Accumulate another batch's accounting into this one."""
-        self.frames += other.frames
-        self.batches += other.batches
-        self.fused_batches += other.fused_batches
-        self.h2d += other.h2d
-        self.d2h += other.d2h
-        self.per_frame_h2d += other.per_frame_h2d
-        self.per_frame_d2h += other.per_frame_d2h
-
     def as_dict(self) -> dict:
         """Plain-dict form for bench artifacts."""
         return {
@@ -104,63 +119,13 @@ class TransferStats:
         }
 
 
-# ---------------------------------------------------------------------------
-# batch formation
-
-
-@dataclass(frozen=True)
-class BatchGroup:
-    """One device batch: a run of consecutive same-shaped frames."""
-
-    start: int
-    count: int
-    shape: tuple[int, int]
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.start + self.count)
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """How a window of in-flight frames splits into device batches.
-
-    Frames fuse only when their pyramids are congruent — same frame
-    shape means every level, mapping and launch template is shared — so
-    the plan groups *consecutive* same-shaped frames (order must be
-    preserved for the engine's FIFO output) and caps each group at the
-    configured device batch size.
-    """
-
-    groups: tuple[BatchGroup, ...]
-
-    @classmethod
-    def plan(cls, shapes: list[tuple[int, int]], max_batch: int) -> "BatchPlan":
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        groups: list[BatchGroup] = []
-        start = 0
-        for index, shape in enumerate(shapes):
-            if index > start and (
-                shape != shapes[start] or index - start >= max_batch
-            ):
-                groups.append(BatchGroup(start, index - start, shapes[start]))
-                start = index
-        if shapes:
-            groups.append(BatchGroup(start, len(shapes) - start, shapes[start]))
-        return cls(tuple(groups))
-
-    def __iter__(self):
-        return iter(self.groups)
-
-
 @dataclass
 class BatchExecution:
-    """What one :meth:`BatchFrameWorkspace.process_batch` call produced."""
+    """What one :meth:`FrameWorkspace.process_batch` call produced."""
 
     results: list[FrameResult]
     #: the fused schedule shared by every result, ``None`` when the
-    #: batch fell back to the per-frame path (singleton / fastpath)
+    #: frames ran as N=1 lanes (a singleton, or the fast path is on)
     schedule: object | None
     transfers: TransferStats = field(default_factory=TransferStats)
 
@@ -199,8 +164,11 @@ def fuse_uniform_launch(launch: KernelLaunch, n: int) -> KernelLaunch:
     frame's blocks do the same work), and precomputed cost cohorts scale
     their counts — per-block base cost is unchanged, so the fused launch
     occupies the device exactly like ``n`` back-to-back copies while
-    costing the scheduler one event stream.
+    costing the scheduler one event stream.  ``n == 1`` returns
+    ``launch`` itself.
     """
+    if n == 1:
+        return launch
     work = BlockWork(
         **{f: np.tile(getattr(launch.work, f), n) for f in _WORK_FIELDS}
     )
@@ -250,44 +218,572 @@ def concat_launches(launches: list[KernelLaunch]) -> KernelLaunch:
 
 
 # ---------------------------------------------------------------------------
-# the batch workspace
+# frame-independent per-level state
 
 
-class BatchFrameWorkspace(FrameWorkspace):
-    """A :class:`FrameWorkspace` that can run N frames as one device batch.
+class _LevelState:
+    """Per-pyramid-level backend plans and cached launch templates."""
 
-    ``process_frame`` (and therefore every per-frame engine path) is
-    inherited unchanged; :meth:`process_batch` adds the fused route.
-    Not thread-safe, like its base: the backend plans it drives own
-    persistent scratch.
+    def __init__(
+        self,
+        pipeline: FaceDetectionPipeline,
+        backend: ComputeBackend,
+        index: int,
+        scale: float,
+        width: int,
+        height: int,
+        octave: int,
+    ) -> None:
+        self.index = index
+        self.scale = scale
+        self.width = width
+        self.height = height
+        self.octave = octave
+        stream = index + 1
+
+        cost_model = pipeline.scheduler.cost_model
+
+        def template(launch: KernelLaunch) -> KernelLaunch:
+            # Precompute the cost cohorts the scheduler would otherwise
+            # derive per frame; cohorts are deterministic in the launch, so
+            # schedules are unchanged.
+            launch.cohorts = cost_model.build_cohorts(launch)
+            return launch
+
+        self.pre_launches: tuple[KernelLaunch, ...]
+        if index > 0:
+            self.pre_launches = (
+                template(filtering_launch(width, height, stream, tag="filter")),
+                template(scaling_launch(width, height, stream, tag="scaling")),
+            )
+        else:
+            self.pre_launches = ()
+        self.integral_launches = tuple(
+            template(launch)
+            for launch in integral_launches(height, width, stream, tag="integral")
+        )
+
+        self.mapping = BlockMapping(
+            level_width=width,
+            level_height=height,
+            window=pipeline.config.pyramid.window,
+            block_w=pipeline.config.block_w,
+            block_h=pipeline.config.block_h,
+        )
+
+        # the backend side of the seam: reusable, buffer-owning kernels
+        self.integral_plan = backend.make_integral_plan(height, width)
+        self.evaluator = backend.make_cascade_evaluator(pipeline.cascade, self.mapping)
+        self.bilinear: BilinearPlan | None = None  # set by _Geometry
+
+        self.launch_template = CascadeLaunchTemplate(
+            cascade_launch_costs(pipeline.cascade),
+            self.mapping,
+            stream,
+            name=f"cascade_s{index}",
+        )
+
+    def result(self, maps: CascadeMaps, n_stages: int) -> CascadeKernelResult:
+        """One lane's cascade maps plus the launch priced from its depths."""
+        return CascadeKernelResult(
+            depth_map=maps.depth_map,
+            margin_map=maps.margin_map,
+            sigma_map=maps.sigma_map,
+            launch=self.launch_template.build(maps.depth_map),
+            mapping=self.mapping,
+            rejections_by_depth=np.bincount(
+                maps.depth_map.ravel(), minlength=n_stages + 1
+            ),
+        )
+
+
+class _Geometry:
+    """Everything frame-independent for one ``(height, width)`` frame shape."""
+
+    def __init__(
+        self,
+        pipeline: FaceDetectionPipeline,
+        backend: ComputeBackend,
+        shape: tuple[int, int],
+    ) -> None:
+        height, width = shape
+        config = pipeline.config.pyramid
+        self.shape = shape
+        scales = pyramid_scales(width, height, config)
+
+        # octave chain geometry (mirrors build_pyramid's while loop)
+        octave_shapes = [(height, width)]
+        while max(octave_shapes[-1]) // 2 >= config.min_image_side:
+            ph, pw = octave_shapes[-1]
+            octave_shapes.append((max(ph // 2, 1), max(pw // 2, 1)))
+        self.octave_plans: list[tuple[BilinearPlan, np.ndarray]] = []
+        for (ph, pw), (oh, ow) in zip(octave_shapes, octave_shapes[1:]):
+            self.octave_plans.append(
+                (
+                    backend.make_bilinear_plan(ph, pw, oh, ow),
+                    np.empty((oh, ow), dtype=np.float32),
+                )
+            )
+        n_octaves = len(octave_shapes)
+
+        self.levels: list[_LevelState] = []
+        for index, scale in enumerate(scales):
+            w = int(width / scale)
+            h = int(height / scale)
+            octave = 0
+            if index > 0:
+                octave = min(int(np.floor(np.log2(scale))), n_octaves - 1)
+            state = _LevelState(pipeline, backend, index, scale, w, h, octave)
+            if index > 0:
+                oh, ow = octave_shapes[octave]
+                state.bilinear = backend.make_bilinear_plan(oh, ow, h, w)
+            self.levels.append(state)
+
+        self.display_stream = len(scales) + 1
+        self.display_waits = tuple(range(1, len(scales) + 1))
+        #: kernel sites whose operands cross the host<->device boundary:
+        #: one per octave resample, one per level>0 bilinear resample, one
+        #: per level integral scan, one per level cascade evaluation
+        self.transfer_sites = len(self.octave_plans) + 3 * len(self.levels) - 1
+        self._static: dict[int, list[tuple]] = {}
+
+    def static_launches(self, n: int) -> list[tuple]:
+        """Per-level ``(pre, integral)`` launches for ``n`` lanes.
+
+        Filtering/scaling/integral launches depend only on level geometry,
+        so their ``n``-fold fusion is built once per lane count and
+        replayed every batch (one lane replays the templates themselves).
+        """
+        cached = self._static.get(n)
+        if cached is None:
+            cached = [
+                (
+                    tuple(fuse_uniform_launch(launch, n) for launch in state.pre_launches),
+                    tuple(fuse_uniform_launch(launch, n) for launch in state.integral_launches),
+                )
+                for state in self.levels
+            ]
+            self._static[n] = cached
+        return cached
+
+
+# ---------------------------------------------------------------------------
+# temporal delta-cache state (per workspace, per frame shape)
+
+
+class _FastpathLevelCache:
+    """Previous frame's pixels and cascade result for one pyramid level."""
+
+    __slots__ = ("image", "result")
+
+    def __init__(self) -> None:
+        self.image: np.ndarray | None = None
+        self.result: CascadeKernelResult | None = None
+
+
+class _FastpathState:
+    """One stream's delta cache for one frame shape.
+
+    Owned by exactly one workspace (workspaces are single-worker by
+    contract), so under thread *and* process sharding each worker caches
+    its own subsequence of the stream — reuse fires whenever *that
+    worker's* previous frame matches, which keeps ``exact`` mode
+    byte-identical by construction regardless of how frames shard.
     """
 
-    def __init__(self, pipeline, tracer=None, stream: str | None = "default") -> None:
-        super().__init__(pipeline, tracer=tracer, stream=stream)
-        #: fused frame-independent launches, cached per (shape, n):
-        #: one list entry per level holding (pre_launches, integral_launches)
-        self._fused_static: dict[tuple, list[tuple]] = {}
+    def __init__(self, n_levels: int) -> None:
+        self.frame: np.ndarray | None = None
+        self.levels: list[PyramidLevel] | None = None
+        self.caches = [_FastpathLevelCache() for _ in range(n_levels)]
+        # downstream replay state: the grouped detections and the
+        # simulated schedules of the cached frame.  On a whole-frame hit
+        # the launch list is content-identical and scheduler.run is a
+        # deterministic, stateless function of (launches, mode), so
+        # replaying these is byte-identical to recomputing them.
+        self.raw: list | None = None
+        self.schedules: dict[ExecutionMode, object] = {}
 
-    # -- transfer-site census -------------------------------------------------
+    @property
+    def complete(self) -> bool:
+        return self.frame is not None and all(
+            c.result is not None for c in self.caches
+        )
 
-    @staticmethod
-    def _transfer_sites(geo: _Geometry) -> int:
-        """Kernel sites whose operands cross the host<->device boundary.
+    def update(
+        self, levels: list[PyramidLevel], results: list[CascadeKernelResult]
+    ) -> None:
+        # level 0 aliases the caller's frame buffer (a shared-memory ring
+        # slot under process sharding) — copy it; deeper levels are
+        # freshly allocated by the bilinear plans, so references are safe
+        level0 = levels[0]
+        frame = np.array(level0.image, copy=True)
+        self.levels = [
+            PyramidLevel(
+                index=level0.index,
+                scale=level0.scale,
+                width=level0.width,
+                height=level0.height,
+                image=frame,
+            ),
+            *levels[1:],
+        ]
+        for cache, level, result in zip(self.caches, self.levels, results):
+            cache.image = level.image
+            cache.result = result
+        self.frame = frame
+        self.schedules = {}
 
-        One per octave resample, one per level>0 bilinear resample, one
-        per level integral scan, one per level cascade evaluation.
+
+# ---------------------------------------------------------------------------
+# the executor
+
+
+def _resample(plan: BilinearPlan, lanes, out: np.ndarray | None = None) -> np.ndarray:
+    """One bilinear kernel site over ``lanes``, as an ``(n, h, w)`` stack."""
+    if len(lanes) == 1:
+        return plan.apply(lanes[0], out=out)[None]
+    return plan.apply_batch(np.asarray(lanes))
+
+
+def _build_pyramid(
+    geo: _Geometry, stack: np.ndarray, backend: ComputeBackend, tracer: Tracer
+) -> list[np.ndarray]:
+    """Every level's ``(n, h, w)`` lane stack; level 0 is ``stack`` itself."""
+    octaves = [stack]
+    for plan, buf in geo.octave_plans:
+        with tracer.span("pyramid.antialias"):
+            filtered = [backend.antialias(lane, 2.0) for lane in octaves[-1]]
+        with tracer.span("pyramid.scale"):
+            octaves.append(_resample(plan, filtered, out=buf))
+    stacks = []
+    for state in geo.levels:
+        if state.index == 0:
+            stacks.append(stack)
+        else:
+            with tracer.span("pyramid.scale"):
+                stacks.append(_resample(state.bilinear, octaves[state.octave]))
+    return stacks
+
+
+def _integrals(state: _LevelState, images: np.ndarray):
+    if len(images) == 1:
+        ii, sqii = state.integral_plan.compute(images[0])
+        return ii[None], sqii[None]
+    return state.integral_plan.compute_batch(images)
+
+
+def _evaluate(state: _LevelState, iis: np.ndarray, sqiis: np.ndarray) -> list[CascadeMaps]:
+    if len(iis) == 1:
+        return [state.evaluator.evaluate(iis[0], sqiis[0])]
+    return state.evaluator.evaluate_batch(iis, sqiis)
+
+
+def _n_tiles(mapping: BlockMapping, tile: int) -> int:
+    return (-(-mapping.anchors_y // tile)) * (-(-mapping.anchors_x // tile))
+
+
+def _frame_clean(current: np.ndarray, cached: np.ndarray, fp: FastpathConfig) -> bool:
+    """Whether ``current`` matches the cached frame closely enough to reuse."""
+    if fp.policy is FastpathPolicy.EXACT or fp.diff_eps == 0.0:
+        return bool(np.array_equal(current, cached))
+    return bool(np.all(np.abs(current - cached) <= fp.diff_eps))
+
+
+def _level_diff(
+    image: np.ndarray, cached: np.ndarray, fp: FastpathConfig, mapping: BlockMapping
+) -> tuple[bool, np.ndarray | None]:
+    """``(clean, dirty anchors)`` of one level against its cached image.
+
+    ``exact`` asks only for bit-equality; ``fast`` also maps the changed
+    pixels onto the anchors whose window footprint sees them.
+    """
+    if fp.policy is FastpathPolicy.EXACT:
+        return bool(np.array_equal(image, cached)), None
+    changed = np.abs(image - cached) > fp.diff_eps
+    if not changed.any():
+        return True, None
+    dirty = dirty_window_mask(changed, mapping.window, mapping.anchors_y, mapping.anchors_x)
+    return False, dirty
+
+
+def _observe_proposal(
+    tracer: Tracer,
+    fp: FastpathConfig,
+    result: CascadeKernelResult,
+    stats: FastpathFrameStats,
+    n_stages: int,
+) -> None:
+    """Run the variance screen observe-only (``exact`` mode).
+
+    The full evaluation already happened, so the true accept set is
+    known and the screen's recall can be *measured* instead of
+    trusted — the number the ``fast`` policy's pruning rides on.
+    """
+    ay, ax = result.depth_map.shape
+    with tracer.span("fastpath.screen", cat="fastpath"):
+        keep = tile_reduce_max(result.sigma_map, fp.tile) >= fp.min_sigma
+        textured = expand_tile_mask(keep, fp.tile, ay, ax)
+        accepted = result.depth_map == n_stages
+    stats.anchors_evaluated += ay * ax
+    stats.tiles_pruned += int(keep.size - np.count_nonzero(keep))
+    stats.proposal_total += int(np.count_nonzero(accepted))
+    stats.proposal_kept += int(np.count_nonzero(np.logical_and(accepted, textured)))
+
+
+def _evaluate_fast(
+    tracer: Tracer,
+    fp: FastpathConfig,
+    state: _LevelState,
+    ii: np.ndarray,
+    sqii: np.ndarray,
+    dirty: np.ndarray | None,
+    cached: CascadeKernelResult | None,
+    stats: FastpathFrameStats,
+) -> CascadeMaps:
+    """The pruning evaluation (``fast`` mode) for one dirty level."""
+    mapping = state.mapping
+    ay, ax = mapping.anchors_y, mapping.anchors_x
+    total = ay * ax
+    evaluator = state.evaluator
+    with tracer.span("fastpath.screen", cat="fastpath"):
+        sigma = evaluator.window_sigma(ii, sqii)
+        keep_tiles = tile_reduce_max(sigma, fp.tile) >= fp.min_sigma
+        textured = expand_tile_mask(keep_tiles, fp.tile, ay, ax)
+
+    if dirty is None:
+        active = textured
+    else:
+        active = np.logical_and(dirty, textured)
+        stats.tiles_clean += int(
+            keep_tiles.size - np.count_nonzero(tile_reduce_any(dirty, fp.tile))
+        )
+    active_count = int(np.count_nonzero(active))
+
+    if active_count >= fp.dense_fallback * total:
+        # too much motion/texture for masked gathers to pay for
+        # themselves: full dense refresh, no pruning on this level
+        stats.anchors_evaluated += total
+        return evaluator.evaluate(ii, sqii)
+    maps = evaluator.evaluate_masked(ii, sqii, active, sigma=sigma)
+    depth, margin = maps.depth_map, maps.margin_map
+    carried = 0
+    if dirty is not None:
+        clean = np.logical_not(dirty)
+        carried = total - int(np.count_nonzero(dirty))
+        depth = np.where(clean, cached.depth_map, depth)
+        margin = np.where(clean, cached.margin_map, margin)
+    stats.anchors_evaluated += active_count
+    stats.anchors_carried += carried
+    stats.anchors_pruned += total - active_count - carried
+    stats.tiles_pruned += int(keep_tiles.size - np.count_nonzero(keep_tiles))
+    return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
+
+
+def _execute(
+    pipeline: FaceDetectionPipeline,
+    geo: _Geometry,
+    frames: list[np.ndarray],
+    modes: list[ExecutionMode],
+    tracer: Tracer,
+    fp: FastpathConfig,
+    cache: _FastpathState | None,
+) -> dict[ExecutionMode, list[FrameResult]]:
+    """Run the Fig. 1 stage sequence over ``frames`` as lanes, once.
+
+    The functional pass (pyramid, integrals, cascade, grouping) runs one
+    time; the launch list it builds is scheduled under each of
+    ``modes``.  ``fp`` enabled implies a single lane (the workspace's
+    dispatch rule); ``cache`` is that lane's temporal delta cache, or
+    ``None`` when temporal reuse is off.
+    """
+    n = len(frames)
+    backend = pipeline.backend
+    n_stages = pipeline.cascade.num_stages
+    if n == 1:
+        stack = np.asarray(frames[0], dtype=np.float32)[None]
+    else:
+        stack = np.stack([np.asarray(frame, dtype=np.float32) for frame in frames])
+
+    stats: FastpathFrameStats | None = None
+    frame_hit = False
+    if fp.enabled:
+        stats = FastpathFrameStats(policy=fp.policy.value, levels=len(geo.levels))
+        if cache is not None and cache.complete:
+            with tracer.span("fastpath.diff", cat="fastpath"):
+                frame_hit = _frame_clean(stack[0], cache.frame, fp)
+            stats.frames_reused = int(frame_hit)
+    if frame_hit:
+        # the whole frame matches the cached predecessor: skip the pyramid
+        level_stacks = [level.image[None] for level in cache.levels]
+    else:
+        level_stacks = _build_pyramid(geo, stack, backend, tracer)
+    level_caches = cache.caches if cache is not None else [None] * len(geo.levels)
+
+    launches: list[KernelLaunch] = []
+    kernels: list[list[CascadeKernelResult]] = [[] for _ in range(n)]
+    for state, (pre, integral), images, level_cache in zip(
+        geo.levels, geo.static_launches(n), level_stacks, level_caches
+    ):
+        launches.extend(pre)
+        clean, dirty = frame_hit, None
+        if not clean and level_cache is not None and level_cache.result is not None:
+            with tracer.span("fastpath.diff", cat="fastpath"):
+                clean, dirty = _level_diff(images[0], level_cache.image, fp, state.mapping)
+        if stats is not None:
+            tiles = _n_tiles(state.mapping, fp.tile)
+            anchors = state.mapping.anchors_y * state.mapping.anchors_x
+            stats.tiles += tiles
+            stats.anchors += anchors
+            if clean:
+                stats.levels_reused += 1
+                stats.anchors_carried += anchors
+                stats.tiles_clean += tiles
+        if clean:
+            results = [level_cache.result]
+        else:
+            with tracer.span("integral"):
+                iis, sqiis = _integrals(state, images)
+            with tracer.span("cascade"):
+                if fp.policy is FastpathPolicy.FAST:
+                    cached = level_cache.result if level_cache is not None else None
+                    maps = [
+                        _evaluate_fast(tracer, fp, state, iis[0], sqiis[0], dirty, cached, stats)
+                    ]
+                else:
+                    maps = _evaluate(state, iis, sqiis)
+                results = [state.result(m, n_stages) for m in maps]
+                if fp.policy is FastpathPolicy.EXACT:
+                    _observe_proposal(tracer, fp, results[0], stats, n_stages)
+        launches.extend(integral)
+        launches.append(concat_launches([result.launch for result in results]))
+        for lane, result in zip(kernels, results):
+            lane.append(result)
+
+    levels = [
+        [
+            PyramidLevel(
+                index=state.index,
+                scale=state.scale,
+                width=state.width,
+                height=state.height,
+                image=images[i],
+            )
+            for state, images in zip(geo.levels, level_stacks)
+        ]
+        for i in range(n)
+    ]
+    if cache is not None and not frame_hit:
+        cache.update(levels[0], kernels[0])
+
+    if frame_hit and all(mode in cache.schedules for mode in modes):
+        # grouping is deterministic in (levels, kernel results) and the
+        # launch list is content-identical to the cached frame's, so the
+        # stored detections and schedules are byte-identical replays
+        raws = [list(cache.raw)]
+        schedules = {mode: cache.schedules[mode] for mode in modes}
+    else:
+        window = pipeline.config.pyramid.window
+        with tracer.span("grouping"):
+            raws = [collect_raw_detections(levels[i], kernels[i], window) for i in range(n)]
+        launches.append(
+            display_launch(
+                stack.shape[2],
+                stack.shape[1],
+                sum(len(raw) for raw in raws),
+                stream=geo.display_stream,
+                # the display kernel reads every scale's depth array, so it
+                # waits on all per-scale streams (stream-event dependency)
+                wait_streams=geo.display_waits,
+            )
+        )
+        schedules = {}
+        for mode in modes:
+            with tracer.span("schedule"):
+                schedules[mode] = pipeline.scheduler.run(launches, mode)
+        if cache is not None:
+            cache.raw = list(raws[0])
+            cache.schedules.update(schedules)
+
+    device_batch = n if n > 1 else None
+    return {
+        mode: [
+            FrameResult(
+                raw_detections=raws[i],
+                schedule=schedules[mode],
+                kernel_results=kernels[i],
+                levels=levels[i],
+                fastpath=stats,
+                device_batch=device_batch,
+            )
+            for i in range(n)
+        ]
+        for mode in modes
+    }
+
+
+# ---------------------------------------------------------------------------
+# the workspace: per-worker caches around the executor
+
+
+class FrameWorkspace:
+    """Reusable per-worker execution context around the executor.
+
+    Caches everything frame-independent per frame shape (pyramid
+    resampling plans, block mappings, launch templates with precomputed
+    cost cohorts, backend integral plans and cascade evaluators, fused
+    launches per lane count) plus the fast path's temporal delta cache,
+    so a workspace can serve mixed-resolution streams and each
+    resolution pays its plan cost once.  Not thread-safe: each engine
+    worker owns one workspace.
+
+    ``tracer`` wraps every Fig. 1 stage in a span (DESIGN §8).  Spans
+    only observe — output stays byte-identical with tracing on.
+    """
+
+    def __init__(
+        self,
+        pipeline: FaceDetectionPipeline,
+        tracer: Tracer | None = None,
+        stream: str | None = "default",
+    ) -> None:
+        self._pipeline = pipeline
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._backend = pipeline.backend
+        self._fastpath = pipeline.fastpath
+        #: stream identity for the temporal delta cache; ``None`` disables
+        #: temporal reuse (the proposal screen still applies under ``fast``)
+        self._stream = stream
+        self._geometries: dict[tuple[int, int], _Geometry] = {}
+        self._fp_states: dict[tuple[int, int], _FastpathState] = {}
+
+    @property
+    def fastpath(self) -> FastpathConfig:
+        """The resolved fast-path configuration this workspace applies."""
+        return self._fastpath
+
+    @property
+    def stream(self) -> str | None:
+        """Stream identity for temporal reuse (``None`` = disabled)."""
+        return self._stream
+
+    @property
+    def pipeline(self) -> FaceDetectionPipeline:
+        return self._pipeline
+
+    @property
+    def backend(self) -> ComputeBackend:
+        """The compute backend whose plans this workspace replays."""
+        return self._backend
+
+    def process_frame(
+        self, luma: np.ndarray, mode: ExecutionMode | None = None
+    ) -> FrameResult:
+        """Run the Fig. 1 pipeline over one luma frame (a single lane).
+
+        Float-identical to :meth:`FaceDetectionPipeline.process_frame`
+        when the fast path is off; the frame keeps its own schedule.
         """
-        resamples = sum(1 for state in geo.levels if state.index > 0)
-        return len(geo.octave_plans) + resamples + 2 * len(geo.levels)
-
-    def _geometry(self, shape: tuple[int, int]) -> _Geometry:
-        geo = self._geometries.get(shape)
-        if geo is None:
-            geo = _Geometry(self._pipeline, self._backend, shape)
-            self._geometries[shape] = geo
-        return geo
-
-    # -- the fused batch ------------------------------------------------------
+        return self._run([luma], mode)[0]
 
     def process_batch(
         self, lumas, mode: ExecutionMode | None = None
@@ -295,168 +791,59 @@ class BatchFrameWorkspace(FrameWorkspace):
         """Run N same-shaped frames as one fused device batch.
 
         Every frame's detections are bit-identical to
-        :meth:`FrameWorkspace.process_frame` on bitexact backends.  The
-        returned results *share* one fused
+        :meth:`process_frame` on bitexact backends.  The returned
+        results *share* one fused
         :class:`~repro.gpusim.scheduler.ScheduleResult` (each result's
         ``device_batch`` records the batch size so aggregation can count
-        it once).  Falls back to the per-frame path — schedule per
-        frame, nothing shared — for singleton batches and whenever the
-        fast path is enabled (its temporal delta cache is inherently
-        sequential across frames).
+        it once).  A singleton batch is one N=1 lane, and so is every
+        frame while the fast path is on: its temporal delta cache is
+        sequential across frames, and fused batches would roughly double
+        peak memory on held streams (DESIGN §12, "The N=1 rule").
         """
-        arrs = [np.asarray(luma) for luma in lumas]
-        if not arrs:
+        frames = list(lumas)
+        if not frames:
             raise ConfigurationError("process_batch needs at least one frame")
-        for arr in arrs:
-            check_shape_2d("luma", arr)
-        mode = mode or self._pipeline.config.mode
-        n = len(arrs)
+        lanes = [[frame] for frame in frames] if self._fastpath.enabled else [frames]
+        results = [result for lane in lanes for result in self._run(lane, mode)]
+        n = len(results)
+        fused = n > 1 and len(lanes) == 1
+        sites = self._geometries[np.shape(frames[0])].transfer_sites
+        paid = sites if fused else sites * n
+        transfers = TransferStats(
+            frames=n,
+            batches=1,
+            fused_batches=int(fused),
+            h2d=paid,
+            d2h=paid,
+            per_frame_h2d=sites * n,
+            per_frame_d2h=sites * n,
+        )
+        schedule = results[0].schedule if fused else None
+        return BatchExecution(results=results, schedule=schedule, transfers=transfers)
 
-        if n == 1 or self._fastpath.enabled:
-            results = [self.process_frame(arr, mode) for arr in arrs]
-            geo = self._geometry(
-                np.asarray(arrs[0], dtype=np.float32).shape
-            )
-            sites = self._transfer_sites(geo)
-            transfers = TransferStats(
-                frames=n,
-                batches=1,
-                fused_batches=0,
-                h2d=sites * n,
-                d2h=sites * n,
-                per_frame_h2d=sites * n,
-                per_frame_d2h=sites * n,
-            )
-            return BatchExecution(results=results, schedule=None, transfers=transfers)
-
-        shapes = {arr.shape for arr in arrs}
+    def _run(self, lumas: list, mode: ExecutionMode | None) -> list[FrameResult]:
+        frames = [np.asarray(luma) for luma in lumas]
+        for frame in frames:
+            check_shape_2d("luma", frame)
+        shapes = {frame.shape for frame in frames}
         if len(shapes) != 1:
             raise ConfigurationError(
                 f"a device batch needs one frame shape, got {sorted(shapes)}"
             )
+        shape = frames[0].shape
+        geo = self._geometries.get(shape)
+        if geo is None:
+            geo = self._geometries[shape] = _Geometry(self._pipeline, self._backend, shape)
+        cache = None
+        if self._fastpath.enabled and self._stream is not None:
+            cache = self._fp_states.get(shape)
+            if cache is None:
+                cache = self._fp_states[shape] = _FastpathState(len(geo.levels))
+        mode = mode or self._pipeline.config.mode
+        return _execute(
+            self._pipeline, geo, frames, [mode], self._tracer, self._fastpath, cache
+        )[mode]
 
-        tracer = self._tracer
-        backend = self._backend
-        stack = np.stack([np.asarray(arr, dtype=np.float32) for arr in arrs])
-        geo = self._geometry(stack.shape[1:])
-        sites = self._transfer_sites(geo)
-        transfers = TransferStats(
-            frames=n,
-            batches=1,
-            fused_batches=1,
-            h2d=sites,
-            d2h=sites,
-            per_frame_h2d=sites * n,
-            per_frame_d2h=sites * n,
-        )
 
-        # pyramid: octave chain and per-level resamples, one fused gather each
-        octaves: list[np.ndarray] = [stack]
-        for plan, _buf in geo.octave_plans:
-            with tracer.span("pyramid.antialias"):
-                filtered = np.stack(
-                    [backend.antialias(octaves[-1][i], 2.0) for i in range(n)]
-                )
-            with tracer.span("pyramid.scale"):
-                octaves.append(plan.apply_batch(filtered))
-        level_stacks: list[np.ndarray] = []
-        for state in geo.levels:
-            if state.index == 0:
-                level_stacks.append(stack)
-            else:
-                with tracer.span("pyramid.scale"):
-                    level_stacks.append(state.bilinear.apply_batch(octaves[state.octave]))
-
-        # integral + cascade per level, fused launches as we go
-        static = self._fused_static_launches(geo, n)
-        launches: list[KernelLaunch] = []
-        per_frame_kernels: list[list[CascadeKernelResult]] = [[] for _ in range(n)]
-        for (pre, integral), state, imgs in zip(static, geo.levels, level_stacks):
-            launches.extend(pre)
-            with tracer.span("integral"):
-                iis, sqiis = state.integral_plan.compute_batch(imgs)
-            launches.extend(integral)
-            with tracer.span("cascade"):
-                maps_list = state.evaluator.evaluate_batch(iis, sqiis)
-            level_launches: list[KernelLaunch] = []
-            for i, maps in enumerate(maps_list):
-                rejections = np.bincount(
-                    maps.depth_map.ravel(), minlength=self._n_stages + 1
-                )
-                launch = state.launch_template.build(maps.depth_map)
-                level_launches.append(launch)
-                per_frame_kernels[i].append(
-                    CascadeKernelResult(
-                        depth_map=maps.depth_map,
-                        margin_map=maps.margin_map,
-                        sigma_map=maps.sigma_map,
-                        launch=launch,
-                        mapping=state.mapping,
-                        rejections_by_depth=rejections,
-                    )
-                )
-            launches.append(concat_launches(level_launches))
-
-        # grouping stays per frame (detections are per-frame output)
-        levels_per_frame = [
-            [
-                PyramidLevel(
-                    index=state.index,
-                    scale=state.scale,
-                    width=state.width,
-                    height=state.height,
-                    image=level_stacks[li][i],
-                )
-                for li, state in enumerate(geo.levels)
-            ]
-            for i in range(n)
-        ]
-        window = self._pipeline.config.pyramid.window
-        with tracer.span("grouping"):
-            raws = [
-                collect_raw_detections(levels_per_frame[i], per_frame_kernels[i], window)
-                for i in range(n)
-            ]
-        launches.append(
-            display_launch(
-                stack.shape[2],
-                stack.shape[1],
-                sum(len(raw) for raw in raws),
-                stream=geo.display_stream,
-                wait_streams=geo.display_waits,
-            )
-        )
-        with tracer.span("schedule"):
-            schedule = self._pipeline.scheduler.run(launches, mode)
-
-        results = [
-            FrameResult(
-                raw_detections=raws[i],
-                schedule=schedule,
-                kernel_results=per_frame_kernels[i],
-                levels=levels_per_frame[i],
-                device_batch=n,
-            )
-            for i in range(n)
-        ]
-        return BatchExecution(results=results, schedule=schedule, transfers=transfers)
-
-    def _fused_static_launches(self, geo: _Geometry, n: int) -> list[tuple]:
-        """Per-level fused frame-independent launches, cached per (shape, n).
-
-        Filtering/scaling/integral launches depend only on level geometry,
-        so their ``n``-fold fusion (tiled work, scaled cohorts) is built
-        once per (frame shape, batch size) and replayed every batch.
-        """
-        key = (geo.shape, n)
-        cached = self._fused_static.get(key)
-        if cached is None:
-            cached = [
-                (
-                    tuple(fuse_uniform_launch(l, n) for l in state.pre_launches),
-                    tuple(fuse_uniform_launch(l, n) for l in state.integral_launches),
-                )
-                for state in geo.levels
-            ]
-            self._fused_static[key] = cached
-        return cached
+#: the batch-capable workspace is the one workspace (kept importable by name)
+BatchFrameWorkspace = FrameWorkspace

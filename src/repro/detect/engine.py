@@ -2,44 +2,29 @@
 
 The paper's headline mechanism overlaps *pyramid scales* on the device;
 this module applies the same idea one level up and overlaps *frames* on
-the host.  Two pieces:
+the host.  :class:`DetectionEngine` runs N frames in flight, one
+:class:`~repro.detect.devicebatch.FrameWorkspace` per worker (the one
+workspace kind: it runs single frames and fused device batches through
+the lane-parallel executor of :mod:`repro.detect.devicebatch`), with
+bounded in-flight frames (backpressure: the input iterator is only
+advanced when a slot frees) and strictly ordered output.
 
-* :class:`FrameWorkspace` — a reusable per-worker execution context that
-  runs the exact Fig. 1 pipeline of
-  :meth:`~repro.detect.pipeline.FaceDetectionPipeline.process_frame`, but
-  keeps every frame-independent artefact alive between frames: pyramid
-  resampling plans, cached :class:`~repro.detect.windows.BlockMapping`
-  geometry, launch templates for the filtering/scaling/integral/cascade
-  kernels with precomputed cost-model state, and the per-level
-  integral-image plans and cascade evaluators of the active
-  :class:`~repro.backend.base.ComputeBackend`.  One-shot ``process_frame``
-  rebuilds all of this per frame; the workspace amortises it across a
-  whole video.  The numeric kernels themselves live behind the backend
-  seam, and the ``reference`` backend replays the original implementation
-  operation-for-operation, so the functional output (detections, depth
-  maps, schedules) is *identical* — the determinism tests assert exact
-  equality, and the cross-backend oracle extends the same contract to
-  every other backend.
+:class:`ShardingMode` selects the executor: ``threads`` (the original
+``concurrent.futures`` thread pool — cooperative under the GIL, cheap
+hand-off), ``processes`` (a persistent ``ProcessPoolExecutor`` whose
+workers each build their own pipeline once from a picklable
+:class:`~repro.detect.pipeline.PipelineSpec`, with frame pixels moved
+through a :class:`~repro.video.shm.SharedFrameRing` instead of pickles —
+true multi-core parallelism), or ``auto`` (processes whenever more than
+one worker meets more than one core).  Both sharded paths keep the
+ordered-output and ``max_in_flight`` contracts exactly, and both are
+byte-identical to serial ``process_frame``.
 
-* :class:`DetectionEngine` — runs N frames in flight, one workspace per
-  worker, with bounded in-flight frames (backpressure: the input
-  iterator is only advanced when a slot frees) and strictly ordered
-  output.  :class:`ShardingMode` selects the executor: ``threads``
-  (the original ``concurrent.futures`` thread pool — cooperative under
-  the GIL, cheap hand-off), ``processes`` (a persistent
-  ``ProcessPoolExecutor`` whose workers each build their own pipeline
-  once from a picklable :class:`~repro.detect.pipeline.PipelineSpec`,
-  with frame pixels moved through a
-  :class:`~repro.video.shm.SharedFrameRing` instead of pickles — true
-  multi-core parallelism), or ``auto`` (processes whenever more than
-  one worker meets more than one core).  Both sharded paths keep the
-  ordered-output and ``max_in_flight`` contracts exactly, and both are
-  byte-identical to serial ``process_frame``.
-
-The simulated GPU timing layer is untouched: each frame still gets its
-own :class:`~repro.gpusim.scheduler.ScheduleResult`, which
-:func:`batch_report` aggregates into a
-:class:`~repro.gpusim.batch.BatchReport`.
+With ``batch_across_frames`` on, :func:`_iter_groups` cuts the stream
+into runs of consecutive same-shaped frames and each run is one
+``process_batch`` call.  Otherwise each frame gets its own
+:class:`~repro.gpusim.scheduler.ScheduleResult`; :func:`batch_report`
+aggregates either kind into a :class:`~repro.gpusim.batch.BatchReport`.
 """
 
 from __future__ import annotations
@@ -58,27 +43,9 @@ from enum import Enum
 
 import numpy as np
 
-from repro.backend.base import BilinearPlan, ComputeBackend
-from repro.detect.display import display_launch
-from repro.detect.fastpath import (
-    FastpathConfig,
-    FastpathFrameStats,
-    FastpathPolicy,
-    dirty_window_mask,
-    expand_tile_mask,
-    tile_reduce_any,
-    tile_reduce_max,
-)
-from repro.detect.kernels import (
-    CascadeKernelResult,
-    CascadeLaunchTemplate,
-    cascade_launch_costs,
-)
-from repro.detect.pipeline import (
-    FaceDetectionPipeline,
-    FrameResult,
-    collect_raw_detections,
-)
+from repro.backend.base import ComputeBackend
+from repro.detect.devicebatch import FrameWorkspace
+from repro.detect.pipeline import FaceDetectionPipeline, FrameResult
 from repro.detect.shard import (
     ShardReply,
     WorkerSpec,
@@ -87,17 +54,11 @@ from repro.detect.shard import (
     process_shard,
     process_shard_batch,
 )
-from repro.detect.windows import BlockMapping
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.gpusim.batch import BatchReport
-from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.scheduler import ExecutionMode
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.image.filtering import filtering_launch
-from repro.image.integral import integral_launches
-from repro.image.pyramid import PyramidLevel, pyramid_scales, scaling_launch
-from repro.utils.validation import check_shape_2d
+from repro.obs.tracer import Tracer
 from repro.video.shm import SharedFrameRing, SlotTicket
 
 __all__ = [
@@ -157,586 +118,6 @@ class ShardingMode(Enum):
 
 
 # ---------------------------------------------------------------------------
-# frame-independent per-level state
-
-
-class _LevelState:
-    """Per-pyramid-level backend plans and cached launch templates."""
-
-    def __init__(
-        self,
-        pipeline: FaceDetectionPipeline,
-        backend: ComputeBackend,
-        index: int,
-        scale: float,
-        width: int,
-        height: int,
-        octave: int,
-    ) -> None:
-        self.index = index
-        self.scale = scale
-        self.width = width
-        self.height = height
-        self.octave = octave
-        stream = index + 1
-        self.stream = stream
-
-        cost_model = pipeline.scheduler.cost_model
-
-        def template(launch: KernelLaunch) -> KernelLaunch:
-            # Precompute the cost cohorts the scheduler would otherwise
-            # derive per frame; cohorts are deterministic in the launch, so
-            # schedules are unchanged.
-            launch.cohorts = cost_model.build_cohorts(launch)
-            return launch
-
-        self.pre_launches: tuple[KernelLaunch, ...]
-        if index > 0:
-            self.pre_launches = (
-                template(filtering_launch(width, height, stream, tag="filter")),
-                template(scaling_launch(width, height, stream, tag="scaling")),
-            )
-        else:
-            self.pre_launches = ()
-        self.integral_launches = tuple(
-            template(launch)
-            for launch in integral_launches(height, width, stream, tag="integral")
-        )
-
-        self.mapping = BlockMapping(
-            level_width=width,
-            level_height=height,
-            window=pipeline.config.pyramid.window,
-            block_w=pipeline.config.block_w,
-            block_h=pipeline.config.block_h,
-        )
-
-        # the backend side of the seam: reusable, buffer-owning kernels
-        self.integral_plan = backend.make_integral_plan(height, width)
-        self.evaluator = backend.make_cascade_evaluator(pipeline.cascade, self.mapping)
-        self.bilinear: BilinearPlan | None = None  # set by _Geometry
-
-        self.launch_template = CascadeLaunchTemplate(
-            cascade_launch_costs(pipeline.cascade),
-            self.mapping,
-            stream,
-            name=f"cascade_s{index}",
-        )
-
-
-class _Geometry:
-    """Everything frame-independent for one ``(height, width)`` frame shape."""
-
-    def __init__(
-        self,
-        pipeline: FaceDetectionPipeline,
-        backend: ComputeBackend,
-        shape: tuple[int, int],
-    ) -> None:
-        height, width = shape
-        config = pipeline.config.pyramid
-        self.shape = shape
-        scales = pyramid_scales(width, height, config)
-
-        # octave chain geometry (mirrors build_pyramid's while loop)
-        octave_shapes = [(height, width)]
-        while max(octave_shapes[-1]) // 2 >= config.min_image_side:
-            ph, pw = octave_shapes[-1]
-            octave_shapes.append((max(ph // 2, 1), max(pw // 2, 1)))
-        self.octave_plans: list[tuple[BilinearPlan, np.ndarray]] = []
-        for (ph, pw), (oh, ow) in zip(octave_shapes, octave_shapes[1:]):
-            self.octave_plans.append(
-                (
-                    backend.make_bilinear_plan(ph, pw, oh, ow),
-                    np.empty((oh, ow), dtype=np.float32),
-                )
-            )
-        n_octaves = len(octave_shapes)
-
-        self.levels: list[_LevelState] = []
-        for index, scale in enumerate(scales):
-            w = int(width / scale)
-            h = int(height / scale)
-            octave = 0
-            if index > 0:
-                octave = min(int(np.floor(np.log2(scale))), n_octaves - 1)
-            state = _LevelState(pipeline, backend, index, scale, w, h, octave)
-            if index > 0:
-                oh, ow = octave_shapes[octave]
-                state.bilinear = backend.make_bilinear_plan(oh, ow, h, w)
-            self.levels.append(state)
-
-        self.display_stream = len(scales) + 1
-        self.display_waits = tuple(range(1, len(scales) + 1))
-
-
-# ---------------------------------------------------------------------------
-# temporal delta-cache state (per workspace, per frame shape)
-
-
-class _FastpathLevelCache:
-    """Previous frame's pixels and cascade result for one pyramid level."""
-
-    __slots__ = ("image", "result")
-
-    def __init__(self) -> None:
-        self.image: np.ndarray | None = None
-        self.result: CascadeKernelResult | None = None
-
-
-class _FastpathState:
-    """One stream's delta cache for one frame shape.
-
-    Owned by exactly one workspace (workspaces are single-worker by
-    contract), so under thread *and* process sharding each worker caches
-    its own subsequence of the stream — reuse fires whenever *that
-    worker's* previous frame matches, which keeps ``exact`` mode
-    byte-identical by construction regardless of how frames shard.
-    """
-
-    def __init__(self, n_levels: int) -> None:
-        self.frame: np.ndarray | None = None
-        self.levels: list[PyramidLevel] | None = None
-        self.caches = [_FastpathLevelCache() for _ in range(n_levels)]
-        # downstream replay state: the grouped detections and the
-        # simulated schedule of the cached frame.  On a whole-frame hit
-        # the launch list is content-identical and scheduler.run is a
-        # deterministic, stateless function of (launches, mode), so
-        # replaying these is byte-identical to recomputing them.
-        self.raw: list | None = None
-        self.schedule = None
-        self.schedule_mode = None
-
-    @property
-    def complete(self) -> bool:
-        return self.frame is not None and all(
-            c.result is not None for c in self.caches
-        )
-
-
-# ---------------------------------------------------------------------------
-# the workspace: one frame at a time, all caches hot
-
-
-class FrameWorkspace:
-    """Reusable execution context replicating ``process_frame`` bit-for-bit.
-
-    Not thread-safe: each engine worker owns one workspace.  Geometry
-    state is cached per frame shape, so a workspace can serve mixed-
-    resolution streams (each resolution pays its plan cost once).
-
-    ``tracer`` wraps every Fig. 1 stage in a span (pyramid anti-alias,
-    pyramid scaling, integral images, cascade evaluation, grouping, the
-    simulated schedule).  Spans only observe — output stays
-    byte-identical with tracing on, as the determinism tests assert.
-    """
-
-    def __init__(
-        self,
-        pipeline: FaceDetectionPipeline,
-        tracer: Tracer | None = None,
-        stream: str | None = "default",
-    ) -> None:
-        self._pipeline = pipeline
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._backend = pipeline.backend
-        self._n_stages = pipeline.cascade.num_stages
-        self._geometries: dict[tuple[int, int], _Geometry] = {}
-        self._fastpath = pipeline.fastpath
-        #: stream identity for the temporal delta cache; ``None`` disables
-        #: temporal reuse (the proposal screen still applies under ``fast``)
-        self._stream = stream
-        self._fp_states: dict[tuple[int, int], _FastpathState] = {}
-
-    @property
-    def fastpath(self) -> FastpathConfig:
-        """The resolved fast-path configuration this workspace applies."""
-        return self._fastpath
-
-    @property
-    def stream(self) -> str | None:
-        """Stream identity for temporal reuse (``None`` = disabled)."""
-        return self._stream
-
-    @property
-    def pipeline(self) -> FaceDetectionPipeline:
-        return self._pipeline
-
-    @property
-    def backend(self) -> ComputeBackend:
-        """The compute backend whose plans this workspace replays."""
-        return self._backend
-
-    def process_frame(
-        self, luma: np.ndarray, mode: ExecutionMode | None = None
-    ) -> FrameResult:
-        """Run the full Fig. 1 pipeline over one luma frame.
-
-        Float-identical to :meth:`FaceDetectionPipeline.process_frame`.
-        """
-        arr = np.asarray(luma)
-        check_shape_2d("luma", arr)
-        mode = mode or self._pipeline.config.mode
-        img = np.asarray(arr, dtype=np.float32)
-        geo = self._geometries.get(img.shape)
-        if geo is None:
-            geo = _Geometry(self._pipeline, self._backend, img.shape)
-            self._geometries[img.shape] = geo
-
-        if self._fastpath.enabled:
-            return self._process_frame_fastpath(geo, img, mode)
-
-        tracer = self._tracer
-        levels = self._build_levels(geo, img)
-
-        launches: list[KernelLaunch] = []
-        kernel_results: list[CascadeKernelResult] = []
-        for state, level in zip(geo.levels, levels):
-            launches.extend(state.pre_launches)
-            with tracer.span("integral"):
-                ii, sqii = state.integral_plan.compute(level.image)
-            launches.extend(state.integral_launches)
-            with tracer.span("cascade"):
-                result = self._cascade_eval(state, ii, sqii)
-            launches.append(result.launch)
-            kernel_results.append(result)
-
-        with tracer.span("grouping"):
-            raw = collect_raw_detections(
-                levels, kernel_results, self._pipeline.config.pyramid.window
-            )
-        launches.append(
-            display_launch(
-                img.shape[1],
-                img.shape[0],
-                len(raw),
-                stream=geo.display_stream,
-                wait_streams=geo.display_waits,
-            )
-        )
-        with tracer.span("schedule"):
-            schedule = self._pipeline.scheduler.run(launches, mode)
-        return FrameResult(
-            raw_detections=raw,
-            schedule=schedule,
-            kernel_results=kernel_results,
-            levels=levels,
-        )
-
-    # -- pyramid ------------------------------------------------------------
-
-    def _build_levels(self, geo: _Geometry, img: np.ndarray) -> list[PyramidLevel]:
-        tracer = self._tracer
-        backend = self._backend
-        octaves: list[np.ndarray] = [img]
-        for plan, buf in geo.octave_plans:
-            with tracer.span("pyramid.antialias"):
-                filtered = backend.antialias(octaves[-1], 2.0)
-            with tracer.span("pyramid.scale"):
-                octaves.append(plan.apply(filtered, out=buf))
-        levels: list[PyramidLevel] = []
-        for state in geo.levels:
-            if state.index == 0:
-                image = img
-            else:
-                with tracer.span("pyramid.scale"):
-                    image = state.bilinear.apply(octaves[state.octave])
-            levels.append(
-                PyramidLevel(
-                    index=state.index,
-                    scale=state.scale,
-                    width=state.width,
-                    height=state.height,
-                    image=image,
-                )
-            )
-        return levels
-
-    # -- cascade kernel ------------------------------------------------------
-
-    def _cascade_eval(
-        self, state: _LevelState, ii: np.ndarray, sqii: np.ndarray
-    ) -> CascadeKernelResult:
-        maps = state.evaluator.evaluate(ii, sqii)
-        rejections = np.bincount(maps.depth_map.ravel(), minlength=self._n_stages + 1)
-        return CascadeKernelResult(
-            depth_map=maps.depth_map,
-            margin_map=maps.margin_map,
-            sigma_map=maps.sigma_map,
-            launch=state.launch_template.build(maps.depth_map),
-            mapping=state.mapping,
-            rejections_by_depth=rejections,
-        )
-
-    # -- the two-tier fast path ----------------------------------------------
-
-    def _process_frame_fastpath(
-        self, geo: _Geometry, img: np.ndarray, mode: ExecutionMode
-    ) -> FrameResult:
-        """Proposal pre-pass + temporal delta cache (``exact`` / ``fast``).
-
-        ``exact`` reuses cached cascade results only for *bit-equal*
-        pixels — evaluation is a deterministic function of the level
-        image, so reuse is provably byte-identical — and runs the
-        variance screen observe-only.  ``fast`` additionally prunes
-        flat tiles and carries cached depth/margin forward for anchors
-        whose window footprint saw no changed pixel.
-        """
-        fp = self._fastpath
-        tracer = self._tracer
-        exact = fp.policy is FastpathPolicy.EXACT
-        temporal = self._stream is not None
-        state = self._fp_states.get(img.shape)
-        if state is None:
-            state = _FastpathState(len(geo.levels))
-            self._fp_states[img.shape] = state
-        stats = FastpathFrameStats(policy=fp.policy.value, levels=len(geo.levels))
-
-        frame_hit = False
-        if temporal and state.complete:
-            with tracer.span("fastpath.diff", cat="fastpath"):
-                frame_hit = self._pixels_clean(img, state.frame, fp, exact)
-
-        launches: list[KernelLaunch] = []
-        kernel_results: list[CascadeKernelResult] = []
-        if frame_hit:
-            # the whole frame matches the cached predecessor: skip the
-            # pyramid, the integrals and every cascade evaluation
-            stats.frames_reused = 1
-            levels = state.levels
-            schedule_hit = (
-                state.schedule is not None and state.schedule_mode == mode
-            )
-            for lv, cache in zip(geo.levels, state.caches):
-                result = cache.result
-                kernel_results.append(result)
-                if not schedule_hit:
-                    launches.extend(lv.pre_launches)
-                    launches.extend(lv.integral_launches)
-                    launches.append(result.launch)
-                n_tiles = self._n_tiles(lv.mapping, fp.tile)
-                stats.levels_reused += 1
-                stats.anchors += result.depth_map.size
-                stats.anchors_carried += result.depth_map.size
-                stats.tiles += n_tiles
-                stats.tiles_clean += n_tiles
-            if schedule_hit:
-                # grouping is deterministic in (levels, kernel_results)
-                # and the launch list a hit would rebuild is content-
-                # identical to the cached frame's, so the stored raw
-                # detections and ScheduleResult are byte-identical
-                # replays — skip grouping and the simulated schedule
-                return FrameResult(
-                    raw_detections=list(state.raw),
-                    schedule=state.schedule,
-                    kernel_results=kernel_results,
-                    levels=levels,
-                    fastpath=stats,
-                )
-        else:
-            levels = self._build_levels(geo, img)
-            for lv, level, cache in zip(geo.levels, levels, state.caches):
-                launches.extend(lv.pre_launches)
-                result = self._fastpath_level(fp, lv, level, cache, temporal, exact, stats)
-                launches.extend(lv.integral_launches)
-                launches.append(result.launch)
-                kernel_results.append(result)
-            if temporal:
-                self._fastpath_update_cache(state, levels, kernel_results)
-
-        with tracer.span("grouping"):
-            raw = collect_raw_detections(
-                levels, kernel_results, self._pipeline.config.pyramid.window
-            )
-        launches.append(
-            display_launch(
-                img.shape[1],
-                img.shape[0],
-                len(raw),
-                stream=geo.display_stream,
-                wait_streams=geo.display_waits,
-            )
-        )
-        with tracer.span("schedule"):
-            schedule = self._pipeline.scheduler.run(launches, mode)
-        if temporal and state.complete:
-            state.raw = list(raw)
-            state.schedule = schedule
-            state.schedule_mode = mode
-        return FrameResult(
-            raw_detections=raw,
-            schedule=schedule,
-            kernel_results=kernel_results,
-            levels=levels,
-            fastpath=stats,
-        )
-
-    @staticmethod
-    def _pixels_clean(
-        current: np.ndarray, cached: np.ndarray, fp: FastpathConfig, exact: bool
-    ) -> bool:
-        """Whether ``current`` matches the cache closely enough to reuse."""
-        if exact or fp.diff_eps == 0.0:
-            return bool(np.array_equal(current, cached))
-        return bool(np.all(np.abs(current - cached) <= fp.diff_eps))
-
-    @staticmethod
-    def _n_tiles(mapping: BlockMapping, tile: int) -> int:
-        return (-(-mapping.anchors_y // tile)) * (-(-mapping.anchors_x // tile))
-
-    def _fastpath_level(
-        self,
-        fp: FastpathConfig,
-        lv: _LevelState,
-        level: PyramidLevel,
-        cache: _FastpathLevelCache,
-        temporal: bool,
-        exact: bool,
-        stats: FastpathFrameStats,
-    ) -> CascadeKernelResult:
-        """Diff, screen and evaluate one pyramid level."""
-        tracer = self._tracer
-        mapping = lv.mapping
-        ay, ax = mapping.anchors_y, mapping.anchors_x
-        n_tiles = self._n_tiles(mapping, fp.tile)
-        stats.tiles += n_tiles
-        stats.anchors += ay * ax
-
-        changed: np.ndarray | None = None
-        if temporal and cache.result is not None:
-            with tracer.span("fastpath.diff", cat="fastpath"):
-                if exact:
-                    clean = bool(np.array_equal(level.image, cache.image))
-                else:
-                    changed = np.abs(level.image - cache.image) > fp.diff_eps
-                    clean = not bool(changed.any())
-            if clean:
-                stats.levels_reused += 1
-                stats.anchors_carried += ay * ax
-                stats.tiles_clean += n_tiles
-                return cache.result
-
-        with tracer.span("integral"):
-            ii, sqii = lv.integral_plan.compute(level.image)
-        with tracer.span("cascade"):
-            if exact:
-                result = self._cascade_eval(lv, ii, sqii)
-                self._observe_proposal(fp, lv, result, stats)
-            else:
-                result = self._cascade_eval_fast(fp, lv, ii, sqii, changed, cache, stats)
-        return result
-
-    def _observe_proposal(
-        self,
-        fp: FastpathConfig,
-        lv: _LevelState,
-        result: CascadeKernelResult,
-        stats: FastpathFrameStats,
-    ) -> None:
-        """Run the variance screen observe-only (``exact`` mode).
-
-        The full evaluation already happened, so the true accept set is
-        known and the screen's recall can be *measured* instead of
-        trusted — the number the ``fast`` policy's pruning rides on.
-        """
-        mapping = lv.mapping
-        ay, ax = mapping.anchors_y, mapping.anchors_x
-        with self._tracer.span("fastpath.screen", cat="fastpath"):
-            keep = tile_reduce_max(result.sigma_map, fp.tile) >= fp.min_sigma
-            textured = expand_tile_mask(keep, fp.tile, ay, ax)
-            accepted = result.depth_map == self._n_stages
-        stats.anchors_evaluated += ay * ax
-        stats.tiles_pruned += int(keep.size - np.count_nonzero(keep))
-        stats.proposal_total += int(np.count_nonzero(accepted))
-        stats.proposal_kept += int(np.count_nonzero(np.logical_and(accepted, textured)))
-
-    def _cascade_eval_fast(
-        self,
-        fp: FastpathConfig,
-        lv: _LevelState,
-        ii: np.ndarray,
-        sqii: np.ndarray,
-        changed: np.ndarray | None,
-        cache: _FastpathLevelCache,
-        stats: FastpathFrameStats,
-    ) -> CascadeKernelResult:
-        """The pruning evaluation (``fast`` mode) for one dirty level."""
-        mapping = lv.mapping
-        ay, ax = mapping.anchors_y, mapping.anchors_x
-        total = ay * ax
-        evaluator = lv.evaluator
-        with self._tracer.span("fastpath.screen", cat="fastpath"):
-            sigma = evaluator.window_sigma(ii, sqii)
-            keep_tiles = tile_reduce_max(sigma, fp.tile) >= fp.min_sigma
-            textured = expand_tile_mask(keep_tiles, fp.tile, ay, ax)
-
-        dirty: np.ndarray | None = None
-        if changed is None:
-            active = textured
-        else:
-            with self._tracer.span("fastpath.diff", cat="fastpath"):
-                dirty = dirty_window_mask(changed, mapping.window, ay, ax)
-            active = np.logical_and(dirty, textured)
-            stats.tiles_clean += int(
-                keep_tiles.size - np.count_nonzero(tile_reduce_any(dirty, fp.tile))
-            )
-        active_count = int(np.count_nonzero(active))
-
-        if active_count >= fp.dense_fallback * total:
-            # too much motion/texture for masked gathers to pay for
-            # themselves: full dense refresh, no pruning on this level
-            maps = evaluator.evaluate(ii, sqii)
-            depth, margin, sigma = maps.depth_map, maps.margin_map, maps.sigma_map
-            stats.anchors_evaluated += total
-        else:
-            maps = evaluator.evaluate_masked(ii, sqii, active, sigma=sigma)
-            depth, margin = maps.depth_map, maps.margin_map
-            carried = 0
-            if dirty is not None:
-                clean = np.logical_not(dirty)
-                carried = total - int(np.count_nonzero(dirty))
-                depth = np.where(clean, cache.result.depth_map, depth)
-                margin = np.where(clean, cache.result.margin_map, margin)
-            stats.anchors_evaluated += active_count
-            stats.anchors_carried += carried
-            stats.anchors_pruned += total - active_count - carried
-            stats.tiles_pruned += int(keep_tiles.size - np.count_nonzero(keep_tiles))
-        rejections = np.bincount(depth.ravel(), minlength=self._n_stages + 1)
-        return CascadeKernelResult(
-            depth_map=depth,
-            margin_map=margin,
-            sigma_map=sigma,
-            launch=lv.launch_template.build(depth),
-            mapping=mapping,
-            rejections_by_depth=rejections,
-        )
-
-    def _fastpath_update_cache(
-        self,
-        state: _FastpathState,
-        levels: list[PyramidLevel],
-        kernel_results: list[CascadeKernelResult],
-    ) -> None:
-        # level 0 aliases the caller's frame buffer (a shared-memory ring
-        # slot under process sharding) — copy it; deeper levels are
-        # freshly allocated by the bilinear plans, so references are safe
-        img_copy = np.array(levels[0].image, copy=True)
-        level0 = PyramidLevel(
-            index=levels[0].index,
-            scale=levels[0].scale,
-            width=levels[0].width,
-            height=levels[0].height,
-            image=img_copy,
-        )
-        cached_levels = [level0, *levels[1:]]
-        for cache, level, result in zip(state.caches, cached_levels, kernel_results):
-            cache.image = level.image
-            cache.result = result
-        state.frame = img_copy
-        state.levels = cached_levels
-
-
-# ---------------------------------------------------------------------------
 # the engine: N frames in flight, ordered output, bounded memory
 
 
@@ -749,11 +130,13 @@ def _as_luma(frame) -> np.ndarray:
 def _iter_groups(frames: Iterable, max_batch: int) -> Iterator[tuple[int, list[np.ndarray]]]:
     """Yield ``(start_index, lumas)`` runs of consecutive same-shaped frames.
 
-    The streaming form of :meth:`~repro.detect.devicebatch.BatchPlan.plan`:
-    groups never reorder frames (FIFO output depends on it), never mix
-    frame shapes (fused kernels need congruent pyramids) and never exceed
-    ``max_batch`` frames.
+    The engine's one batch-formation rule: groups never reorder frames
+    (FIFO output depends on it), never mix frame shapes (fused kernels
+    need congruent pyramids) and never exceed ``max_batch`` frames.
+    Each group's lumas are the caller's arrays, uncopied.
     """
+    if max_batch < 1:
+        raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
     buf: list[np.ndarray] = []
     start = 0
     for index, frame in enumerate(frames):
@@ -1078,7 +461,6 @@ class DetectionEngine:
                 tracing=self._tracer.enabled,
                 trace_origin=self._tracer.origin,
                 stream=self._fastpath_stream,
-                device_batch=self._batch,
             )
             self._pool = ProcessPoolExecutor(
                 max_workers=self._workers,
@@ -1145,10 +527,6 @@ class DetectionEngine:
         with self._lock:
             if self._free:
                 return self._free.pop()
-        if self._batch:
-            return self._pipeline.make_batch_workspace(
-                tracer=self._tracer, stream=self._fastpath_stream
-            )
         return self._pipeline.make_workspace(
             tracer=self._tracer, stream=self._fastpath_stream
         )

@@ -10,6 +10,12 @@ baseline or the concurrent-kernel-execution configuration.
 The *simulated* GPU milliseconds reported in ``FrameResult.makespan_s`` are
 what Table II and Fig. 5 plot; the functional results (detections, depth
 maps) are identical in both modes, as the tests assert.
+
+This module holds the configuration, the per-frame result and the
+pipeline object (constant-memory cascade, resolved backend, scheduler).
+The stage sequence itself is written once, in the lane-parallel executor
+of :mod:`repro.detect.devicebatch`; :meth:`FaceDetectionPipeline.
+process_frame` is one pass through it.
 """
 
 from __future__ import annotations
@@ -21,22 +27,17 @@ import numpy as np
 from repro.backend import ComputeBackend, default_backend_name, resolve_backend
 from repro.backend.base import DEVICE_ORDER
 from repro.backend.registry import ProbeReport
-from repro.detect.display import display_launch
 from repro.detect.fastpath import FastpathConfig, FastpathFrameStats, resolve_fastpath
 from repro.detect.grouping import RawDetection
-from repro.detect.kernels import CascadeKernelResult, cascade_eval_kernel
-from repro.detect.windows import BlockMapping
+from repro.detect.kernels import CascadeKernelResult
 from repro.errors import ConfigurationError
 from repro.gpusim.device import GTX470, DeviceSpec
-from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import ConstantMemory
 from repro.gpusim.scheduler import DeviceScheduler, ExecutionMode, ScheduleResult
 from repro.haar.cascade import Cascade
 from repro.haar.encoding import decode_cascade, encode_cascade
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.image.filtering import filtering_launch
-from repro.image.integral import integral_launches
-from repro.image.pyramid import PyramidConfig, PyramidLevel, build_pyramid, scaling_launch
+from repro.image.pyramid import PyramidConfig, PyramidLevel
 from repro.utils.validation import check_shape_2d
 
 __all__ = [
@@ -114,15 +115,15 @@ class FrameResult:
     schedule: ScheduleResult
     kernel_results: list[CascadeKernelResult]
     levels: list[PyramidLevel]
-    #: what the two-tier fast path did (``None`` when the policy is off
-    #: or the frame went through the one-shot baseline pipeline)
+    #: what the two-tier fast path did (``None`` when the policy is off,
+    #: which :meth:`FaceDetectionPipeline.process_frame` always runs with)
     fastpath: FastpathFrameStats | None = None
     #: which engine worker produced this frame (thread name or
     #: ``"pid <n>"``) — set by the engine for request attribution in the
     #: serving layer's logs; ``None`` outside the engine
     worker: str | None = None
     #: size of the fused device batch this frame rode in, ``None`` for
-    #: the per-frame path.  Frames of one batch *share* their fused
+    #: an N=1 lane.  Frames of one batch *share* their fused
     #: :class:`~repro.gpusim.scheduler.ScheduleResult`, and aggregation
     #: (:func:`~repro.detect.engine.batch_report`, the metrics bridge)
     #: uses this marker to count the shared schedule once
@@ -162,9 +163,8 @@ def collect_raw_detections(
 ) -> list[RawDetection]:
     """Accepted anchors -> frame-space windows (Section III-D sizing).
 
-    Shared by the pipeline and the batched :class:`~repro.detect.engine.
-    DetectionEngine`, so both produce identical detection lists from
-    identical kernel results.
+    The executor's grouping stage, applied per lane, so every path
+    produces identical detection lists from identical kernel results.
     """
     raw: list[RawDetection] = []
     for level, result in zip(levels, results):
@@ -263,9 +263,9 @@ class FaceDetectionPipeline:
     def fastpath(self) -> FastpathConfig:
         """The resolved fast-path configuration (``off`` when disabled).
 
-        Applied by :class:`~repro.detect.engine.FrameWorkspace`;
-        :meth:`process_frame` (the one-shot path) always runs the
-        baseline pipeline and stays the byte-identity oracle.
+        Applied by :class:`~repro.detect.devicebatch.FrameWorkspace`;
+        :meth:`process_frame` (the one-shot path) always runs with the
+        fast path off and stays the byte-identity oracle.
         """
         return self._fastpath
 
@@ -308,12 +308,13 @@ class FaceDetectionPipeline:
         )
 
     def make_workspace(self, tracer: Tracer | None = None, stream: str | None = "default"):
-        """A reusable per-worker :class:`~repro.detect.engine.FrameWorkspace`.
+        """A reusable per-worker :class:`~repro.detect.devicebatch.FrameWorkspace`.
 
         The workspace caches every expensive frame-independent artefact
         (pyramid resampling plans, block mappings, launch templates with
-        precomputed cost cohorts, scratch buffers) across frames, and its
-        functional output is float-identical to :meth:`process_frame`.
+        precomputed cost cohorts, scratch buffers) across frames.  It runs
+        single frames and fused device batches through the same executor
+        as this pipeline's own one-shot :meth:`process_frame`.
         ``tracer`` overrides the pipeline's own span tracer.  ``stream``
         names the video stream whose consecutive frames the fast path's
         temporal delta cache may diff; ``None`` disables temporal reuse
@@ -321,7 +322,7 @@ class FaceDetectionPipeline:
         against each other) while the stateless proposal screen still
         applies under the ``fast`` policy.
         """
-        from repro.detect.engine import FrameWorkspace
+        from repro.detect.devicebatch import FrameWorkspace
 
         return FrameWorkspace(
             self,
@@ -329,30 +330,10 @@ class FaceDetectionPipeline:
             stream=stream,
         )
 
-    def make_batch_workspace(
-        self, tracer: Tracer | None = None, stream: str | None = "default"
-    ):
-        """A workspace that can also fuse N frames into one device batch.
-
-        A strict superset of :meth:`make_workspace`: the returned
-        :class:`~repro.detect.devicebatch.BatchFrameWorkspace` processes
-        single frames identically and adds ``process_batch``, which runs
-        same-shaped frames through the backend's fused batch kernels
-        under one fused simulated schedule.
-        """
-        from repro.detect.devicebatch import BatchFrameWorkspace
-
-        return BatchFrameWorkspace(
-            self,
-            tracer=tracer if tracer is not None else self._tracer,
-            stream=stream,
-        )
-
     def process_frame(self, luma: np.ndarray, mode: ExecutionMode | None = None) -> FrameResult:
         """Run the full Fig. 1 pipeline over one luma frame."""
-        return self.schedule_modes(luma, [mode or self._config.mode])[
-            mode or self._config.mode
-        ]
+        mode = mode or self._config.mode
+        return self.schedule_modes(luma, [mode])[mode]
 
     def schedule_modes(
         self, luma: np.ndarray, modes: list[ExecutionMode]
@@ -361,83 +342,16 @@ class FaceDetectionPipeline:
 
         The functional output (detections, depth maps) is mode-independent;
         only the timing layer differs, so Table II's serial-vs-concurrent
-        comparison reuses one functional pass.
+        comparison reuses one functional pass.  This is the one-shot path:
+        it builds fresh frame geometry per call, shares no mutable state
+        and always runs with the fast path off.
         """
-        check_shape_2d("luma", np.asarray(luma))
-        launches, kernel_results, levels, raw = self._prepare(luma)
-        out: dict[ExecutionMode, FrameResult] = {}
-        for mode in modes:
-            with self._tracer.span("schedule"):
-                schedule = self._scheduler.run(launches, mode)
-            out[mode] = FrameResult(
-                raw_detections=raw,
-                schedule=schedule,
-                kernel_results=kernel_results,
-                levels=levels,
-            )
-        return out
+        from repro.detect.devicebatch import _execute, _Geometry
 
-    def _prepare(self, luma: np.ndarray):
-        tracer = self._tracer
-        backend = self._backend
-        with tracer.span("pyramid.scale"):
-            levels = build_pyramid(luma, self._config.pyramid, backend=backend)
-
-        launches: list[KernelLaunch] = []
-        kernel_results: list[CascadeKernelResult] = []
-        for level in levels:
-            stream = level.index + 1
-            if level.index > 0:
-                launches.append(
-                    filtering_launch(level.width, level.height, stream, tag="filter")
-                )
-                launches.append(
-                    scaling_launch(level.width, level.height, stream, tag="scaling")
-                )
-            with tracer.span("integral"):
-                ii = backend.integral_image(level.image)
-                sq = backend.squared_integral_image(level.image)
-            launches.extend(
-                integral_launches(level.height, level.width, stream, tag="integral")
-            )
-            mapping = BlockMapping(
-                level_width=level.width,
-                level_height=level.height,
-                window=self._config.pyramid.window,
-                block_w=self._config.block_w,
-                block_h=self._config.block_h,
-            )
-            with tracer.span("cascade"):
-                result = cascade_eval_kernel(
-                    level.image,
-                    self._cascade,
-                    stream,
-                    mapping=mapping,
-                    integral=ii,
-                    squared=sq,
-                    name=f"cascade_s{level.index}",
-                    backend=backend,
-                )
-            launches.append(result.launch)
-            kernel_results.append(result)
-
-        with tracer.span("grouping"):
-            raw = self._collect_detections(levels, kernel_results)
-        launches.append(
-            display_launch(
-                luma.shape[1],
-                luma.shape[0],
-                len(raw),
-                stream=len(levels) + 1,
-                # the display kernel reads every scale's depth array, so it
-                # waits on all per-scale streams (stream-event dependency)
-                wait_streams=tuple(range(1, len(levels) + 1)),
-            )
+        frame = np.asarray(luma)
+        check_shape_2d("luma", frame)
+        geo = _Geometry(self, self._backend, frame.shape)
+        lanes = _execute(
+            self, geo, [frame], modes, self._tracer, FastpathConfig(), None
         )
-        return launches, kernel_results, levels, raw
-
-    def _collect_detections(
-        self, levels: list[PyramidLevel], results: list[CascadeKernelResult]
-    ) -> list[RawDetection]:
-        """Accepted anchors -> frame-space windows (Section III-D sizing)."""
-        return collect_raw_detections(levels, results, self._config.pyramid.window)
+        return {mode: lanes[mode][0] for mode in modes}

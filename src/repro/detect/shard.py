@@ -65,9 +65,6 @@ class WorkerSpec:
     #: fast-path stream identity for the workspace's temporal delta
     #: cache (``None`` disables temporal reuse in this worker)
     stream: str | None = "default"
-    #: build a batch-capable workspace so the worker can serve fused
-    #: device batches (:func:`process_shard_batch`) as well as frames
-    device_batch: bool = False
 
 
 @dataclass
@@ -116,12 +113,7 @@ def init_worker(spec: WorkerSpec) -> None:
     """Pool initializer: build the resident workspace for this process."""
     tracer = Tracer(enabled=spec.tracing, origin=spec.trace_origin)
     pipeline = spec.pipeline.build(tracer=tracer)
-    if spec.device_batch:
-        _STATE["workspace"] = pipeline.make_batch_workspace(
-            tracer=tracer, stream=spec.stream
-        )
-    else:
-        _STATE["workspace"] = pipeline.make_workspace(tracer=tracer, stream=spec.stream)
+    _STATE["workspace"] = pipeline.make_workspace(tracer=tracer, stream=spec.stream)
     _STATE["tracer"] = tracer
     _STATE["crash_index"] = _parse_crash_index()
     _STATE["delays"] = _parse_delays()
@@ -250,11 +242,6 @@ def process_shard_batch(
     workspace = _STATE.get("workspace")
     if workspace is None:
         raise ConfigurationError("worker used before init_worker ran")
-    if not hasattr(workspace, "process_batch"):
-        raise ConfigurationError(
-            "worker was not initialised for device batching "
-            "(WorkerSpec.device_batch is off)"
-        )
     start = time.perf_counter()
     tracer: Tracer = _STATE["tracer"]
     span_args = {"frame": index, "batch": len(lumas)}

@@ -7,12 +7,12 @@ execution is timed) at several device-batch widths over the *same*
 frames, and reports the per-frame amortised wall clock next to the
 transfer-count accounting.
 
-Batch width 1 is the baseline: the batch workspace falls back to the
-per-frame path for single-frame groups, so the comparison isolates
-exactly what fusing N same-shaped frames into one launch set buys —
-one ``scheduler.run`` per batch instead of per frame, and one
-host<->device crossing per transfer site per batch instead of per
-frame.
+Batch width 1 is the baseline: single-frame groups run as N=1 lanes of
+the same executor (per-frame kernels, one schedule each), so the
+comparison isolates exactly what fusing N same-shaped frames into one
+launch set buys — one ``scheduler.run`` per batch instead of per frame,
+and one host<->device crossing per transfer site per batch instead of
+per frame.
 
 Methodology mirrors :mod:`repro.experiments.fastpath`: the frame set is
 materialised once, one engine (and so one workspace with warm plans)

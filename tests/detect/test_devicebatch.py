@@ -6,9 +6,10 @@ detections with batching on or off, on every sharding mode (serial,
 threads, processes), through both ``process_frames`` and
 ``submit_batch``.  The ``vectorized`` backend is the identity surface;
 the ``arrayapi`` backend (``exactness="tolerance"``) is held to the
-detection-level IoU/score gate instead.  Unit tests pin the batch-plan
-grouping, the launch-fusion helpers and the transfer accounting the
-``BENCH_devicebatch.json`` columns are built from.
+detection-level IoU/score gate instead.  Unit tests pin the engine's
+batch-formation rule (``_iter_groups``), the launch-fusion helpers and
+the transfer accounting the ``BENCH_devicebatch.json`` columns are built
+from.
 """
 
 import numpy as np
@@ -16,12 +17,11 @@ import pytest
 
 from repro.backend.oracle import ToleranceSpec, _diff_detections
 from repro.detect.devicebatch import (
-    BatchPlan,
     TransferStats,
     concat_launches,
     fuse_uniform_launch,
 )
-from repro.detect.engine import DetectionEngine, batch_report
+from repro.detect.engine import DetectionEngine, _iter_groups, batch_report
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.image.filtering import filtering_launch
@@ -72,26 +72,35 @@ def _assert_identical(reference, candidate):
         assert _detections(ref) == _detections(got)
 
 
-class TestBatchPlan:
+def _groups(shapes, max_batch):
+    frames = [np.zeros(shape, dtype=np.float32) for shape in shapes]
+    return frames, list(_iter_groups(frames, max_batch))
+
+
+class TestIterGroups:
     def test_groups_consecutive_same_shapes(self):
         shapes = [(96, 96)] * 5 + [(48, 48)] * 2 + [(96, 96)]
-        plan = BatchPlan.plan(shapes, max_batch=8)
-        assert [(g.start, g.count, g.shape) for g in plan.groups] == [
+        frames, groups = _groups(shapes, max_batch=8)
+        assert [(start, len(g), g[0].shape) for start, g in groups] == [
             (0, 5, (96, 96)),
             (5, 2, (48, 48)),
             (7, 1, (96, 96)),
         ]
+        # groups carry the caller's arrays, uncopied and in order
+        assert all(
+            got is frames[start + i]
+            for start, g in groups
+            for i, got in enumerate(g)
+        )
 
     def test_caps_at_max_batch(self):
-        plan = BatchPlan.plan([(64, 64)] * 10, max_batch=4)
-        assert [g.count for g in plan.groups] == [4, 4, 2]
-        assert [list(g.indices) for g in plan.groups] == [
-            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]
-        ]
+        _, groups = _groups([(64, 64)] * 10, max_batch=4)
+        assert [len(g) for _, g in groups] == [4, 4, 2]
+        assert [start for start, _ in groups] == [0, 4, 8]
 
     def test_rejects_bad_max_batch(self):
         with pytest.raises(ConfigurationError):
-            BatchPlan.plan([(64, 64)], max_batch=0)
+            _groups([(64, 64)], max_batch=0)
 
 
 class TestTransferStats:
@@ -102,15 +111,6 @@ class TestTransferStats:
         )
         assert stats.saved == 60
         assert stats.as_dict()["saved"] == 60
-
-    def test_merge_accumulates(self):
-        a = TransferStats(frames=2, batches=1, h2d=5, d2h=5,
-                          per_frame_h2d=10, per_frame_d2h=10)
-        b = TransferStats(frames=3, batches=1, fused_batches=1, h2d=5, d2h=5,
-                          per_frame_h2d=15, per_frame_d2h=15)
-        a.merge(b)
-        assert (a.frames, a.batches, a.fused_batches) == (5, 2, 1)
-        assert a.saved == (10 + 15) * 2 - 20
 
 
 class TestLaunchFusion:
@@ -207,7 +207,7 @@ class TestIdentityVectorized:
             results = list(engine.process_frames(iter(frames)))
         _assert_identical(reference, results)
         # alternating shapes break every run: no group exceeds one frame,
-        # so every frame takes the per-frame fallback and nothing fuses —
+        # so every frame runs as an N=1 lane and nothing fuses —
         # correctness must not depend on fusion firing
         assert all(r.device_batch is None for r in results)
 

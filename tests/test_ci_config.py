@@ -112,6 +112,19 @@ def test_fastpath_job(workflow):
     assert uploads["BENCH_fastpath"].get("if-no-files-found") == "error"
 
 
+def test_bench_smoke_job(workflow):
+    """The repo benchmark's own smoke suite runs, with its cascade cache."""
+    job = workflow["jobs"]["bench-smoke"]
+    assert "PYTHONPATH=src python -m pytest bench/tests -q" in _steps_text(job)
+    assert job["timeout-minutes"] == 30
+    caches = [
+        step["with"]["path"]
+        for step in job["steps"]
+        if "actions/cache" in str(step.get("uses", ""))
+    ]
+    assert caches == [".bench_cache/"]
+
+
 def test_bench_artifacts_are_checked(workflow):
     """Every job that produces BENCH_*.json must run ``repro bench
     check`` over what it produced, so a schema or invariant break fails
