@@ -771,6 +771,11 @@ class FrameWorkspace:
         return self._pipeline
 
     @property
+    def tracer(self) -> Tracer:
+        """The tracer every stage span of this workspace records into."""
+        return self._tracer
+
+    @property
     def backend(self) -> ComputeBackend:
         """The compute backend whose plans this workspace replays."""
         return self._backend

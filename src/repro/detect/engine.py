@@ -9,22 +9,31 @@ the lane-parallel executor of :mod:`repro.detect.devicebatch`), with
 bounded in-flight frames (backpressure: the input iterator is only
 advanced when a slot frees) and strictly ordered output.
 
-:class:`ShardingMode` selects the executor: ``threads`` (the original
-``concurrent.futures`` thread pool — cooperative under the GIL, cheap
-hand-off), ``processes`` (a persistent ``ProcessPoolExecutor`` whose
-workers each build their own pipeline once from a picklable
+Every path reaches the workers through one primitive,
+:meth:`DetectionEngine._submit_group`: one group of consecutive
+same-shaped frames (cut by :func:`_iter_groups`, at most
+:attr:`~DetectionEngine.device_batch` frames with ``batch_across_frames``
+on, one frame otherwise) goes to a ``concurrent.futures.Executor`` as one
+:func:`~repro.detect.shard.run_group` job and comes back as one future.
+Only the executor varies: an inline one for ``workers=0``, a persistent
+thread pool, or a persistent process pool.  One completion hook merges
+worker spans, records metrics, releases ring slots and turns a dead
+worker into :class:`~repro.errors.WorkerCrashError`.  The public methods
+are thin layers over it: :meth:`~DetectionEngine.submit_batch` groups
+its frames, :meth:`~DetectionEngine.submit` is a batch of one, and
+:meth:`~DetectionEngine.process_frames` is an ordered, bounded FIFO of
+group futures.
+
+:class:`ShardingMode` selects the pool: ``threads`` (cooperative under
+the GIL, cheap hand-off), ``processes`` (workers each build their own
+pipeline once from a picklable
 :class:`~repro.detect.pipeline.PipelineSpec`, with frame pixels moved
 through a :class:`~repro.video.shm.SharedFrameRing` instead of pickles —
 true multi-core parallelism), or ``auto`` (processes whenever more than
-one worker meets more than one core).  Both sharded paths keep the
-ordered-output and ``max_in_flight`` contracts exactly, and both are
-byte-identical to serial ``process_frame``.
-
-With ``batch_across_frames`` on, :func:`_iter_groups` cuts the stream
-into runs of consecutive same-shaped frames and each run is one
-``process_batch`` call.  Otherwise each frame gets its own
-:class:`~repro.gpusim.scheduler.ScheduleResult`; :func:`batch_report`
-aggregates either kind into a :class:`~repro.gpusim.batch.BatchReport`.
+one worker meets more than one core).  Every mode keeps the
+ordered-output and ``max_in_flight`` contracts and is byte-identical to
+serial ``process_frame``.  :func:`batch_report` aggregates per-frame or
+fused schedules into a :class:`~repro.gpusim.batch.BatchReport`.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -46,20 +55,13 @@ import numpy as np
 from repro.backend.base import ComputeBackend
 from repro.detect.devicebatch import FrameWorkspace
 from repro.detect.pipeline import FaceDetectionPipeline, FrameResult
-from repro.detect.shard import (
-    ShardReply,
-    WorkerSpec,
-    init_worker,
-    probe_shard,
-    process_shard,
-    process_shard_batch,
-)
+from repro.detect.shard import ShardReply, WorkerSpec, init_worker, probe_shard, run_group
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.gpusim.batch import BatchReport
 from repro.gpusim.scheduler import ExecutionMode
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.video.shm import SharedFrameRing, SlotTicket
+from repro.video.shm import SharedFrameRing
 
 __all__ = [
     "FrameWorkspace",
@@ -133,7 +135,9 @@ def _iter_groups(frames: Iterable, max_batch: int) -> Iterator[tuple[int, list[n
     The engine's one batch-formation rule: groups never reorder frames
     (FIFO output depends on it), never mix frame shapes (fused kernels
     need congruent pyramids) and never exceed ``max_batch`` frames.
-    Each group's lumas are the caller's arrays, uncopied.
+    Each group's lumas are the caller's arrays, uncopied.  A full group
+    is yielded before the next frame is pulled, so groups of one add no
+    read-ahead.
     """
     if max_batch < 1:
         raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
@@ -141,49 +145,61 @@ def _iter_groups(frames: Iterable, max_batch: int) -> Iterator[tuple[int, list[n
     start = 0
     for index, frame in enumerate(frames):
         luma = np.asarray(_as_luma(frame))
-        if buf and (luma.shape != buf[0].shape or len(buf) >= max_batch):
+        if buf and luma.shape != buf[0].shape:
             yield start, buf
             buf = []
         if not buf:
             start = index
         buf.append(luma)
+        if len(buf) >= max_batch:
+            yield start, buf
+            buf = []
     if buf:
         yield start, buf
 
 
-def _bridge_frame_metrics(metrics: MetricsRegistry, result: FrameResult) -> None:
-    """Bridge one frame's simulated-layer statistics into the registry.
+def _record_group(metrics: MetricsRegistry, reply: ShardReply, batched: bool) -> None:
+    """One group's metrics: per-frame latencies, batching, simulated layer.
 
-    Fig. 7's per-depth rejection histogram feeds the stage-1 rejection
-    rate; the schedule's :class:`~repro.gpusim.counters.PerfCounters`
-    feed the branch counters the paper's Section VI-A quotes.
+    ``engine.frame_latency_s`` observes the *amortised* per-frame time
+    once per frame (so means and percentiles stay per-frame quantities).
+    With ``batched`` (``batch_across_frames`` on), ``engine.batch_size``
+    records the formation distribution and the transfer counters mirror
+    the group's :class:`~repro.detect.devicebatch.TransferStats`.  Fig.
+    7's per-depth rejection histogram feeds the stage-1 rejection rate
+    per frame; a schedule's :class:`~repro.gpusim.counters.PerfCounters`
+    feed the ``sim.*`` branch counters the paper's Section VI-A quotes
+    once per distinct schedule (a fused batch shares one).
     """
-    _bridge_cascade_metrics(metrics, result)
-    _bridge_schedule_metrics(metrics, result.schedule)
-
-
-def _bridge_batch_metrics(metrics: MetricsRegistry, results: list[FrameResult]) -> None:
-    """Bridge one device batch's results without double-counting.
-
-    Cascade and fast-path statistics are genuinely per frame; the fused
-    :class:`~repro.gpusim.scheduler.ScheduleResult` is shared by every
-    frame of the batch, so its ``sim.*`` counters land once per distinct
-    schedule object.
-    """
+    execution = reply.result
+    results = execution.results
+    n = len(results)
+    metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
+    latency = metrics.histogram("engine.frame_latency_s")
+    for _ in range(n):
+        latency.observe(reply.latency_s / n)
+    metrics.counter("engine.frames").inc(n)
+    if batched:
+        metrics.counter("engine.batched_frames").inc(n)
+        metrics.histogram("engine.batch_size").observe(n)
+        metrics.counter("engine.device_batches").inc()
+        if execution.fused:
+            metrics.counter("engine.device_batches_fused").inc()
+        transfers = execution.transfers
+        metrics.counter("engine.device_transfers").inc(transfers.h2d + transfers.d2h)
+        metrics.counter("engine.device_transfers_saved").inc(transfers.saved)
     seen: set[int] = set()
     for result in results:
         _bridge_cascade_metrics(metrics, result)
-        key = id(result.schedule)
-        if key not in seen:
-            seen.add(key)
-            _bridge_schedule_metrics(metrics, result.schedule)
-
-
-def _bridge_schedule_metrics(metrics: MetricsRegistry, schedule) -> None:
-    metrics.counter("sim.kernels").inc(len(schedule.timeline.traces))
-    metrics.counter("sim.device_seconds").inc(schedule.makespan_s)
-    metrics.counter("sim.branches").inc(schedule.total.branches)
-    metrics.counter("sim.divergent_branches").inc(schedule.total.divergent_branches)
+        schedule = result.schedule
+        if id(schedule) not in seen:
+            seen.add(id(schedule))
+            metrics.counter("sim.kernels").inc(len(schedule.timeline.traces))
+            metrics.counter("sim.device_seconds").inc(schedule.makespan_s)
+            metrics.counter("sim.branches").inc(schedule.total.branches)
+            metrics.counter("sim.divergent_branches").inc(
+                schedule.total.divergent_branches
+            )
 
 
 def _bridge_cascade_metrics(metrics: MetricsRegistry, result: FrameResult) -> None:
@@ -255,6 +271,32 @@ def batch_report(results: Iterable[FrameResult], wall_s: float | None = None) ->
     )
 
 
+class _InlineExecutor(Executor):
+    """``workers=0``: run each job at submit; its future is already done."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # surfaced through the future, like a pool
+            future.set_exception(exc)
+        return future
+
+
+_INLINE = _InlineExecutor()
+
+
+def _fan_out(group: Future, futures: list[Future]) -> None:
+    """Resolve a group's per-frame futures from its group future."""
+    exc = group.exception()
+    if exc is not None:
+        for future in futures:
+            future.set_exception(exc)
+        return
+    for future, result in zip(futures, group.result()):
+        future.set_result(result)
+
+
 class DetectionEngine:
     """Run many frames through one pipeline with N frames in flight.
 
@@ -263,8 +305,9 @@ class DetectionEngine:
     pipeline:
         The shared :class:`FaceDetectionPipeline` (read-only per frame).
     workers:
-        Worker threads.  ``0`` processes frames inline (still through one
-        reusable workspace); ``None`` uses ``os.cpu_count()``.
+        Worker threads or processes.  ``0`` processes frames inline, in
+        the caller's thread (still through one reusable workspace);
+        ``None`` uses ``os.cpu_count()``.
     queue_depth:
         Extra frames in flight beyond the worker count.  Bounds memory:
         the source iterator is only advanced when an in-flight slot frees
@@ -511,18 +554,6 @@ class DetectionEngine:
                     f"parent probe path: {parent_path}"
                 )
 
-    def _stash(self, luma: np.ndarray) -> SlotTicket | None:
-        """Place a frame in the shared ring; ``None`` -> pickle fallback.
-
-        The ring is sized on first use: ``max_in_flight`` slots of the
-        first frame's byte size, which the backpressure bound keeps
-        sufficient.  Larger frames arriving later (mixed-resolution
-        streams) ship inline instead.
-        """
-        if self._ring is None:
-            self._ring = SharedFrameRing(self.max_in_flight, int(luma.nbytes))
-        return self._ring.put(luma)
-
     def _checkout(self) -> FrameWorkspace:
         with self._lock:
             if self._free:
@@ -535,98 +566,133 @@ class DetectionEngine:
         with self._lock:
             self._free.append(workspace)
 
-    def _process_one(
-        self, workspace: FrameWorkspace, luma: np.ndarray, mode: ExecutionMode | None
-    ) -> FrameResult:
-        """Process one frame on one worker (overridable for tests)."""
-        return workspace.process_frame(luma, mode)
+    def _executor(self) -> Executor:
+        """The executor this engine's sharding mode runs groups on."""
+        if self._workers == 0:
+            return _INLINE
+        if self._sharding is ShardingMode.PROCESSES:
+            return self._ensure_pool()
+        return self._ensure_thread_pool()
 
-    def _job(
-        self,
-        index: int,
-        luma: np.ndarray,
-        mode: ExecutionMode | None,
-        submit_ts: float | None = None,
-        trace: str | None = None,
-    ) -> FrameResult:
-        metrics = self._metrics
-        if metrics is not None and submit_ts is not None:
-            metrics.histogram("engine.queue_wait_s").observe(time.perf_counter() - submit_ts)
-        workspace = self._checkout()
-        try:
-            start = time.perf_counter()
-            span_args = (
-                {"frame": index} if trace is None else {"frame": index, "trace": trace}
-            )
-            with self._tracer.span("frame", cat="engine", **span_args):
-                result = self._process_one(workspace, luma, mode)
-            if hasattr(result, "worker"):
-                result.worker = threading.current_thread().name
-            if metrics is not None:
-                metrics.histogram("engine.frame_latency_s").observe(time.perf_counter() - start)
-                metrics.counter("engine.frames").inc()
-                _bridge_frame_metrics(metrics, result)
-            return result
-        finally:
-            self._release(workspace)
-
-    def _batch_job(
+    def _run_group(
         self,
         index: int,
         lumas: list[np.ndarray],
         mode: ExecutionMode | None,
-        submit_ts: float | None = None,
-        trace: str | None = None,
-    ):
-        """Run one device batch on one worker; returns a ``BatchExecution``."""
-        metrics = self._metrics
-        if metrics is not None and submit_ts is not None:
-            metrics.histogram("engine.queue_wait_s").observe(time.perf_counter() - submit_ts)
+        submit_ts: float,
+        traces: list[str | None] | None = None,
+    ) -> ShardReply:
+        """The inline/thread-side job: one group on a checked-out workspace.
+
+        The per-group seam (tests override it to scramble completion).
+        """
         workspace = self._checkout()
         try:
-            start = time.perf_counter()
-            span_args = {"frame": index, "batch": len(lumas)}
-            if trace is not None:
-                span_args["trace"] = trace
-            with self._tracer.span("frame", cat="engine", **span_args):
-                execution = workspace.process_batch(lumas, mode)
-            worker = threading.current_thread().name
-            for result in execution.results:
-                result.worker = worker
-            if metrics is not None:
-                self._record_batch_metrics(
-                    metrics, execution, time.perf_counter() - start
-                )
-            return execution
+            return run_group(index, lumas, mode, submit_ts, traces, workspace)
         finally:
             self._release(workspace)
 
-    def _record_batch_metrics(
-        self, metrics: MetricsRegistry, execution, elapsed: float
-    ) -> None:
-        """Batch-aware metric accounting: amortised latencies, one schedule.
+    # -- the one dispatch primitive -----------------------------------------
 
-        ``engine.frame_latency_s`` observes the *amortised* per-frame
-        time once per frame (so means and percentiles stay per-frame
-        quantities), ``engine.batch_size`` records the formation
-        distribution, and the transfer counters mirror the batch's
-        :class:`~repro.detect.devicebatch.TransferStats`.
+    def _submit_group(
+        self,
+        executor: Executor,
+        index: int,
+        lumas: list[np.ndarray],
+        mode: ExecutionMode | None,
+        traces: list[str | None] | None = None,
+    ) -> "Future[list[FrameResult]]":
+        """Submit one group of same-shaped frames; one future for the group.
+
+        On a process pool every frame rides a free slot of the shared
+        ring when it fits and ships inline otherwise.  The ring is sized
+        on first use: ``max_in_flight`` slots of the first frame's byte
+        size, which the backpressure bound keeps sufficient for a
+        stream; unbounded submitters and larger frames arriving later
+        (mixed-resolution streams) fall back to inline transport.
         """
-        n = len(execution.results)
-        per_frame = elapsed / max(n, 1)
-        latency = metrics.histogram("engine.frame_latency_s")
-        for _ in range(n):
-            latency.observe(per_frame)
-        metrics.counter("engine.frames").inc(n)
-        metrics.counter("engine.batched_frames").inc(n)
-        metrics.histogram("engine.batch_size").observe(n)
-        metrics.counter("engine.device_batches").inc()
-        if execution.fused:
-            metrics.counter("engine.device_batches_fused").inc()
-        transfers = execution.transfers
-        metrics.counter("engine.device_transfers").inc(transfers.h2d + transfers.d2h)
-        metrics.counter("engine.device_transfers_saved").inc(transfers.saved)
-        _bridge_batch_metrics(metrics, execution.results)
+        job, frames, ring, tickets = self._run_group, lumas, None, []
+        if isinstance(executor, ProcessPoolExecutor):
+            with self._lock:
+                if self._ring is None:
+                    self._ring = SharedFrameRing(
+                        self.max_in_flight, int(lumas[0].nbytes)
+                    )
+                ring = self._ring
+                tickets = [ring.put(luma) if ring.free_slots else None for luma in lumas]
+            frames = [
+                luma if ticket is None else ticket
+                for luma, ticket in zip(lumas, tickets)
+            ]
+            job = run_group
+        try:
+            inner = executor.submit(job, index, frames, mode, time.perf_counter(), traces)
+        except BrokenProcessPool as exc:
+            # a dead worker can mark the pool broken before any victim
+            # future resolves; the completion hook handles both alike
+            inner = Future()
+            inner.set_exception(exc)
+        outer: "Future[list[FrameResult]]" = Future()
+        inner.add_done_callback(
+            lambda done: self._complete(done, outer, executor, ring, tickets)
+        )
+        return outer
+
+    def _complete(
+        self,
+        inner: Future,
+        outer: Future,
+        executor: Executor,
+        ring: SharedFrameRing | None,
+        tickets: list,
+    ) -> None:
+        """The one completion hook: slots, crash surfacing, spans, metrics."""
+        if ring is not None:
+            with self._lock:
+                for ticket in tickets:
+                    if ticket is not None:
+                        ring.release(ticket)
+        try:
+            reply: ShardReply = inner.result()
+        except BrokenProcessPool as exc:
+            self._abandon(executor, ring)
+            crash = WorkerCrashError(
+                f"engine worker process died (start method "
+                f"{self._start_method!r}); the pool has been torn down "
+                f"and will be rebuilt on the next run"
+            )
+            crash.__cause__ = exc
+            outer.set_exception(crash)
+            return
+        except Exception as exc:
+            outer.set_exception(exc)
+            return
+        if reply.spans:
+            self._tracer.extend(reply.spans)
+        if self._metrics is not None:
+            _record_group(self._metrics, reply, self._batch)
+        outer.set_result(reply.result.results)
+
+    def _abandon(self, pool: Executor, ring: SharedFrameRing | None) -> None:
+        """After a worker crash: tear down the pool and ring that failed.
+
+        Only those — a crash reported late must not take down a pool the
+        engine has already rebuilt.
+        """
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+            if ring is not None and self._ring is ring:
+                self._ring = None
+        pool.shutdown(wait=False, cancel_futures=True)
+        if ring is not None:
+            ring.close()
+
+    # -- the layers over it -------------------------------------------------
+
+    @property
+    def _group_cap(self) -> int:
+        return self.device_batch if self._batch else 1
 
     def process_frames(
         self, frames: Iterable, mode: ExecutionMode | None = None
@@ -634,135 +700,51 @@ class DetectionEngine:
         """Yield one :class:`FrameResult` per frame, in input order.
 
         Output order is the submission order by construction (a FIFO of
-        futures), independent of which worker finishes first — under
-        both thread and process sharding.
+        group futures), independent of which worker finishes first.
+        Backpressure is counted in frames: the source is only advanced
+        while fewer than :attr:`max_in_flight` frames are in flight
+        (``workers=0`` yields each group before pulling the next frame).
+        A dead worker process surfaces as
+        :class:`~repro.errors.WorkerCrashError` — never a hang — and the
+        pool and ring are rebuilt on the next run.
 
         With ``batch_across_frames`` on, consecutive same-shaped frames
         are fused into device batches of up to :attr:`device_batch`
-        frames first; ordering, backpressure (counted in frames, not
-        batches) and results are unchanged — detections are
-        byte-identical to the per-frame path on bitexact backends.
+        frames first; ordering, backpressure and results are unchanged —
+        detections are byte-identical to the per-frame path on bitexact
+        backends.
         """
         mode = mode or self._mode
         metrics = self._metrics
-        if self._batch:
-            if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-                yield from self._frames_processes_batched(frames, mode)
-            else:
-                yield from self._frames_batched(frames, mode)
-            return
-        if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-            yield from self._frames_processes(frames, mode)
-            return
-        if self._workers == 0:
-            workspace = self._checkout()
-            try:
-                for index, frame in enumerate(frames):
-                    start = time.perf_counter()
-                    with self._tracer.span("frame", cat="engine", frame=index):
-                        result = self._process_one(workspace, _as_luma(frame), mode)
-                    if metrics is not None:
-                        metrics.histogram("engine.frame_latency_s").observe(
-                            time.perf_counter() - start
-                        )
-                        metrics.counter("engine.frames").inc()
-                        _bridge_frame_metrics(metrics, result)
-                    yield result
-            finally:
-                self._release(workspace)
-            return
-
-        limit = self.max_in_flight
+        executor = self._executor()
+        limit = self.max_in_flight if self._workers else 1
         in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
         done_at: dict = {}
-        pool = self._ensure_thread_pool()
-        pending: deque = deque()
+        pending: deque[tuple[Future, int]] = deque()
+        frames_pending = 0
 
-        def emit() -> FrameResult:
-            future = pending.popleft()
-            result = future.result()
+        def emit() -> list[FrameResult]:
+            nonlocal frames_pending
+            future, count = pending.popleft()
+            results = future.result()
+            frames_pending -= count
             if metrics is not None:
+                # the done callback may still be running when result() wakes
                 done_ts = done_at.pop(future, None)
                 if done_ts is not None:
                     metrics.histogram("engine.emit_wait_s").observe(
                         max(0.0, time.perf_counter() - done_ts)
                     )
-                in_flight.set(len(pending))
-            return result
+                in_flight.set(frames_pending)
+            return results
 
         try:
-            for index, frame in enumerate(frames):
-                submit_ts = time.perf_counter() if metrics is not None else None
-                future = pool.submit(self._job, index, _as_luma(frame), mode, submit_ts)
+            for index, lumas in _iter_groups(frames, self._group_cap):
+                future = self._submit_group(executor, index, lumas, mode)
                 if metrics is not None:
                     future.add_done_callback(
                         lambda f: done_at.__setitem__(f, time.perf_counter())
                     )
-                pending.append(future)
-                if in_flight is not None:
-                    in_flight.set(len(pending))
-                if len(pending) >= limit:
-                    yield emit()
-            while pending:
-                yield emit()
-        finally:
-            # The pool is persistent now, so an abandoned generator no
-            # longer waits via executor shutdown; keep the old contract
-            # (no frame still running once the call is over) explicitly.
-            while pending:
-                future = pending.popleft()
-                try:
-                    future.result()
-                except Exception:
-                    pass
-
-    # -- the device-batched paths -------------------------------------------
-
-    def _frames_batched(
-        self, frames: Iterable, mode: ExecutionMode | None
-    ) -> Iterator[FrameResult]:
-        """Inline / thread-sharded frame stream with device batching."""
-        metrics = self._metrics
-        batch_limit = self.device_batch
-        if self._workers == 0:
-            workspace = self._checkout()
-            try:
-                for start_index, lumas in _iter_groups(frames, batch_limit):
-                    start = time.perf_counter()
-                    with self._tracer.span(
-                        "frame", cat="engine", frame=start_index, batch=len(lumas)
-                    ):
-                        execution = workspace.process_batch(lumas, mode)
-                    if metrics is not None:
-                        self._record_batch_metrics(
-                            metrics, execution, time.perf_counter() - start
-                        )
-                    yield from execution.results
-            finally:
-                self._release(workspace)
-            return
-
-        limit = self.max_in_flight
-        in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
-        pool = self._ensure_thread_pool()
-        pending: deque[tuple[Future, int]] = deque()
-        frames_pending = 0
-
-        def emit() -> list[FrameResult]:
-            nonlocal frames_pending
-            future, count = pending.popleft()
-            execution = future.result()
-            frames_pending -= count
-            if in_flight is not None:
-                in_flight.set(frames_pending)
-            return execution.results
-
-        try:
-            for start_index, lumas in _iter_groups(frames, batch_limit):
-                submit_ts = time.perf_counter() if metrics is not None else None
-                future = pool.submit(
-                    self._batch_job, start_index, lumas, mode, submit_ts
-                )
                 pending.append((future, len(lumas)))
                 frames_pending += len(lumas)
                 if in_flight is not None:
@@ -772,81 +754,9 @@ class DetectionEngine:
             while pending:
                 yield from emit()
         finally:
-            while pending:
-                future, _count = pending.popleft()
-                try:
-                    future.result()
-                except Exception:
-                    pass
-
-    def _frames_processes_batched(
-        self, frames: Iterable, mode: ExecutionMode | None
-    ) -> Iterator[FrameResult]:
-        """Process-sharded frame stream with device batching.
-
-        Same contract as :meth:`_frames_processes`; whole batches ship
-        inline (a fused batch is one pickle, already amortised) instead
-        of through the per-frame shared-memory ring.
-        """
-        metrics = self._metrics
-        tracer = self._tracer
-        limit = self.max_in_flight
-        batch_limit = self.device_batch
-        in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
-        pool = self._ensure_pool()
-        pending: deque[tuple[Future, int]] = deque()
-        frames_pending = 0
-
-        def crash(exc: BaseException) -> WorkerCrashError:
-            self._abandon_pool(pending)
-            return WorkerCrashError(
-                f"engine worker process died (start method "
-                f"{self._start_method!r}); the pool has been torn down and "
-                f"will be rebuilt on the next run"
-            )
-
-        def emit() -> list[FrameResult]:
-            nonlocal frames_pending
-            future, count = pending.popleft()
-            try:
-                reply = future.result()
-            except BrokenProcessPool as exc:
-                raise crash(exc) from exc
-            frames_pending -= count
-            if tracer.enabled and reply.spans:
-                tracer.extend(reply.spans)
-            if metrics is not None:
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                self._record_batch_metrics(metrics, reply.execution, reply.latency_s)
-                in_flight.set(frames_pending)
-            return reply.execution.results
-
-        try:
-            for start_index, lumas in _iter_groups(frames, batch_limit):
-                submit_ts = time.perf_counter()
-                try:
-                    future = pool.submit(
-                        process_shard_batch, start_index, lumas, mode, submit_ts
-                    )
-                except BrokenProcessPool as exc:
-                    raise crash(exc) from exc
-                pending.append((future, len(lumas)))
-                frames_pending += len(lumas)
-                if in_flight is not None:
-                    in_flight.set(frames_pending)
-                while pending and frames_pending >= limit:
-                    yield from emit()
-            while pending:
-                yield from emit()
-        finally:
-            while pending:
-                future, _count = pending.popleft()
-                try:
-                    future.result()
-                except Exception:
-                    pass
-
-    # -- the long-lived submission hook -------------------------------------
+            # an abandoned generator or a crash: no group is still running
+            # (or holding ring slots) once the call is over
+            futures_wait([future for future, _ in pending])
 
     def _track(self, future: Future) -> Future:
         with self._lock:
@@ -867,113 +777,14 @@ class DetectionEngine:
     ) -> "Future[FrameResult]":
         """Submit one frame to the persistent worker pool; returns a future.
 
+        A batch of one: ``submit_batch([frame], traces=[trace])[0]``.
         The long-lived feeding hook for callers that do not have their
-        whole frame stream up front (the serving micro-batcher): unlike
-        :meth:`process_frames` it never rebuilds executors or
-        workspaces per call — both persist until :meth:`close` — and it
+        whole frame stream up front: unlike :meth:`process_frames` it
         applies **no backpressure**; the caller owns admission control.
-        Results carry no ordering guarantee beyond the returned future.
-
-        ``trace`` is the request's trace id: it is attached to the
-        worker-side ``frame`` span (thread *and* process sharding, so
-        the merged Chrome trace carries it) and the returned result's
-        ``worker`` field names the thread or worker pid that ran it.
-
-        Under process sharding the frame rides the shared-memory ring
-        when a slot is free (falling back to pickle transport when the
-        ring is saturated, since an unbounded submitter is not covered
-        by the ``max_in_flight`` slot bound), and a dead worker resolves
-        the future with :class:`~repro.errors.WorkerCrashError`.
+        Executors and workspaces persist until :meth:`close`.  ``trace``
+        is the request's trace id (see :meth:`submit_batch`).
         """
-        mode = mode or self._mode
-        luma = np.asarray(_as_luma(frame))
-        with self._lock:
-            index = self._submit_count
-            self._submit_count += 1
-        if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-            return self._submit_process(index, luma, mode, trace)
-        submit_ts = time.perf_counter() if self._metrics is not None else None
-        if self._workers == 0:
-            future: Future = Future()
-            try:
-                future.set_result(self._job(index, luma, mode, submit_ts, trace))
-            except Exception as exc:  # surfaced through the future, like a pool
-                future.set_exception(exc)
-            return future
-        return self._track(
-            self._ensure_thread_pool().submit(
-                self._job, index, luma, mode, submit_ts, trace
-            )
-        )
-
-    def _submit_process(
-        self,
-        index: int,
-        luma: np.ndarray,
-        mode: ExecutionMode | None,
-        trace: str | None = None,
-    ) -> "Future[FrameResult]":
-        pool = self._ensure_pool()
-        if self._ring is None:
-            self._ring = SharedFrameRing(self.max_in_flight, int(luma.nbytes))
-        ring = self._ring
-        ticket = ring.put(luma) if ring.free_slots > 0 else None
-        submit_ts = time.perf_counter()
-        outer: Future = Future()
-
-        def _release(t: SlotTicket | None) -> None:
-            if t is not None and self._ring is ring:
-                ring.release(t)
-
-        try:
-            inner = pool.submit(
-                process_shard,
-                index,
-                ticket,
-                None if ticket is not None else luma,
-                mode,
-                submit_ts,
-                trace,
-            )
-        except BrokenProcessPool as exc:
-            _release(ticket)
-            self._abandon_pool(deque())
-            raise WorkerCrashError(
-                f"engine worker process died (start method {self._start_method!r}); "
-                f"the pool has been torn down and will be rebuilt on the next run"
-            ) from exc
-
-        def _complete(f: Future) -> None:
-            try:
-                reply: ShardReply = f.result()
-            except BrokenProcessPool as exc:
-                _release(ticket)
-                self._abandon_pool(deque())
-                crash = WorkerCrashError(
-                    f"engine worker process died (start method "
-                    f"{self._start_method!r}); the pool has been torn down "
-                    f"and will be rebuilt on the next run"
-                )
-                crash.__cause__ = exc
-                outer.set_exception(crash)
-                return
-            except Exception as exc:
-                _release(ticket)
-                outer.set_exception(exc)
-                return
-            _release(ticket)
-            if self._tracer.enabled and reply.spans:
-                self._tracer.extend(reply.spans)
-            metrics = self._metrics
-            if metrics is not None:
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                metrics.histogram("engine.frame_latency_s").observe(reply.latency_s)
-                metrics.counter("engine.frames").inc()
-                _bridge_frame_metrics(metrics, reply.result)
-            outer.set_result(reply.result)
-
-        inner.add_done_callback(_complete)
-        return self._track(outer)
+        return self.submit_batch([frame], mode, traces=[trace])[0]
 
     def submit_batch(
         self,
@@ -982,16 +793,23 @@ class DetectionEngine:
         *,
         traces: list[str | None] | None = None,
     ) -> "list[Future[FrameResult]]":
-        """Submit a coalesced request batch as device batches; one future each.
+        """Submit frames as groups to the persistent pool; one future each.
 
-        The serving micro-batcher's hook: its already-coalesced window
-        of requests fuses into device batches (consecutive same-shaped
-        frames, up to :attr:`device_batch` per batch) instead of N
-        independent :meth:`submit` calls.  Futures resolve in any order
-        but map 1:1 onto ``frames``; when ``batch_across_frames`` is
-        off, this degrades to a plain per-frame :meth:`submit` loop.
-        Like :meth:`submit`, no backpressure — admission control stays
-        with the caller.
+        The serving micro-batcher's entry: its already-coalesced window
+        of requests is cut into groups like a stream (consecutive
+        same-shaped frames, up to :attr:`device_batch` per group with
+        ``batch_across_frames`` on, one frame otherwise).  Futures
+        resolve in any order but map 1:1 onto ``frames``.  Like
+        :meth:`submit`, no backpressure — admission control stays with
+        the caller.
+
+        ``traces`` are the requests' trace ids: each group's worker-side
+        ``frame`` span carries its first id as ``trace`` and, for a
+        fused group carrying several, all of them as ``traces`` (thread
+        *and* process sharding, so the merged Chrome trace carries
+        them); each result's ``worker`` names the thread or worker pid
+        that ran it.  A dead worker resolves the futures of its group
+        with :class:`~repro.errors.WorkerCrashError`.
         """
         mode = mode or self._mode
         lumas = [np.asarray(_as_luma(frame)) for frame in frames]
@@ -999,124 +817,18 @@ class DetectionEngine:
             raise ConfigurationError(
                 f"traces ({len(traces)}) must match frames ({len(lumas)})"
             )
-        if not self._batch:
-            trace_list = traces if traces is not None else [None] * len(lumas)
-            return [
-                self.submit(luma, mode, trace=trace)
-                for luma, trace in zip(lumas, trace_list)
-            ]
-        futures: "list[Future[FrameResult]]" = [Future() for _ in lumas]
-        for start_index, group in _iter_groups(lumas, self.device_batch):
-            outer = futures[start_index : start_index + len(group)]
-            trace = None
-            if traces is not None:
-                trace = next(
-                    (
-                        t
-                        for t in traces[start_index : start_index + len(group)]
-                        if t is not None
-                    ),
-                    None,
-                )
-            self._dispatch_batch(group, mode, trace, outer)
+        executor = self._executor()
+        futures: "list[Future[FrameResult]]" = []
+        for start, group in _iter_groups(lumas, self._group_cap):
+            with self._lock:
+                index = self._submit_count
+                self._submit_count += len(group)
+            group_traces = None if traces is None else traces[start : start + len(group)]
+            group_future = self._submit_group(executor, index, group, mode, group_traces)
+            outer = [self._track(Future()) for _ in group]
+            futures.extend(outer)
+            group_future.add_done_callback(lambda done, outer=outer: _fan_out(done, outer))
         return futures
-
-    def _dispatch_batch(
-        self,
-        lumas: list[np.ndarray],
-        mode: ExecutionMode | None,
-        trace: str | None,
-        outer: "list[Future[FrameResult]]",
-    ) -> None:
-        with self._lock:
-            index = self._submit_count
-            self._submit_count += len(lumas)
-        for future in outer:
-            self._track(future)
-
-        def fan_out(execution) -> None:
-            for future, result in zip(outer, execution.results):
-                future.set_result(result)
-
-        def fail_all(exc: BaseException) -> None:
-            for future in outer:
-                if not future.done():
-                    future.set_exception(exc)
-
-        if self._workers > 0 and self._sharding is ShardingMode.PROCESSES:
-            self._dispatch_batch_process(index, lumas, mode, trace, fan_out, fail_all)
-            return
-        submit_ts = time.perf_counter() if self._metrics is not None else None
-        if self._workers == 0:
-            try:
-                execution = self._batch_job(index, lumas, mode, submit_ts, trace)
-            except Exception as exc:
-                fail_all(exc)
-            else:
-                fan_out(execution)
-            return
-        inner = self._ensure_thread_pool().submit(
-            self._batch_job, index, lumas, mode, submit_ts, trace
-        )
-
-        def _complete(f: Future) -> None:
-            try:
-                execution = f.result()
-            except Exception as exc:
-                fail_all(exc)
-                return
-            fan_out(execution)
-
-        inner.add_done_callback(_complete)
-
-    def _dispatch_batch_process(
-        self,
-        index: int,
-        lumas: list[np.ndarray],
-        mode: ExecutionMode | None,
-        trace: str | None,
-        fan_out,
-        fail_all,
-    ) -> None:
-        pool = self._ensure_pool()
-        submit_ts = time.perf_counter()
-
-        def crash(exc: BaseException) -> WorkerCrashError:
-            self._abandon_pool(deque())
-            err = WorkerCrashError(
-                f"engine worker process died (start method "
-                f"{self._start_method!r}); the pool has been torn down "
-                f"and will be rebuilt on the next run"
-            )
-            err.__cause__ = exc
-            return err
-
-        try:
-            inner = pool.submit(
-                process_shard_batch, index, lumas, mode, submit_ts, trace
-            )
-        except BrokenProcessPool as exc:
-            fail_all(crash(exc))
-            return
-
-        def _complete(f: Future) -> None:
-            try:
-                reply = f.result()
-            except BrokenProcessPool as exc:
-                fail_all(crash(exc))
-                return
-            except Exception as exc:
-                fail_all(exc)
-                return
-            if self._tracer.enabled and reply.spans:
-                self._tracer.extend(reply.spans)
-            metrics = self._metrics
-            if metrics is not None:
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                self._record_batch_metrics(metrics, reply.execution, reply.latency_s)
-            fan_out(reply.execution)
-
-        inner.add_done_callback(_complete)
 
     def drain(self) -> None:
         """Block until every :meth:`submit`-ted frame has completed.
@@ -1131,120 +843,6 @@ class DetectionEngine:
             if not pending:
                 return
             futures_wait(pending)
-
-    # -- the process-sharded path -------------------------------------------
-
-    def _frames_processes(
-        self, frames: Iterable, mode: ExecutionMode | None
-    ) -> Iterator[FrameResult]:
-        """Shard frames across the persistent worker-process pool.
-
-        Identical contract to the threaded path: FIFO futures give
-        ordered output, ``max_in_flight`` bounds both the pending window
-        and the ring occupancy (slot acquired at submit, released at
-        emit).  A dead worker surfaces as :class:`~repro.errors.
-        WorkerCrashError` — never a hang — and poisons neither the
-        engine (pool and ring are rebuilt on the next run) nor the
-        caller's other engines.
-        """
-        metrics = self._metrics
-        tracer = self._tracer
-        limit = self.max_in_flight
-        in_flight = metrics.gauge("engine.in_flight") if metrics is not None else None
-        pool = self._ensure_pool()
-        pending: deque[tuple] = deque()
-        done_at: dict = {}
-
-        def emit() -> FrameResult:
-            future, ticket = pending.popleft()
-            try:
-                reply: ShardReply = future.result()
-            except BrokenProcessPool as exc:
-                self._abandon_pool(pending)
-                raise WorkerCrashError(
-                    f"engine worker process died (start method "
-                    f"{self._start_method!r}); the pool has been torn down and "
-                    f"will be rebuilt on the next run"
-                ) from exc
-            finally:
-                if ticket is not None and self._ring is not None:
-                    self._ring.release(ticket)
-            if tracer.enabled and reply.spans:
-                tracer.extend(reply.spans)
-            if metrics is not None:
-                done_ts = done_at.pop(future, None)
-                if done_ts is not None:
-                    metrics.histogram("engine.emit_wait_s").observe(
-                        max(0.0, time.perf_counter() - done_ts)
-                    )
-                metrics.histogram("engine.queue_wait_s").observe(reply.queue_wait_s)
-                metrics.histogram("engine.frame_latency_s").observe(reply.latency_s)
-                metrics.counter("engine.frames").inc()
-                _bridge_frame_metrics(metrics, reply.result)
-                in_flight.set(len(pending))
-            return reply.result
-
-        try:
-            for index, frame in enumerate(frames):
-                luma = np.asarray(_as_luma(frame))
-                ticket = self._stash(luma)
-                submit_ts = time.perf_counter()
-                try:
-                    future = pool.submit(
-                        process_shard,
-                        index,
-                        ticket,
-                        None if ticket is not None else luma,
-                        mode,
-                        submit_ts,
-                    )
-                except BrokenProcessPool as exc:
-                    # the crash can surface here first: a dead worker marks
-                    # the pool broken before the victim future is emitted
-                    if ticket is not None and self._ring is not None:
-                        self._ring.release(ticket)
-                    self._abandon_pool(pending)
-                    raise WorkerCrashError(
-                        f"engine worker process died (start method "
-                        f"{self._start_method!r}); the pool has been torn "
-                        f"down and will be rebuilt on the next run"
-                    ) from exc
-                if metrics is not None:
-                    future.add_done_callback(
-                        lambda f: done_at.__setitem__(f, time.perf_counter())
-                    )
-                pending.append((future, ticket))
-                if in_flight is not None:
-                    in_flight.set(len(pending))
-                if len(pending) >= limit:
-                    yield emit()
-            while pending:
-                yield emit()
-        finally:
-            if pending:
-                # the consumer abandoned the generator mid-run: workers may
-                # still be reading their slots, so drain before releasing
-                self._drain_abandoned(pending)
-
-    def _drain_abandoned(self, pending: deque) -> None:
-        while pending:
-            future, ticket = pending.popleft()
-            try:
-                future.result()
-            except Exception:
-                pass
-            if ticket is not None and self._ring is not None:
-                self._ring.release(ticket)
-
-    def _abandon_pool(self, pending: deque) -> None:
-        """After a worker crash: tear everything down for a clean rebuild."""
-        pending.clear()
-        pool, self._pool = self._pool, None
-        ring, self._ring = self._ring, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if ring is not None:
-            ring.close()
 
     def run(self, frames: Iterable, mode: ExecutionMode | None = None) -> EngineRun:
         """Process every frame and aggregate the batch report."""

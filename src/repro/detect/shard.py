@@ -1,12 +1,21 @@
-"""Worker-process side of the process-sharded detection engine.
+"""The engine's one worker job, and the worker-process state behind it.
 
-One pool worker == one long-lived :class:`~repro.detect.engine.
-FrameWorkspace`, mirroring the paper's resident per-stream kernel state:
-the pool initializer (:func:`init_worker`) builds the pipeline *once*
-from a picklable :class:`~repro.detect.pipeline.PipelineSpec` — cascade
-re-encoded to constant memory locally, backend re-resolved from the
-registry — and every subsequent frame only ships a tiny
-:class:`~repro.video.shm.SlotTicket` in and a :class:`ShardReply` out.
+:func:`run_group` runs one group of consecutive same-shaped frames —
+a fused device batch or a single frame — on one workspace and returns
+one :class:`ShardReply`.  Every executor of
+:class:`~repro.detect.engine.DetectionEngine` runs it: the inline and
+thread executors hand it a checked-out
+:class:`~repro.detect.devicebatch.FrameWorkspace`; a process worker
+runs it against its resident one.
+
+One pool worker == one long-lived workspace, mirroring the paper's
+resident per-stream kernel state: the pool initializer
+(:func:`init_worker`) builds the pipeline *once* from a picklable
+:class:`~repro.detect.pipeline.PipelineSpec` — cascade re-encoded to
+constant memory locally, backend re-resolved from the registry — and
+every group only ships one :class:`~repro.video.shm.SlotTicket` per
+frame (an inline array for a frame that found no ring slot) in and a
+:class:`ShardReply` out.
 
 Everything here must stay importable by ``spawn`` children with no
 engine state attached: module-level functions only (``fork`` would
@@ -15,25 +24,25 @@ defaults to everywhere — does not).
 
 Tracing: the worker's tracer is constructed with the *parent's* origin
 (``perf_counter`` reads a system-wide monotonic clock), so spans land on
-the parent timeline directly; each reply carries the frame's spans
+the parent timeline directly; each reply carries the group's spans
 re-tagged with the worker pid, giving the merged Chrome trace one lane
 per worker process.
 
-Fault injection: ``REPRO_ENGINE_TEST_CRASH_INDEX`` (hard-kill the worker
-at frame N) and ``REPRO_ENGINE_TEST_DELAY_S`` (``"idx:seconds,..."``
-per-frame sleeps) let the tests exercise crash surfacing and
+Fault injection (process workers only): ``REPRO_ENGINE_TEST_CRASH_INDEX``
+(hard-kill the worker running the group that covers frame N) and
+``REPRO_ENGINE_TEST_DELAY_S`` (``"idx:seconds,..."``, summed over the
+frames a group covers) let the tests exercise crash surfacing and
 out-of-order completion through real process boundaries.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.detect.pipeline import FrameResult, PipelineSpec
+from repro.detect.pipeline import PipelineSpec
 from repro.errors import ConfigurationError
 from repro.gpusim.scheduler import ExecutionMode
 from repro.obs.tracer import Span, Tracer
@@ -42,11 +51,9 @@ from repro.video.shm import SlotTicket, attach_view
 __all__ = [
     "WorkerSpec",
     "ShardReply",
-    "ShardBatchReply",
     "init_worker",
     "probe_shard",
-    "process_shard",
-    "process_shard_batch",
+    "run_group",
 ]
 
 CRASH_INDEX_ENV = "REPRO_ENGINE_TEST_CRASH_INDEX"
@@ -69,38 +76,24 @@ class WorkerSpec:
 
 @dataclass
 class ShardReply:
-    """One processed frame coming back from a worker process."""
+    """One processed group coming back from a worker.
 
-    index: int
-    result: FrameResult
-    pid: int
-    #: submit-to-start wait measured on the shared monotonic clock
-    queue_wait_s: float
-    #: worker-side processing time for this frame
-    latency_s: float
-    #: this frame's spans, pid-tagged and on the parent timeline
-    spans: list[Span] | None = None
-
-
-@dataclass
-class ShardBatchReply:
-    """One fused device batch coming back from a worker process.
-
-    ``execution`` is the worker's whole
-    :class:`~repro.detect.devicebatch.BatchExecution`; pickling keeps
-    the fused schedule *shared* across the batch's results (references
+    ``result`` is the group's
+    :class:`~repro.detect.devicebatch.BatchExecution`; pickling keeps a
+    fused schedule *shared* across the group's results (references
     within one pickle are preserved), so the parent's batch-aware
     aggregation still counts it once.
     """
 
     index: int
-    execution: object
+    result: object
     pid: int
     #: submit-to-start wait measured on the shared monotonic clock
     queue_wait_s: float
-    #: worker-side processing time for the whole batch
+    #: worker-side processing time for the whole group
     latency_s: float
-    #: the batch's spans, pid-tagged and on the parent timeline
+    #: the group's spans, pid-tagged and on the parent timeline
+    #: (process workers only; thread workers record into the shared tracer)
     spans: list[Span] | None = None
 
 
@@ -114,7 +107,6 @@ def init_worker(spec: WorkerSpec) -> None:
     tracer = Tracer(enabled=spec.tracing, origin=spec.trace_origin)
     pipeline = spec.pipeline.build(tracer=tracer)
     _STATE["workspace"] = pipeline.make_workspace(tracer=tracer, stream=spec.stream)
-    _STATE["tracer"] = tracer
     _STATE["crash_index"] = _parse_crash_index()
     _STATE["delays"] = _parse_delays()
 
@@ -176,89 +168,70 @@ def _pid_tagged(spans: list[Span], pid: int) -> list[Span]:
     ]
 
 
-def process_shard(
-    index: int,
-    ticket: SlotTicket | None,
-    inline_luma: np.ndarray | None,
-    mode: ExecutionMode | None,
-    submit_ts: float,
-    trace: str | None = None,
-) -> ShardReply:
-    """Process one frame inside a pool worker.
-
-    ``ticket`` points at the frame's pixels in the shared ring (the fast
-    path); ``inline_luma`` is the pickle fallback for frames that did
-    not fit a slot.  Exactly one of the two is set.  ``trace`` is the
-    request's trace id under serving — it lands on the worker's
-    ``frame`` span (and therefore in the merged Chrome trace) and on the
-    reply's result for request attribution in the server's log.
-    """
-    workspace = _STATE.get("workspace")
-    if workspace is None:
-        raise ConfigurationError("worker used before init_worker ran")
-    start = time.perf_counter()
-    if _STATE["crash_index"] == index:
-        # fault injection: die the way a real segfault/OOM kill would —
-        # no exception, no cleanup — so the engine's crash surfacing is
-        # tested against the worst case, not a polite error.
+def _inject_faults(index: int, count: int) -> None:
+    """Apply the test hooks to the group covering ``index .. index+count-1``."""
+    covered = range(index, index + count)
+    if _STATE["crash_index"] in covered:
+        # die the way a real segfault/OOM kill would — no exception, no
+        # cleanup — so the engine's crash surfacing is tested against
+        # the worst case, not a polite error
         os._exit(1)
-    delay = _STATE["delays"].get(index)
+    delay = sum(_STATE["delays"].get(i, 0.0) for i in covered)
     if delay:
         time.sleep(delay)
-    luma = attach_view(ticket) if ticket is not None else inline_luma
-    tracer: Tracer = _STATE["tracer"]
-    span_args = {"frame": index} if trace is None else {"frame": index, "trace": trace}
-    with tracer.span("frame", cat="engine", **span_args):
-        result = workspace.process_frame(luma, mode)
-    result.worker = f"pid {os.getpid()}"
-    latency = time.perf_counter() - start
-    spans = None
-    if tracer.enabled:
-        spans = _pid_tagged(tracer.drain(), os.getpid())
-    return ShardReply(
-        index=index,
-        result=result,
-        pid=os.getpid(),
-        queue_wait_s=max(0.0, start - submit_ts),
-        latency_s=latency,
-        spans=spans,
-    )
 
 
-def process_shard_batch(
+def run_group(
     index: int,
-    lumas: list[np.ndarray],
+    frames: list,
     mode: ExecutionMode | None,
     submit_ts: float,
-    trace: str | None = None,
-) -> ShardBatchReply:
-    """Process one fused device batch inside a pool worker.
+    traces: list[str | None] | None = None,
+    workspace=None,
+) -> ShardReply:
+    """Run one group of same-shaped frames through one ``process_batch``.
 
-    ``index`` is the first frame's index (the batch covers
-    ``index .. index + len(lumas) - 1``).  Batches ship inline — one
-    pickle per batch is already the amortised transport — rather than
-    through the per-frame shared-memory ring.
+    ``index`` is the first frame's index (the group covers ``index ..
+    index + len(frames) - 1``).  ``workspace`` is the caller's
+    checked-out workspace on the inline/thread side; ``None`` means this
+    process's resident one (a pool worker), whose frames arrive as
+    ring tickets or inline arrays.
+
+    The ``frame`` span carries the group's first trace id as ``trace``
+    and, when the group carries more than one, every id as ``traces``,
+    so each request of a fused group finds its worker span.
     """
-    workspace = _STATE.get("workspace")
-    if workspace is None:
-        raise ConfigurationError("worker used before init_worker ran")
     start = time.perf_counter()
-    tracer: Tracer = _STATE["tracer"]
-    span_args = {"frame": index, "batch": len(lumas)}
-    if trace is not None:
-        span_args["trace"] = trace
+    resident = workspace is None
+    if resident:
+        workspace = _STATE.get("workspace")
+        if workspace is None:
+            raise ConfigurationError("worker used before init_worker ran")
+        _inject_faults(index, len(frames))
+        frames = [
+            attach_view(frame) if isinstance(frame, SlotTicket) else frame
+            for frame in frames
+        ]
+    span_args: dict = {"frame": index}
+    if len(frames) > 1:
+        span_args["batch"] = len(frames)
+    ids = [t for t in traces or () if t is not None]
+    if ids:
+        span_args["trace"] = ids[0]
+    if len(ids) > 1:
+        span_args["traces"] = ids
+    tracer: Tracer = workspace.tracer
     with tracer.span("frame", cat="engine", **span_args):
-        execution = workspace.process_batch(lumas, mode)
+        execution = workspace.process_batch(frames, mode)
     pid = os.getpid()
+    worker = f"pid {pid}" if resident else threading.current_thread().name
     for result in execution.results:
-        result.worker = f"pid {pid}"
+        result.worker = worker
     latency = time.perf_counter() - start
-    spans = None
-    if tracer.enabled:
-        spans = _pid_tagged(tracer.drain(), pid)
-    return ShardBatchReply(
+    spans = _pid_tagged(tracer.drain(), pid) if resident and tracer.enabled else None
+    return ShardReply(
         index=index,
-        execution=execution,
+        result=execution,
         pid=pid,
         queue_wait_s=max(0.0, start - submit_ts),
         latency_s=latency,

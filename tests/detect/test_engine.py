@@ -13,8 +13,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.detect.devicebatch import BatchExecution
 from repro.detect.engine import DetectionEngine, batch_report
 from repro.detect.pipeline import FaceDetectionPipeline
+from repro.detect.shard import ShardReply
 from repro.errors import ConfigurationError
 from repro.gpusim.scheduler import ExecutionMode
 from repro.utils.rng import rng_for
@@ -107,18 +109,29 @@ class _ScrambledEngine(DetectionEngine):
         self.started = []
         self._lock2 = threading.Lock()
 
-    def _process_one(self, workspace, luma, mode):
-        index = int(luma[0, 0])
+    def _run_group(self, index, lumas, mode, submit_ts, traces=None):
+        indices = [int(luma[0, 0]) for luma in lumas]
         with self._lock2:
-            self.started.append(index)
+            self.started.extend(indices)
         # earlier frames sleep longer, so completion order inverts
-        time.sleep(0.05 * (4 - index) / 4)
-        return index
+        time.sleep(0.05 * (4 - indices[0]) / 4)
+        return ShardReply(
+            index=index,
+            result=BatchExecution(results=indices, schedule=None),
+            pid=os.getpid(),
+            queue_wait_s=0.0,
+            latency_s=0.0,
+        )
 
 
 class TestOrdering:
-    def test_output_order_under_inverted_completion(self, pipeline):
-        engine = _ScrambledEngine(pipeline, workers=4)
+    @pytest.mark.parametrize(
+        "batching",
+        [{}, {"batch_across_frames": True, "device_batch": 2}],
+        ids=["per-frame", "batched"],
+    )
+    def test_output_order_under_inverted_completion(self, pipeline, batching):
+        engine = _ScrambledEngine(pipeline, workers=4, **batching)
         frames = [np.full((48, 48), i, dtype=np.float32) for i in range(4)]
         out = list(engine.process_frames(iter(frames)))
         assert out == [0, 1, 2, 3]

@@ -12,6 +12,8 @@ genuine pool processes, not monkeypatched stand-ins.
 """
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +49,19 @@ def engine(pipeline):
     also exercises the persistence claim (state survives between runs).
     """
     with DetectionEngine(pipeline, workers=2, sharding="processes") as engine:
+        yield engine
+
+
+@pytest.fixture(scope="module")
+def batched_engine(pipeline):
+    """A persistent process-sharded engine fusing device batches of 3."""
+    with DetectionEngine(
+        pipeline,
+        workers=2,
+        sharding="processes",
+        batch_across_frames=True,
+        device_batch=3,
+    ) as engine:
         yield engine
 
 
@@ -104,9 +119,14 @@ class TestOrdering:
         assert len(list(results)) == 7
         assert len(pulled) == 8
 
-    def test_ring_occupancy_never_exceeds_bound(self, pipeline, frames, engine):
+    @pytest.mark.parametrize(
+        "which", ["engine", "batched_engine"], ids=["per-frame", "batched"]
+    )
+    def test_ring_occupancy_never_exceeds_bound(self, pipeline, frames, which, request):
         # drain fully, then the ring must be back to all-free: every slot
-        # acquired at submit was released at emit
+        # acquired at submit was released on completion — single frames
+        # and fused batches ride the ring alike
+        engine = request.getfixturevalue(which)
         list(engine.process_frames(iter(frames)))
         ring = engine._ring
         assert ring is not None
@@ -128,6 +148,52 @@ class TestCrashSurfacing:
             assert [_detections(r) for r in out] == [
                 _detections(r) for r in reference
             ]
+
+    def test_worker_dies_mid_fused_batch(self, pipeline, monkeypatch):
+        # frames 3..5 form the second fused batch; frame 4 kills its worker
+        monkeypatch.setenv(CRASH_INDEX_ENV, "4")
+        frames = [
+            render_scene(96, 72, faces=1, rng=rng_for(17, "fused-crash", i))[0]
+            for i in range(7)
+        ]
+        with DetectionEngine(
+            pipeline,
+            workers=2,
+            sharding="processes",
+            batch_across_frames=True,
+            device_batch=3,
+        ) as engine:
+            futures = engine.submit_batch(frames)
+            ring_name = engine._ring.name
+            resolutions = []
+            for future in futures:
+                future.add_done_callback(resolutions.append)
+            engine.drain()
+            crashed = futures[3:6]
+            for future in crashed:
+                assert isinstance(future.exception(), WorkerCrashError)
+            assert sorted(map(id, resolutions)) == sorted(map(id, futures))
+            for future in futures:
+                error = future.exception()
+                assert error is None or isinstance(error, WorkerCrashError)
+            # the failed pool's ring is gone, segment unlinked
+            assert engine._ring is None
+            if os.path.isdir("/dev/shm"):
+                assert not os.path.exists(os.path.join("/dev/shm", ring_name))
+
+            with pytest.raises(WorkerCrashError, match="worker process died"):
+                list(engine.process_frames(iter(frames)))
+
+            # the next run rebuilds the pool and matches the serial path
+            monkeypatch.delenv(CRASH_INDEX_ENV)
+            reference = [pipeline.process_frame(f) for f in frames]
+            out = list(engine.process_frames(iter(frames)))
+            assert len(out) == len(frames)
+            for ref, got in zip(reference, out):
+                assert _detections(got) == _detections(ref)
+                for kr, ko in zip(ref.kernel_results, got.kernel_results):
+                    assert kr.depth_map.tobytes() == ko.depth_map.tobytes()
+                    assert kr.margin_map.tobytes() == ko.margin_map.tobytes()
 
     def test_crash_error_is_configuration_free(self, pipeline, frames, monkeypatch):
         # a crash on the very first frame (initializer ran, frame 0 dies)
@@ -230,6 +296,34 @@ class TestSubmitAcrossProcesses:
         for ref, future in zip(reference, futures):
             assert future.done()
             assert _detections(future.result()) == _detections(ref)
+
+    def test_concurrent_submitters_leave_every_slot_free(self, pipeline, frames, engine):
+        # submitters on several threads put frames into the ring while the
+        # pool's completion hooks release slots: a lost update would leak
+        reference = _detections(pipeline.process_frame(frames[0]))
+        futures, lock = [], threading.Lock()
+
+        def submitter():
+            for _ in range(6):
+                future = engine.submit(frames[0])
+                with lock:
+                    futures.append(future)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(futures) == 24
+        assert all(_detections(f.result(timeout=120)) == reference for f in futures)
+        ring = engine._ring
+        assert ring.free_slots == ring.slots
 
     def test_submit_overflow_falls_back_to_pickle(self, pipeline, frames, engine):
         # more outstanding submissions than ring slots: the extras ship

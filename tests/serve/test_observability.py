@@ -12,6 +12,8 @@ import asyncio
 import io
 import json
 
+import pytest
+
 from repro.serve.admission import AdmissionConfig
 from repro.serve.loadgen import _Connection, build_payloads, run_loadtest
 from repro.serve.server import DetectionServer, ServerConfig, TRACE_ID_HEADER
@@ -104,6 +106,37 @@ class TestTraceEndToEnd:
             e for e in flight["events"] if e["kind"] == "request"
         ]
         assert any(e["trace_id"] == trace_id for e in flight_requests)
+
+    @pytest.mark.parametrize("sharding", ["threads", "processes"])
+    def test_every_fused_request_reaches_a_worker_span(self, sharding):
+        """Two requests fused into one device batch: both trace ids
+        land on the worker-side ``frame`` span of that batch."""
+        config = ServerConfig(
+            port=0, cascade="quick", workers=2, sharding=sharding,
+            max_batch=2, max_delay_s=5.0, device_batch=True, trace=True,
+        )
+
+        async def scenario(server, conn, stream):
+            async def fire():
+                c = _Connection("127.0.0.1", server.port)
+                try:
+                    return await c.request("POST", "/v1/detect", *REF)
+                finally:
+                    c.close()
+
+            return await asyncio.gather(fire(), fire()), server
+
+        responses, server = serve(config, scenario)
+        assert [status for status, _ in responses] == [200, 200]
+        payloads = [json.loads(body) for _, body in responses]
+        assert [p["timing"]["batch_size"] for p in payloads] == [2, 2]
+        on_worker_spans = set()
+        for s in server.tracer.spans():
+            if s.name == "frame" and s.cat == "engine":
+                on_worker_spans.add(s.args.get("trace"))
+                on_worker_spans.update(s.args.get("traces", ()))
+        for payload in payloads:
+            assert payload["trace_id"] in on_worker_spans
 
     def test_client_traceparent_is_adopted(self):
         config = ServerConfig(port=0, cascade="quick", workers=0, max_batch=1)

@@ -88,6 +88,10 @@ def test_process_sharding_job(workflow):
     text = _steps_text(workflow["jobs"]["test-processes"])
     assert "REPRO_START_METHOD=spawn" in text
     assert "tests/detect/test_engine_processes.py" in text
+    # the batched process path (fused groups over the shm ring) and the
+    # submit hook run under spawn too
+    assert "tests/detect/test_devicebatch.py" in text
+    assert "tests/detect/test_engine_submit.py" in text
     assert "tests/detect/test_pickling.py" in text
     assert "tests/video/test_shm.py" in text
 
