@@ -12,12 +12,12 @@ always runs.
 """
 
 import os
-import time
 
 import pytest
 
 from repro.detect.engine import DetectionEngine
 from repro.detect.pipeline import FaceDetectionPipeline
+from repro.experiments.harness import time_rounds
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.video.stream import synthetic_stream
@@ -58,16 +58,16 @@ def test_trace_overhead_bounded(report):
         "tracing changed the detections"
     )
 
-    plain_times, traced_times = [], []
-    for _ in range(trials):
-        start = time.perf_counter()
-        list(plain.process_frames(iter(lumas)))
-        plain_times.append(time.perf_counter() - start)
+    timings, _ = time_rounds(
+        {
+            "plain": lambda: list(plain.process_frames(iter(lumas))),
+            "traced": lambda: list(traced.process_frames(iter(lumas))),
+        },
+        warmup=0,
+        trials=trials,
+    )
 
-        start = time.perf_counter()
-        list(traced.process_frames(iter(lumas)))
-        traced_times.append(time.perf_counter() - start)
-
+    plain_times, traced_times = timings["plain"].rounds, timings["traced"].rounds
     best_plain, best_traced = min(plain_times), min(traced_times)
     overhead = best_traced / best_plain - 1.0
     report(

@@ -314,94 +314,53 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bench_kwargs(args: argparse.Namespace, names: str) -> dict:
+    """The named (space-separated) bench flags that were set; unset ones
+    keep the runner's own default."""
+    return {n: getattr(args, n) for n in names.split() if getattr(args, n) is not None}
+
+
+def _write_bench(args: argparse.Namespace, result) -> int:
+    print(result.format_table())
+    path = result.write_json(args.output or f"BENCH_{args.experiment}.json")
+    print(f"benchmark artifact -> {path}")
+    return 0
+
+
 def _cmd_bench_throughput(args: argparse.Namespace) -> int:
     from repro.experiments.throughput import run_throughput
 
     result = run_throughput(
-        frames=args.frames,
-        workers=args.workers,
-        width=args.width,
-        height=args.height,
-        trials=args.trials,
-        warmup=args.warmup,
-        cascade=args.cascade,
-        backend=args.backend,
         device=_resolve_device(args),
-        mode=args.mode,
-        fastpath=args.fastpath,
+        **_bench_kwargs(
+            args, "frames workers width height trials warmup cascade backend mode fastpath"
+        ),
     )
-    print(result.format_table())
-    path = result.write_json(args.output)
-    print(f"benchmark artifact -> {path}")
-    return 0
+    return _write_bench(args, result)
 
 
 def _cmd_bench_fastpath(args: argparse.Namespace) -> int:
     from repro.experiments.fastpath import run_fastpath
 
-    # the shared bench flags default to the throughput workload; untouched
-    # values fall back to the fast-path defaults (320x240 trailer frames)
-    width = 320 if args.width == 480 else args.width
-    height = 240 if args.height == 270 else args.height
-    frames = 24 if args.frames == 10 else args.frames
-    cascade = "quick" if args.cascade == "paper" else args.cascade
-    backend = args.backend if args.backend is not None else "vectorized"
     result = run_fastpath(
-        trailer=args.trailer,
-        frames=frames,
-        width=width,
-        height=height,
-        hold=args.hold,
-        trials=args.trials,
-        warmup=args.warmup,
-        cascade=cascade,
-        backend=backend,
-        tile=args.tile,
-        min_sigma=args.min_sigma,
+        **_bench_kwargs(
+            args, "trailer frames width height hold trials warmup cascade backend tile min_sigma"
+        )
     )
-    print(result.format_table())
-    output = args.output
-    if output == "BENCH_throughput.json":
-        output = "BENCH_fastpath.json"
-    path = result.write_json(output)
-    print(f"benchmark artifact -> {path}")
-    return 0
+    return _write_bench(args, result)
 
 
 def _cmd_bench_devicebatch(args: argparse.Namespace) -> int:
     from repro.experiments.devicebatch import run_devicebatch
 
-    # the shared bench flags default to the throughput workload; untouched
-    # values fall back to the device-batch defaults (96x96 trailer frames,
-    # enough of them that every width forms full batches)
-    width = 96 if args.width == 480 else args.width
-    height = 96 if args.height == 270 else args.height
-    frames = 48 if args.frames == 10 else args.frames
-    cascade = "quick" if args.cascade == "paper" else args.cascade
-    backend = args.backend if args.backend is not None else "vectorized"
-    try:
-        batch_sizes = tuple(int(b) for b in args.batch_sizes.split(","))
-    except ValueError:
-        print(f"--batch-sizes must be comma-separated integers, got {args.batch_sizes!r}")
-        return 2
-    result = run_devicebatch(
-        trailer=args.trailer,
-        frames=frames,
-        width=width,
-        height=height,
-        batch_sizes=batch_sizes,
-        trials=args.trials,
-        warmup=args.warmup,
-        cascade=cascade,
-        backend=backend,
-    )
-    print(result.format_table())
-    output = args.output
-    if output == "BENCH_throughput.json":
-        output = "BENCH_devicebatch.json"
-    path = result.write_json(output)
-    print(f"benchmark artifact -> {path}")
-    return 0
+    kwargs = _bench_kwargs(args, "trailer frames width height trials warmup cascade backend")
+    if args.batch_sizes is not None:
+        try:
+            kwargs["batch_sizes"] = tuple(int(b) for b in args.batch_sizes.split(","))
+        except ValueError:
+            print(f"--batch-sizes must be comma-separated integers, got {args.batch_sizes!r}")
+            return 2
+    return _write_bench(args, run_devicebatch(**kwargs))
 
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
@@ -419,61 +378,24 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
 def _cmd_bench_serving(args: argparse.Namespace) -> int:
     from repro.experiments.serving import run_serving
 
-    # the shared bench flags default to the throughput workload (paper
-    # cascade, quarter-1080p), far too heavy for a request-level bench;
-    # untouched values fall back to the serving defaults
-    width = 96 if args.width == 480 else args.width
-    height = 96 if args.height == 270 else args.height
-    cascade = "quick" if args.cascade == "paper" else args.cascade
-    workers = None if args.workers == 4 else args.workers
     result = run_serving(
-        requests=args.requests,
-        concurrency=args.concurrency,
-        width=width,
-        height=height,
-        cascade=cascade,
-        backend=args.backend,
-        workers=workers,
         max_batch=args.max_batch,
         max_delay_s=args.max_delay_ms / 1e3,
+        **_bench_kwargs(args, "requests concurrency width height cascade backend workers"),
     )
-    print(result.format_table())
-    path = result.write_json(args.output)
-    print(f"benchmark artifact -> {path}")
-    return 0
+    return _write_bench(args, result)
 
 
 def _cmd_bench_swap(args: argparse.Namespace) -> int:
     from repro.experiments.swap import run_swap
 
-    # the shared bench flags default to the throughput workload; untouched
-    # values fall back to the hot-swap defaults (small frames, the quick
-    # cascades — the swap mechanics are what is measured, not the model)
-    width = 96 if args.width == 480 else args.width
-    height = 96 if args.height == 270 else args.height
-    model = "quick" if args.cascade == "paper" else args.cascade
-    workers = 1 if args.workers == 4 else args.workers
-    requests = 64 if args.requests == 96 else args.requests
-    concurrency = 4 if args.concurrency == 8 else args.concurrency
+    kwargs = _bench_kwargs(args, "swap_to requests concurrency width height backend workers")
+    if args.cascade is not None:
+        kwargs["model"] = args.cascade
     result = run_swap(
-        model=model,
-        swap_to=args.swap_to,
-        requests=requests,
-        concurrency=concurrency,
-        width=width,
-        height=height,
-        backend=args.backend,
-        workers=workers,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
+        max_batch=args.max_batch, max_delay_s=args.max_delay_ms / 1e3, **kwargs
     )
-    print(result.format_table())
-    output = args.output
-    if output == "BENCH_throughput.json":
-        output = "BENCH_swap.json"
-    path = result.write_json(output)
-    print(f"benchmark artifact -> {path}")
-    return 0
+    return _write_bench(args, result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -739,7 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--model", default=None, help="restrict collection to one model")
     z.set_defaults(func=_cmd_zoo_gc)
 
-    p = sub.add_parser("bench", help="run one experiment driver")
+    p = sub.add_parser(
+        "bench",
+        help="run one experiment driver",
+        description="Run one experiment driver. Experiment flags left unset "
+        "take that experiment's own defaults.",
+    )
     p.add_argument(
         "experiment",
         help="table1|table2|fig5|fig6|fig7|fig8|fig9|throughput|serving|"
@@ -750,55 +677,56 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="BENCH_*.json artifacts to validate (check; default: glob cwd)",
     )
-    p.add_argument("--frames", type=int, default=10, help="frames (throughput)")
-    p.add_argument("--workers", type=int, default=4, help="engine workers (throughput)")
-    p.add_argument("--width", type=int, default=480, help="frame width (throughput)")
-    p.add_argument("--height", type=int, default=270, help="frame height (throughput)")
-    p.add_argument("--trials", type=int, default=3, help="timing rounds (throughput)")
+    p.add_argument(
+        "--frames", type=int, help="frames (throughput, fastpath, devicebatch)"
+    )
+    p.add_argument(
+        "--workers", type=int, help="engine workers (throughput, serving, swap)"
+    )
+    p.add_argument("--width", type=int, help="frame width")
+    p.add_argument("--height", type=int, help="frame height")
+    p.add_argument(
+        "--trials", type=int, help="timing rounds (throughput, fastpath, devicebatch)"
+    )
     p.add_argument(
         "--warmup",
         type=int,
-        default=1,
-        help="untimed warmup rounds before the scored rounds (throughput)",
+        help="untimed warmup rounds before the scored rounds "
+        "(throughput, fastpath, devicebatch)",
     )
     p.add_argument(
         "--mode",
         choices=("threads", "processes", "auto"),
-        default="threads",
         help="primary engine sharding mode for the headline speedup and the "
         "instrumented pass; all three paths are always timed (throughput)",
     )
     p.add_argument(
         "--cascade",
         choices=("quick", "paper", "opencv"),
-        default="paper",
-        help="cascade profile (throughput)",
+        help="cascade profile (swap: the initial model)",
     )
     p.add_argument(
         "--backend",
         default=None,
         help="compute backend (reference/vectorized/arrayapi; default: "
-        "$REPRO_BACKEND or reference) (throughput)",
+        "$REPRO_BACKEND or reference; fastpath and devicebatch: vectorized)",
     )
     _add_device_flags(p)
     p.add_argument(
-        "--output",
-        default="BENCH_throughput.json",
-        help="JSON artifact path (throughput: BENCH_throughput.json; "
-        "serving: pass BENCH_serving.json)",
+        "--output", help="JSON artifact path (default: BENCH_<experiment>.json)"
     )
-    p.add_argument("--requests", type=int, default=96, help="requests (serving)")
+    p.add_argument("--requests", type=int, help="requests (serving, swap)")
     p.add_argument(
-        "--concurrency", type=int, default=8, help="closed-loop clients (serving)"
+        "--concurrency", type=int, help="closed-loop clients (serving, swap)"
     )
     p.add_argument(
-        "--max-batch", type=int, default=8, help="micro-batch width (serving)"
+        "--max-batch", type=int, default=8, help="micro-batch width (serving, swap)"
     )
     p.add_argument(
         "--max-delay-ms",
         type=float,
         default=4.0,
-        help="micro-batch collection window (serving)",
+        help="micro-batch collection window (serving, swap)",
     )
     p.add_argument(
         "--fastpath",
@@ -808,33 +736,29 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_FASTPATH or off) (throughput)",
     )
     p.add_argument(
-        "--trailer", default="50/50", help="synthetic Table II trailer (fastpath)"
+        "--trailer", help="synthetic Table II trailer (fastpath, devicebatch)"
     )
     p.add_argument(
         "--hold",
         type=int,
-        default=2,
         help="times each rendered frame repeats — display-rate pulldown "
         "cadence (fastpath)",
     )
     p.add_argument(
-        "--tile", type=int, default=16, help="proposal screen tile size (fastpath)"
+        "--tile", type=int, help="proposal screen tile size (fastpath)"
     )
     p.add_argument(
         "--min-sigma",
         type=float,
-        default=4.0,
         help="variance screen threshold (fastpath)",
     )
     p.add_argument(
         "--batch-sizes",
-        default="1,4,8,16",
         help="comma-separated device-batch widths to sweep; must include "
         "1, the per-frame baseline (devicebatch)",
     )
     p.add_argument(
         "--swap-to",
-        default="quick_baseline",
         help="model reference to hot-swap to mid-load (swap)",
     )
     p.add_argument(

@@ -91,17 +91,7 @@ class FaceDetector:
         """
         from repro import zoo
 
-        builders = {
-            "quick": zoo.quick_cascade,
-            "quick-baseline": zoo.quick_baseline_cascade,
-            "paper": zoo.paper_cascade,
-            "opencv": zoo.opencv_like_cascade,
-        }
-        if profile not in builders:
-            raise ConfigurationError(
-                f"unknown profile {profile!r}; choose from {sorted(builders)}"
-            )
-        return cls(builders[profile](seed), **kwargs)
+        return cls(zoo.builtin_cascade(profile, seed), **kwargs)
 
     @property
     def pipeline(self) -> FaceDetectionPipeline:

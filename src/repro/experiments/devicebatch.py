@@ -14,11 +14,10 @@ launch set buys — one ``scheduler.run`` per batch instead of per frame,
 and one host<->device crossing per transfer site per batch instead of
 per frame.
 
-Methodology mirrors :mod:`repro.experiments.fastpath`: the frame set is
-materialised once, one engine (and so one workspace with warm plans)
-per batch width stays alive across all rounds, rounds alternate across
-widths so drift hits them equally, and each width scores the median of
-its timed rounds with the IQR as spread.
+One engine (and so one workspace with warm plans) per batch width stays
+alive across all rounds, timed by :mod:`repro.experiments.harness`:
+alternating rounds across widths over the same frames, median + IQR
+scored.
 
 Identity is non-negotiable: every batch width must produce detections
 byte-identical to width 1 (the fused kernels are elementwise over
@@ -37,15 +36,15 @@ runs outside smoke mode.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro import zoo
 from repro.detect.engine import DetectionEngine
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
-from repro.experiments.throughput import ModeTiming, _identical
+from repro.experiments.harness import ModeTiming, identical, time_rounds
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import build_snapshot
 from repro.utils.provenance import provenance
@@ -56,12 +55,6 @@ __all__ = ["DeviceBatchResult", "run_devicebatch", "DEVICEBATCH_BENCH_SCHEMA_VER
 
 #: ``BENCH_devicebatch.json`` schema version
 DEVICEBATCH_BENCH_SCHEMA_VERSION = 1
-
-_CASCADES = {
-    "quick": zoo.quick_cascade,
-    "paper": zoo.paper_cascade,
-    "opencv": zoo.opencv_like_cascade,
-}
 
 
 @dataclass
@@ -238,21 +231,17 @@ def run_devicebatch(
         raise ConfigurationError("batch sizes must be >= 1")
     if 1 not in sizes:
         raise ConfigurationError("batch_sizes must include 1 (the baseline)")
-    if cascade not in _CASCADES:
-        raise ConfigurationError(
-            f"unknown cascade {cascade!r}; choose from {sorted(_CASCADES)}"
-        )
 
+    pipeline = FaceDetectionPipeline(
+        zoo.builtin_cascade(cascade), config=PipelineConfig(backend=backend)
+    )
     lumas = [
         packet.luma
         for packet in trailer_stream(trailer, width, height, frames, seed=seed)
     ]
-    source = _CASCADES[cascade](seed=0)
-    pipeline = FaceDetectionPipeline(source, config=PipelineConfig(backend=backend))
 
     # Instrumented pass per width: fills the accounting columns and the
-    # identity reference — counters stay out of the timed region, the
-    # same split repro.experiments.throughput uses.
+    # identity reference — counters stay out of the timed region.
     accounting: dict[int, dict] = {}
     results_by_batch: dict[int, list] = {}
     metrics_snapshot: dict | None = None
@@ -269,8 +258,8 @@ def run_devicebatch(
         accounting[b] = _engine_counters(registry)
         if b == sizes[-1]:
             metrics_snapshot = build_snapshot(registry, backend=pipeline.backend.name)
-    identical = all(
-        _identical(results_by_batch[1], results_by_batch[b]) for b in sizes
+    identical_detections = all(
+        identical(results_by_batch[1], results_by_batch[b]) for b in sizes
     )
 
     engines = {
@@ -279,21 +268,19 @@ def run_devicebatch(
         )
         for b in sizes
     }
-    timings = {b: ModeTiming() for b in sizes}
+
+    def timed_pass(b: int) -> list:
+        processed = list(engines[b].process_frames(iter(lumas)))
+        if len(processed) != frames:
+            raise ConfigurationError(
+                f"batch {b} returned {len(processed)} of {frames} frames"
+            )
+        return processed
+
     try:
-        for round_index in range(warmup + trials):
-            timed = round_index >= warmup
-            for b in sizes:
-                start = time.perf_counter()
-                processed = list(engines[b].process_frames(iter(lumas)))
-                elapsed = time.perf_counter() - start
-                if len(processed) != frames:
-                    raise ConfigurationError(
-                        f"batch {b} returned {len(processed)} of {frames} frames"
-                    )
-                (timings[b].rounds if timed else timings[b].warmup_rounds).append(
-                    elapsed
-                )
+        timings, _ = time_rounds(
+            {b: partial(timed_pass, b) for b in sizes}, warmup=warmup, trials=trials
+        )
     finally:
         for engine in engines.values():
             engine.close()
@@ -310,6 +297,6 @@ def run_devicebatch(
         batch_sizes=sizes,
         timings=timings,
         accounting=accounting,
-        identical_detections=identical,
+        identical_detections=identical_detections,
         metrics=metrics_snapshot,
     )

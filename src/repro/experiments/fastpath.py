@@ -15,12 +15,10 @@ precision of its detections against ``exact`` matched on position and
 size (score excluded: a carried-forward detection keeps its previous
 margin).
 
-Methodology mirrors :mod:`repro.experiments.throughput`: the frame set
-is materialised once, every path is warmed before timing (the warm pass
-also populates the temporal caches — steady-state reuse is exactly what
-the fast path exists for), rounds alternate across the three paths so
-drift hits them equally, and each path scores the median of its timed
-rounds with the IQR as spread.
+Every path is warmed before timing (the warm pass also populates the
+temporal caches — steady-state reuse is exactly what the fast path
+exists for) and then timed by :mod:`repro.experiments.harness`:
+alternating rounds over the same frames, median + IQR scored.
 
 The stream models display-rate cadence: each rendered trailer frame is
 emitted ``hold`` times (default 2), the way 24 fps content reaches a
@@ -43,7 +41,6 @@ backend runs.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +49,7 @@ from repro.detect.engine import DetectionEngine
 from repro.detect.fastpath import FastpathConfig, FastpathFrameStats, FastpathPolicy
 from repro.detect.pipeline import FaceDetectionPipeline, FrameResult, PipelineConfig
 from repro.errors import ConfigurationError
-from repro.experiments.throughput import ModeTiming, _detection_key
+from repro.experiments.harness import ModeTiming, identical, time_rounds
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import build_snapshot
 from repro.obs.tracer import Tracer
@@ -64,12 +61,6 @@ __all__ = ["FastpathResult", "run_fastpath", "FASTPATH_BENCH_SCHEMA_VERSION"]
 
 #: ``BENCH_fastpath.json`` schema version
 FASTPATH_BENCH_SCHEMA_VERSION = 1
-
-_CASCADES = {
-    "quick": zoo.quick_cascade,
-    "paper": zoo.paper_cascade,
-    "opencv": zoo.opencv_like_cascade,
-}
 
 
 def _positions(result: FrameResult) -> set[tuple]:
@@ -253,17 +244,13 @@ def run_fastpath(
         raise ConfigurationError("trials must be positive")
     if warmup < 0:
         raise ConfigurationError("warmup must be >= 0")
-    if cascade not in _CASCADES:
-        raise ConfigurationError(
-            f"unknown cascade {cascade!r}; choose from {sorted(_CASCADES)}"
-        )
 
+    source = zoo.builtin_cascade(cascade)
     lumas = [
         packet.luma
         for packet in trailer_stream(trailer, width, height, frames, seed=seed)
         for _ in range(hold)
     ]
-    source = _CASCADES[cascade](seed=0)
 
     def pipeline_for(policy: FastpathPolicy) -> FaceDetectionPipeline:
         config = FastpathConfig(policy=policy, tile=tile, min_sigma=min_sigma)
@@ -282,38 +269,21 @@ def run_fastpath(
     # exact pass is also the strictest identity check (no cache to lean on).
     reference = [off_ws.process_frame(luma) for luma in lumas]
     exact_cold = [exact_ws.process_frame(luma) for luma in lumas]
-    fast_results = [fast_ws.process_frame(luma) for luma in lumas]
-    identity = {
-        "cold": all(
-            _detection_key(r) == _detection_key(c)
-            for r, c in zip(reference, exact_cold)
-        )
-    }
+    for luma in lumas:
+        fast_ws.process_frame(luma)
+    identity = {"cold": identical(reference, exact_cold)}
 
-    off_t, exact_t, fast_t = ModeTiming(), ModeTiming(), ModeTiming()
-    exact_results = exact_cold
-    for round_index in range(warmup + trials):
-        timed = round_index >= warmup
-
-        start = time.perf_counter()
-        reference = [off_ws.process_frame(luma) for luma in lumas]
-        elapsed = time.perf_counter() - start
-        (off_t.rounds if timed else off_t.warmup_rounds).append(elapsed)
-
-        start = time.perf_counter()
-        exact_results = [exact_ws.process_frame(luma) for luma in lumas]
-        elapsed = time.perf_counter() - start
-        (exact_t.rounds if timed else exact_t.warmup_rounds).append(elapsed)
-
-        start = time.perf_counter()
-        fast_results = [fast_ws.process_frame(luma) for luma in lumas]
-        elapsed = time.perf_counter() - start
-        (fast_t.rounds if timed else fast_t.warmup_rounds).append(elapsed)
-
-    identity["warm"] = all(
-        _detection_key(r) == _detection_key(c)
-        for r, c in zip(reference, exact_results)
+    timings, outputs = time_rounds(
+        {
+            "off": lambda: [off_ws.process_frame(luma) for luma in lumas],
+            "exact": lambda: [exact_ws.process_frame(luma) for luma in lumas],
+            "fast": lambda: [fast_ws.process_frame(luma) for luma in lumas],
+        },
+        warmup=warmup,
+        trials=trials,
     )
+    exact_results, fast_results = outputs["exact"], outputs["fast"]
+    identity["warm"] = identical(outputs["off"], exact_results)
 
     matched = sum(
         len(_positions(e) & _positions(f))
@@ -349,9 +319,9 @@ def run_fastpath(
         backend=off_pipeline.backend.name,
         tile=tile,
         min_sigma=min_sigma,
-        off=off_t,
-        exact=exact_t,
-        fast=fast_t,
+        off=timings["off"],
+        exact=timings["exact"],
+        fast=timings["fast"],
         identity=identity,
         recall=recall,
         precision=precision,

@@ -31,9 +31,7 @@ and the standard provenance block.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,77 +222,6 @@ async def _poll_readyz(
     return {"polls": polls, "not_ready": not_ready, "always_ready": not_ready == 0}
 
 
-async def _window_load(
-    host: str,
-    port: int,
-    payloads: list[tuple[bytes, str]],
-    concurrency: int,
-    done: asyncio.Event,
-) -> LoadTestResult:
-    """Closed-loop load for exactly as long as the swap is in flight.
-
-    Each worker sends at least one request (so a lightning-fast swap
-    still produces a measurable window) and keeps going until ``done``.
-    """
-    status_counts: dict[str, int] = {}
-    latencies: list[float] = []
-    completions: list[float] = []
-    versions: list[str | None] = []
-    errors = 0
-    counter = itertools.count()
-    start = time.perf_counter()
-
-    async def worker() -> None:
-        nonlocal errors
-        conn = _Connection(host, port)
-        sent = 0
-        try:
-            while sent == 0 or not done.is_set():
-                index = next(counter)
-                body, content_type = payloads[index % len(payloads)]
-                sent += 1
-                begin = time.perf_counter()
-                try:
-                    status, answer = await conn.request(
-                        "POST", "/v1/detect", body, content_type
-                    )
-                except (
-                    ConnectionError,
-                    OSError,
-                    ServeError,
-                    asyncio.IncompleteReadError,
-                ):
-                    errors += 1
-                    continue
-                end = time.perf_counter()
-                status_counts[str(status)] = status_counts.get(str(status), 0) + 1
-                if status == 200:
-                    latencies.append(end - begin)
-                    completions.append(end - start)
-                    try:
-                        versions.append(json.loads(answer).get("model_version"))
-                    except ValueError:
-                        versions.append(None)
-        finally:
-            conn.close()
-
-    await asyncio.gather(*(worker() for _ in range(concurrency)))
-    wall_s = time.perf_counter() - start
-    total = sum(status_counts.values()) + errors
-    return LoadTestResult(
-        mode="window",
-        concurrency=concurrency,
-        rate_rps=None,
-        requests=total,
-        wall_s=wall_s,
-        status_counts=status_counts,
-        latencies_s=latencies,
-        errors=errors,
-        completions_s=completions,
-        model_versions=versions,
-    )
-
-
 async def _post_swap(host: str, port: int, ref: str) -> tuple[int, dict]:
     conn = _Connection(host, port)
     try:
@@ -390,8 +317,13 @@ def run_swap(
                     done.set()
 
             swap_task = asyncio.create_task(do_swap())
-            window = await _window_load(
-                "127.0.0.1", server.port, payloads, concurrency, done
+            window = await run_loadtest(
+                "127.0.0.1",
+                server.port,
+                concurrency=concurrency,
+                payloads=payloads,
+                capture_versions=True,
+                until=done,
             )
             swap_status, swap_body = await swap_task
             after = await run_loadtest(

@@ -12,36 +12,26 @@ frame — across three execution paths over the same frames:
 * ``processes``  — the process-sharded engine: persistent worker
   processes, shared-memory frame transport, true multi-core scaling.
 
-Methodology (single shared-core boxes are noisy, so this is deliberate):
-
-* the frame set is materialised once and shared by every path;
-* every path is warmed before timing — the serial pass doubles as the
-  byte-identity reference, the engines run one full pass each so worker
-  state (workspaces, pyramid plans, spawned worker processes) is built
-  outside the timed region, exactly as it would be mid-video;
-* the three paths alternate within each round (serial, threads,
-  processes) so drift hits all of them equally; ``warmup`` initial
-  rounds are recorded but excluded from scoring;
-* each path scores the **median** of its timed rounds with the IQR as
-  the spread estimate — medians are robust to the 2x outlier rounds
-  that best-of-N silently hid, and the artifact keeps every raw round
-  so regressions in *variance* are visible across PRs, not just
-  regressions in the point estimate.
+Every path is warmed before timing — the serial pass doubles as the
+byte-identity reference, the engines run one full pass each so worker
+state (workspaces, pyramid plans, spawned worker processes) is built
+outside the timed region, exactly as it would be mid-video — and then
+timed by :mod:`repro.experiments.harness`: alternating rounds (serial,
+threads, processes), ``warmup`` rounds excluded, median + IQR scored.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import statistics
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import zoo
 from repro.detect.engine import DetectionEngine, ShardingMode, batch_report
-from repro.detect.pipeline import FaceDetectionPipeline, FrameResult, PipelineConfig
+from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
+from repro.experiments.harness import ModeTiming, identical, time_rounds
 from repro.gpusim.batch import BatchReport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import build_snapshot
@@ -51,7 +41,6 @@ from repro.utils.tables import format_table
 from repro.video.stream import synthetic_stream
 
 __all__ = [
-    "ModeTiming",
     "ThroughputResult",
     "run_throughput",
     "BENCH_SCHEMA_VERSION",
@@ -67,46 +56,6 @@ BENCH_SCHEMA_VERSION = 4
 #: (aspect preserved) so the suite runs in seconds on one CPU core
 _DEFAULT_WIDTH = 480
 _DEFAULT_HEIGHT = 270
-
-_CASCADES = {
-    "quick": zoo.quick_cascade,
-    "paper": zoo.paper_cascade,
-    "opencv": zoo.opencv_like_cascade,
-}
-
-
-@dataclass
-class ModeTiming:
-    """Timed rounds of one execution path, median/IQR scored."""
-
-    rounds: list[float] = field(default_factory=list)
-    warmup_rounds: list[float] = field(default_factory=list)
-
-    @property
-    def median_s(self) -> float:
-        return statistics.median(self.rounds) if self.rounds else 0.0
-
-    @property
-    def iqr_s(self) -> float:
-        """Interquartile range of the timed rounds (inclusive quartiles;
-        0.0 with fewer than two rounds)."""
-        if len(self.rounds) < 2:
-            return 0.0
-        q1, _, q3 = statistics.quantiles(self.rounds, n=4, method="inclusive")
-        return q3 - q1
-
-    def fps(self, frames: int) -> float:
-        median = self.median_s
-        return frames / median if median > 0 else 0.0
-
-    def to_dict(self, frames: int) -> dict:
-        return {
-            "rounds_s": list(self.rounds),
-            "warmup_rounds_s": list(self.warmup_rounds),
-            "median_s": self.median_s,
-            "iqr_s": self.iqr_s,
-            "fps": self.fps(frames),
-        }
 
 
 @dataclass
@@ -259,16 +208,6 @@ class ThroughputResult:
         )
 
 
-def _detection_key(result: FrameResult) -> tuple:
-    return tuple((d.x, d.y, d.size, d.score) for d in result.raw_detections)
-
-
-def _identical(reference: list[FrameResult], candidate: list[FrameResult]) -> bool:
-    return len(reference) == len(candidate) and all(
-        _detection_key(r) == _detection_key(c) for r, c in zip(reference, candidate)
-    )
-
-
 def run_throughput(
     *,
     frames: int = 10,
@@ -304,20 +243,16 @@ def run_throughput(
         raise ConfigurationError("trials must be positive")
     if warmup < 0:
         raise ConfigurationError("warmup must be >= 0")
-    if cascade not in _CASCADES:
-        raise ConfigurationError(
-            f"unknown cascade {cascade!r}; choose from {sorted(_CASCADES)}"
-        )
     primary = ShardingMode.coerce(mode).resolve(workers)
 
+    pipeline = FaceDetectionPipeline(
+        zoo.builtin_cascade(cascade),
+        config=PipelineConfig(backend=backend, device=device, fastpath=fastpath),
+    )
     lumas = [
         packet.luma
         for packet in synthetic_stream(width, height, frames, faces=faces, seed=seed)
     ]
-    pipeline = FaceDetectionPipeline(
-        _CASCADES[cascade](seed=0),
-        config=PipelineConfig(backend=backend, device=device, fastpath=fastpath),
-    )
     thread_engine = DetectionEngine(pipeline, workers=workers, sharding="threads")
     process_engine = DetectionEngine(pipeline, workers=workers, sharding="processes")
 
@@ -329,39 +264,23 @@ def run_throughput(
         threaded = list(thread_engine.process_frames(iter(lumas)))
         processed = list(process_engine.process_frames(iter(lumas)))
         identity = {
-            "threads": _identical(reference, threaded),
-            "processes": _identical(reference, processed),
+            "threads": identical(reference, threaded),
+            "processes": identical(reference, processed),
         }
-
-        serial_t, threads_t, processes_t = ModeTiming(), ModeTiming(), ModeTiming()
-        results = processed
-        for round_index in range(warmup + trials):
-            timed = round_index >= warmup
-
-            start = time.perf_counter()
-            for luma in lumas:
-                pipeline.process_frame(luma)
-            elapsed = time.perf_counter() - start
-            (serial_t.rounds if timed else serial_t.warmup_rounds).append(elapsed)
-
-            start = time.perf_counter()
-            list(thread_engine.process_frames(iter(lumas)))
-            elapsed = time.perf_counter() - start
-            (threads_t.rounds if timed else threads_t.warmup_rounds).append(elapsed)
-
-            start = time.perf_counter()
-            results = list(process_engine.process_frames(iter(lumas)))
-            elapsed = time.perf_counter() - start
-            (processes_t.rounds if timed else processes_t.warmup_rounds).append(elapsed)
+        timings, outputs = time_rounds(
+            {
+                "serial": lambda: [pipeline.process_frame(luma) for luma in lumas],
+                "threads": lambda: list(thread_engine.process_frames(iter(lumas))),
+                "processes": lambda: list(process_engine.process_frames(iter(lumas))),
+            },
+            warmup=warmup,
+            trials=trials,
+        )
     finally:
         thread_engine.close()
         process_engine.close()
 
-    primary_timing = {
-        ShardingMode.THREADS: threads_t,
-        ShardingMode.PROCESSES: processes_t,
-    }[primary]
-    report = batch_report(results, wall_s=primary_timing.median_s)
+    report = batch_report(outputs["processes"], wall_s=timings[primary.value].median_s)
 
     # One extra fully instrumented pass *after* the timed rounds, on the
     # primary mode: the metrics snapshot (per-stage busy seconds,
@@ -379,7 +298,7 @@ def run_throughput(
         metrics=registry,
     ) as traced_engine:
         traced = list(traced_engine.process_frames(iter(lumas)))
-    identity["traced"] = _identical(reference, traced)
+    identity["traced"] = identical(reference, traced)
     metrics = build_snapshot(
         registry,
         tracer,
@@ -398,9 +317,9 @@ def run_throughput(
         cascade=cascade,
         backend=pipeline.backend.name,
         mode=primary.value,
-        serial=serial_t,
-        threads=threads_t,
-        processes=processes_t,
+        serial=timings["serial"],
+        threads=timings["threads"],
+        processes=timings["processes"],
         identity=identity,
         report=report,
         metrics=metrics,

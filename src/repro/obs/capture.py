@@ -88,17 +88,8 @@ def run_trace(
     if frames <= 0:
         raise ConfigurationError("frames must be positive")
     if pipeline is None:
-        cascades = {
-            "quick": zoo.quick_cascade,
-            "paper": zoo.paper_cascade,
-            "opencv": zoo.opencv_like_cascade,
-        }
-        if cascade not in cascades:
-            raise ConfigurationError(
-                f"unknown cascade {cascade!r}; choose from {sorted(cascades)}"
-            )
         pipeline = FaceDetectionPipeline(
-            cascades[cascade](seed=0),
+            zoo.builtin_cascade(cascade),
             config=PipelineConfig(backend=backend, device=device, fastpath=fastpath),
         )
 

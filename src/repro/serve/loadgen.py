@@ -19,6 +19,7 @@ so measured latency is the service, not the generator.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import math
 import time
@@ -297,6 +298,7 @@ async def run_loadtest(
     payloads: list[tuple[bytes, str]] | None = None,
     ready_timeout_s: float = 30.0,
     capture_versions: bool = False,
+    until: asyncio.Event | None = None,
 ) -> LoadTestResult:
     """Drive the service and measure; closed loop unless ``rate_rps``.
 
@@ -304,7 +306,10 @@ async def run_loadtest(
     synthetic-frame pool from :func:`build_payloads`).
     ``capture_versions`` additionally parses each OK response body for
     its ``model_version`` tag — the hot-swap benchmark's evidence that
-    a version flip landed mid-run.
+    a version flip landed mid-run.  ``until`` replaces the request count
+    as the closed loop's stop rule (``mode == "window"``): each worker
+    sends at least one request, so even an instant event yields a
+    measurable window, and keeps sending until the event is set.
     """
     if requests < 1:
         raise ConfigurationError(f"requests must be >= 1, got {requests}")
@@ -312,6 +317,8 @@ async def run_loadtest(
         raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
     if rate_rps is not None and rate_rps <= 0:
         raise ConfigurationError(f"rate_rps must be > 0, got {rate_rps}")
+    if rate_rps is not None and until is not None:
+        raise ConfigurationError("until stops a closed loop; drop rate_rps")
     payloads = payloads or build_payloads()
     await _wait_ready(host, port, ready_timeout_s)
 
@@ -363,13 +370,15 @@ async def run_loadtest(
 
     start = time.perf_counter()
     if rate_rps is None:
-        counter = iter(range(requests))
+        counter = iter(range(requests)) if until is None else itertools.count()
 
         async def worker() -> None:
             conn = _Connection(host, port)
             try:
                 for index in counter:
                     await one(conn, index, time.perf_counter())
+                    if until is not None and until.is_set():
+                        break
             finally:
                 conn.close()
 
@@ -402,11 +411,15 @@ async def run_loadtest(
             conn.close()
     wall_s = time.perf_counter() - start
 
+    if rate_rps is not None:
+        mode = "open"
+    else:
+        mode = "closed" if until is None else "window"
     return LoadTestResult(
-        mode="closed" if rate_rps is None else "open",
+        mode=mode,
         concurrency=concurrency,
         rate_rps=rate_rps,
-        requests=requests,
+        requests=sum(status_counts.values()) + errors,
         wall_s=wall_s,
         status_counts=status_counts,
         latencies_s=latencies,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.errors import ZooError
+from repro.errors import ConfigurationError, ZooError
 from repro.haar.cascade import Cascade
 from repro.zoo.manifest import ModelManifest, cascade_digest
 from repro.zoo.recipes import QUICK_STAGE_SIZES, RECIPES, TrainingRecipe, recipe_for
@@ -39,6 +39,7 @@ __all__ = [
     "load_or_train",
     "evaluate_recipe",
     "resolve_model",
+    "builtin_cascade",
     # compat with the retired zoo.py module
     "QUICK_STAGE_SIZES",
     "quick_cascade",
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 #: serving-layer shorthand accepted wherever a model reference is
-_BUILTIN_ALIASES = {"opencv": "opencv_like"}
+_BUILTIN_ALIASES = {"opencv": "opencv_like", "quick-baseline": "quick_baseline"}
 
 
 def resolve_model(
@@ -71,6 +72,21 @@ def resolve_model(
     if model in RECIPES and version is None:
         return load_or_train(model, seed=seed, store=store)
     return store.load(name)
+
+
+def builtin_cascade(name: str, seed: int = 0) -> Cascade:
+    """The cascade a built-in profile name selects (zoo-cached).
+
+    The names are the built-in recipes under their serving shorthand:
+    ``quick``, ``quick-baseline``, ``paper`` and ``opencv``.  Any other
+    name raises :class:`ConfigurationError` listing them.
+    """
+    choices = sorted(
+        (set(RECIPES) - set(_BUILTIN_ALIASES.values())) | set(_BUILTIN_ALIASES)
+    )
+    if name not in choices:
+        raise ConfigurationError(f"unknown cascade {name!r}; choose from {choices}")
+    return load_or_train(_BUILTIN_ALIASES.get(name, name), seed=seed)[0]
 
 
 def quick_cascade(seed: int = 0) -> Cascade:

@@ -223,6 +223,21 @@ def test_bench_job_smoke_and_artifact(workflow):
         assert uploads[name].get("if-no-files-found") == "error"
 
 
+def test_bench_job_devicebatch_cli_smoke(workflow):
+    """The device-batch bench also runs through the CLI with explicit
+    flags, and its artifact goes through the same ``bench check`` step as
+    the pytest-driven one."""
+    steps = [str(step.get("run", "")) for step in workflow["jobs"]["bench"]["steps"]]
+    assert any(
+        "python -m repro bench devicebatch --frames 16 --batch-sizes 1,8 "
+        "--trials 1 --warmup 0 --output BENCH_devicebatch-cli.json" in " ".join(run.split())
+        for run in steps
+    )
+    check = next(run for run in steps if "repro bench check" in run)
+    assert "BENCH_devicebatch.json" in check
+    assert "BENCH_devicebatch-cli.json" in check
+
+
 def test_serve_smoke_job(workflow):
     """The serving stack must be exercised end to end in CI: the serve
     test suite, the smoke-mode serving benchmark, and a real

@@ -67,6 +67,20 @@ class TestCommands:
     def test_bench_unknown(self, capsys):
         assert main(["bench", "fig99"]) == 2
 
+    def test_bench_flags_equal_to_throughput_defaults_still_apply(self, tmp_path):
+        import json
+
+        out_path = tmp_path / "devicebatch.json"
+        code = main(
+            ["bench", "devicebatch", "--frames", "10", "--batch-sizes", "1,2",
+             "--trials", "1", "--warmup", "0", "--output", str(out_path)]
+        )
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        assert payload["frames"] == 10
+        assert payload["batch_sizes"] == [1, 2]
+        assert payload["identical_detections"] is True
+
     def test_trace(self, capsys, tmp_path):
         import json
 

@@ -11,7 +11,12 @@ import json
 
 import pytest
 
-from repro.errors import ZooError
+from repro.detect.detector import FaceDetector
+from repro.errors import ConfigurationError, ZooError
+from repro.experiments.devicebatch import run_devicebatch
+from repro.experiments.fastpath import run_fastpath
+from repro.experiments.throughput import run_throughput
+from repro.obs.capture import run_trace
 from repro.zoo import (
     ModelManifest,
     ModelStore,
@@ -329,3 +334,24 @@ class TestResolveAndCompat:
     def test_default_store_honours_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert default_store().root == tmp_path / "zoo"
+
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda name: run_throughput(cascade=name), id="run_throughput"),
+        pytest.param(lambda name: run_fastpath(cascade=name), id="run_fastpath"),
+        pytest.param(lambda name: run_devicebatch(cascade=name), id="run_devicebatch"),
+        pytest.param(lambda name: run_trace(cascade=name), id="run_trace"),
+        pytest.param(FaceDetector.pretrained, id="FaceDetector.pretrained"),
+    ],
+)
+def test_unknown_cascade_name_lists_builtins(build):
+    """Every profile-name consumer goes through one zoo decision and one error."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        build("resnet")
+    message = str(excinfo.value)
+    assert "'resnet'" in message
+    for name in ("quick", "quick-baseline", "paper", "opencv"):
+        assert f"'{name}'" in message
