@@ -31,6 +31,7 @@ from repro.backend.base import (
     CascadeMaps,
     ComputeBackend,
     IntegralPlan,
+    ScratchArena,
 )
 from repro.backend.reference import ReferenceBackend
 from repro.backend.registry import (
@@ -58,6 +59,7 @@ __all__ = [
     "CascadeMaps",
     "CascadeEvaluator",
     "ComputeBackend",
+    "ScratchArena",
     "ReferenceBackend",
     "VectorizedBackend",
     "ArrayApiBackend",

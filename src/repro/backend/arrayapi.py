@@ -47,6 +47,7 @@ from repro.backend.base import (
     CascadeMaps,
     ComputeBackend,
     IntegralPlan,
+    ScratchArena,
 )
 from repro.backend.reference import cascade_plan, flat_offsets
 from repro.errors import BackendUnavailableError, ConfigurationError
@@ -200,28 +201,42 @@ class ArrayApiBilinearPlan(BilinearPlan):
 class ArrayApiIntegralPlan(IntegralPlan):
     """Integral + squared integral through the namespace's cumulative sums.
 
-    The returned arrays are the plan's persistent zero-bordered host
-    buffers (overwritten per :meth:`compute`, like device-resident
-    memory that is copied back over the same staging area).
+    The returned arrays are zero-bordered host buffers in the plan's
+    :class:`~repro.backend.base.ScratchArena` (overwritten per
+    :meth:`compute`, like device-resident memory that is copied back
+    over the same staging area).
     """
 
-    def __init__(self, backend: "ArrayApiBackend", height: int, width: int) -> None:
+    def __init__(
+        self,
+        backend: "ArrayApiBackend",
+        height: int,
+        width: int,
+        *,
+        arena: ScratchArena | None = None,
+    ) -> None:
         if height <= 0 or width <= 0:
             raise ConfigurationError("image dimensions must be positive")
         self.height = height
         self.width = width
         self._b = backend
-        self._ii = np.zeros((height + 1, width + 1), dtype=np.float64)
-        self._sqii = np.zeros((height + 1, width + 1), dtype=np.float64)
+        self._arena = arena if arena is not None else ScratchArena()
 
     def compute(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = self._b
         xp = b._xp
+        shape = (self.height + 1, self.width + 1)
+        ii = self._arena.take("integral.ii", shape, np.float64)
+        sqii = self._arena.take("integral.sqii", shape, np.float64)
+        # the buffers are shared across level shapes: re-zero the border
+        for padded in (ii, sqii):
+            padded[0, :] = 0.0
+            padded[1:, 0] = 0.0
         img = b._astype(xp.asarray(image), xp.float64)
-        self._ii[1:, 1:] = b._to_host(b._cumsum(b._cumsum(img, 0), 1))
+        ii[1:, 1:] = b._to_host(b._cumsum(b._cumsum(img, 0), 1))
         sq = img * img
-        self._sqii[1:, 1:] = b._to_host(b._cumsum(b._cumsum(sq, 0), 1))
-        return self._ii, self._sqii
+        sqii[1:, 1:] = b._to_host(b._cumsum(b._cumsum(sq, 0), 1))
+        return ii, sqii
 
     def compute_batch(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fused integrals of an ``(n, h, w)`` stack — one upload, one scan.
@@ -620,7 +635,10 @@ class ArrayApiBackend(ComputeBackend):
         )
         return plan.apply(image)
 
-    def make_bilinear_plan(self, src_h, src_w, dst_h, dst_w) -> ArrayApiBilinearPlan:
+    def make_bilinear_plan(
+        self, src_h, src_w, dst_h, dst_w, *, arena=None
+    ) -> ArrayApiBilinearPlan:
+        # the gather is allocation-only (no out= in the array API): no scratch
         return ArrayApiBilinearPlan(self, src_h, src_w, dst_h, dst_w)
 
     # -- Fig. 1 "Integral image" ---------------------------------------------
@@ -644,14 +662,17 @@ class ArrayApiBackend(ComputeBackend):
         t = permute(m, (1, 0)) if permute is not None else xp.transpose(m)
         return np.ascontiguousarray(self._to_host(t))
 
-    def make_integral_plan(self, height: int, width: int) -> ArrayApiIntegralPlan:
-        return ArrayApiIntegralPlan(self, height, width)
+    def make_integral_plan(
+        self, height: int, width: int, *, arena=None
+    ) -> ArrayApiIntegralPlan:
+        return ArrayApiIntegralPlan(self, height, width, arena=arena)
 
     # -- Fig. 1 "Face detection kernel" --------------------------------------
 
     def make_cascade_evaluator(
-        self, cascade, mapping, *, sparse_threshold: float | None = None
+        self, cascade, mapping, *, sparse_threshold: float | None = None, arena=None
     ) -> ArrayApiCascadeEvaluator:
+        # functional style, no scratch: ``arena`` is accepted and unused
         return ArrayApiCascadeEvaluator(
             self, cascade, mapping, sparse_threshold=sparse_threshold
         )

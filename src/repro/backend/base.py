@@ -24,15 +24,19 @@ backend method                   Fig. 1 stage
                                  stage evaluation, variance norms)
 ===============================  =======================================
 
-Plans (``make_*_plan`` / ``make_cascade_evaluator``) are the reusable,
-buffer-owning form of each kernel: the throughput engine builds them once
-per geometry and replays them every frame.  Plans are **not** thread-safe
+Plans (``make_*_plan`` / ``make_cascade_evaluator``) are the reusable
+form of each kernel: the throughput engine builds them once per geometry
+and replays them every frame.  Their scratch lives in a
+:class:`ScratchArena` the caller passes in — one per workspace, shared by
+every plan of every level and sized to the largest level it has seen —
+or in a private arena when none is given.  Plans are **not** thread-safe
 — each engine worker owns its own — while the backend object itself must
 be stateless and shareable.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
@@ -48,6 +52,7 @@ __all__ = [
     "WINDOW_AREA",
     "DEVICE_ORDER",
     "BackendCapabilities",
+    "ScratchArena",
     "BilinearPlan",
     "IntegralPlan",
     "CascadeMaps",
@@ -102,6 +107,44 @@ class BackendCapabilities:
         return self.device != "cpu"
 
 
+class ScratchArena:
+    """Named scratch buffers shared by the plans of one workspace.
+
+    :meth:`take` returns a view of the buffer called ``name``, regrown
+    when a request outgrows it, so each buffer ends up sized to the
+    largest level that asked for it — one scratch set, not one per
+    level.  A view's contents are undefined on return and the next
+    ``take`` of the same name overwrites them.  That is safe only while
+    the plans sharing an arena run one at a time, which is the
+    workspace contract: single-worker, one level at a time.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        #: the last view handed out per name: a repeat request for the
+        #: same shape and dtype gets the same array object back
+        self._views: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape, dtype) -> np.ndarray:
+        """A ``shape``/``dtype`` view of scratch buffer ``name``."""
+        shape = tuple(shape) if isinstance(shape, tuple) else (int(shape),)
+        dtype = np.dtype(dtype)
+        view = self._views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        size = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.nbytes < size:
+            buf = self._buffers[name] = np.empty(size, dtype=np.uint8)
+        view = self._views[name] = buf[:size].view(dtype).reshape(shape)
+        return view
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the arena holds across all of its buffers."""
+        return sum(buf.nbytes for buf in self._buffers.values())
+
+
 class BilinearPlan(ABC):
     """Precomputed bilinear resample for one fixed (src, dst) geometry.
 
@@ -136,8 +179,9 @@ class IntegralPlan(ABC):
     """Reusable integral + squared-integral computation for one geometry.
 
     The returned arrays are padded ``(h+1, w+1)`` float64 with zero first
-    row/column and are *owned by the plan* — they are overwritten by the
-    next :meth:`compute` call, exactly like device-resident buffers.
+    row/column and live in the plan's :class:`ScratchArena` — they are
+    overwritten by the next :meth:`compute` of any plan sharing that
+    arena, exactly like device-resident buffers.
     """
 
     height: int
@@ -185,9 +229,10 @@ class CascadeMaps:
 class CascadeEvaluator(ABC):
     """Reusable cascade evaluation for one (cascade, level geometry) pair.
 
-    Owns all per-level scratch; the maps returned by :meth:`evaluate` are
-    freshly allocated (they outlive the call), the scratch is not.  Not
-    thread-safe — one evaluator per engine worker per level.
+    Its scratch lives in the :class:`ScratchArena` it was built with; the
+    maps returned by :meth:`evaluate` are freshly allocated (they outlive
+    the call), the scratch is not.  Not thread-safe — one evaluator per
+    engine worker per level.
     """
 
     @abstractmethod
@@ -274,9 +319,19 @@ class ComputeBackend(ABC):
 
     @abstractmethod
     def make_bilinear_plan(
-        self, src_h: int, src_w: int, dst_h: int, dst_w: int
+        self,
+        src_h: int,
+        src_w: int,
+        dst_h: int,
+        dst_w: int,
+        *,
+        arena: ScratchArena | None = None,
     ) -> BilinearPlan:
-        """Reusable resampling plan for one fixed geometry."""
+        """Reusable resampling plan for one fixed geometry.
+
+        ``arena`` holds its scratch (a private one when ``None``), here
+        and in the other ``make_*`` methods.
+        """
 
     # -- Fig. 1 "Integral image" ---------------------------------------------
 
@@ -293,8 +348,10 @@ class ComputeBackend(ABC):
         """Matrix transpose (the Ruetsch/Micikevicius tiled kernel)."""
 
     @abstractmethod
-    def make_integral_plan(self, height: int, width: int) -> IntegralPlan:
-        """Reusable integral computation with persistent buffers."""
+    def make_integral_plan(
+        self, height: int, width: int, *, arena: ScratchArena | None = None
+    ) -> IntegralPlan:
+        """Reusable integral computation over arena buffers."""
 
     # -- Fig. 1 "Face detection kernel" --------------------------------------
 
@@ -305,6 +362,7 @@ class ComputeBackend(ABC):
         mapping: "BlockMapping",
         *,
         sparse_threshold: float | None = None,
+        arena: ScratchArena | None = None,
     ) -> CascadeEvaluator:
         """Reusable evaluator for one cascade over one level geometry.
 

@@ -11,6 +11,7 @@ is the byte-identity oracle every other backend is differenced against
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from repro.backend.base import (
     CascadeMaps,
     ComputeBackend,
     IntegralPlan,
+    ScratchArena,
 )
 from repro.errors import ConfigurationError
 from repro.haar.features import feature_rects
@@ -124,9 +126,17 @@ class ReferenceBilinearPlan(BilinearPlan):
     building a :class:`Texture2D` and fetching the grid.
     """
 
-    __slots__ = ("y0", "y1", "fy", "omfy", "x0", "x1", "fx", "omfx", "rows0", "rows1", "g")
+    __slots__ = ("y0", "y1", "fy", "omfy", "x0", "x1", "fx", "omfx", "_arena", "_panel", "_grid")
 
-    def __init__(self, src_h: int, src_w: int, dst_h: int, dst_w: int) -> None:
+    def __init__(
+        self,
+        src_h: int,
+        src_w: int,
+        dst_h: int,
+        dst_w: int,
+        *,
+        arena: ScratchArena | None = None,
+    ) -> None:
         sx = src_w / dst_w
         sy = src_h / dst_h
         xs = (np.arange(dst_w, dtype=np.float64) + 0.5) * sx
@@ -145,20 +155,25 @@ class ReferenceBilinearPlan(BilinearPlan):
         self.omfx = (1.0 - fx).astype(np.float32)
         self.fy = fy[:, np.newaxis]
         self.omfy = (1.0 - fy).astype(np.float32)[:, np.newaxis]
-        # scratch: two row-gather panels plus four corner grids
-        self.rows0 = np.empty((dst_h, src_w), dtype=np.float32)
-        self.rows1 = np.empty((dst_h, src_w), dtype=np.float32)
-        self.g = [np.empty((dst_h, dst_w), dtype=np.float32) for _ in range(4)]
+        self._arena = arena if arena is not None else ScratchArena()
+        self._panel = (dst_h, src_w)
+        self._grid = (dst_h, dst_w)
 
     def apply(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Resample ``src`` into a fresh (or provided) ``(dst_h, dst_w)`` grid."""
-        g00, g01, g10, g11 = self.g
-        np.take(src, self.y0, axis=0, out=self.rows0)
-        np.take(src, self.y1, axis=0, out=self.rows1)
-        np.take(self.rows0, self.x0, axis=1, out=g00)
-        np.take(self.rows0, self.x1, axis=1, out=g01)
-        np.take(self.rows1, self.x0, axis=1, out=g10)
-        np.take(self.rows1, self.x1, axis=1, out=g11)
+        # scratch: two row-gather panels plus four corner grids
+        take = self._arena.take
+        rows0 = take("bilinear.rows0", self._panel, np.float32)
+        rows1 = take("bilinear.rows1", self._panel, np.float32)
+        g00, g01, g10, g11 = (
+            take(f"bilinear.g{i}", self._grid, np.float32) for i in range(4)
+        )
+        np.take(src, self.y0, axis=0, out=rows0)
+        np.take(src, self.y1, axis=0, out=rows1)
+        np.take(rows0, self.x0, axis=1, out=g00)
+        np.take(rows0, self.x1, axis=1, out=g01)
+        np.take(rows1, self.x0, axis=1, out=g10)
+        np.take(rows1, self.x1, axis=1, out=g11)
         # top = d[y0, x0] * (1 - fx) + d[y0, x1] * fx  (float32, as tex2D)
         np.multiply(g00, self.omfx, out=g00)
         np.multiply(g01, self.fx, out=g01)
@@ -177,42 +192,80 @@ class ReferenceBilinearPlan(BilinearPlan):
 
 
 # ---------------------------------------------------------------------------
-# integral images (persistent zero-border buffers)
+# integral images (zero-border buffers in the arena)
 
 
 class ReferenceIntegralPlan(IntegralPlan):
-    """Integral + squared integral into persistent padded buffers."""
+    """Integral + squared integral into padded arena buffers."""
 
-    def __init__(self, height: int, width: int) -> None:
+    def __init__(
+        self, height: int, width: int, *, arena: ScratchArena | None = None
+    ) -> None:
         if height <= 0 or width <= 0:
             raise ConfigurationError("image dimensions must be positive")
         self.height = height
         self.width = width
-        self._img64 = np.empty((height, width), dtype=np.float64)
-        self._sq64 = np.empty((height, width), dtype=np.float64)
-        self._cum0 = np.empty((height, width), dtype=np.float64)
-        # zero borders persist across frames
-        self._ii = np.zeros((height + 1, width + 1), dtype=np.float64)
-        self._sqii = np.zeros((height + 1, width + 1), dtype=np.float64)
+        self._arena = arena if arena is not None else ScratchArena()
 
     def compute(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self._img64[...] = image
-        np.cumsum(self._img64, axis=0, out=self._cum0)
-        np.cumsum(self._cum0, axis=1, out=self._ii[1:, 1:])
-        np.multiply(self._img64, self._img64, out=self._sq64)
-        np.cumsum(self._sq64, axis=0, out=self._cum0)
-        np.cumsum(self._cum0, axis=1, out=self._sqii[1:, 1:])
-        return self._ii, self._sqii
+        h, w = self.height, self.width
+        take = self._arena.take
+        img64 = take("integral.img64", (h, w), np.float64)
+        cum0 = take("integral.cum0", (h, w), np.float64)
+        ii = take("integral.ii", (h + 1, w + 1), np.float64)
+        sqii = take("integral.sqii", (h + 1, w + 1), np.float64)
+        # the buffers are shared across level shapes, so the zero border
+        # of this shape may hold another level's sums: clear it every call
+        for padded in (ii, sqii):
+            padded[0, :] = 0.0
+            padded[1:, 0] = 0.0
+        img64[...] = image
+        np.cumsum(img64, axis=0, out=cum0)
+        np.cumsum(cum0, axis=1, out=ii[1:, 1:])
+        np.multiply(img64, img64, out=img64)
+        np.cumsum(img64, axis=0, out=cum0)
+        np.cumsum(cum0, axis=1, out=sqii[1:, 1:])
+        return ii, sqii
 
 
 # ---------------------------------------------------------------------------
 # cascade evaluation (dense grid stages, then sparse survivor gathers)
 
 
-class ReferenceCascadeEvaluator(CascadeEvaluator):
-    """The engine's dense/sparse stage evaluation, owning its scratch."""
+class _DenseScratch(NamedTuple):
+    """Arena grids of the dense stages, bound once per :meth:`evaluate`."""
 
-    def __init__(self, cascade, mapping, *, sparse_threshold: float | None = None) -> None:
+    tmp: np.ndarray
+    vals: np.ndarray
+    ts: np.ndarray
+    wbuf: np.ndarray
+    sums: np.ndarray
+    mask: np.ndarray
+
+
+class _SparseScratch(NamedTuple):
+    """Arena vectors of the sparse stages, sliced to the survivor count."""
+
+    base: np.ndarray
+    t1: np.ndarray
+    vals: np.ndarray
+    ts: np.ndarray
+    wv: np.ndarray
+    sums: np.ndarray
+    mask: np.ndarray
+
+
+class ReferenceCascadeEvaluator(CascadeEvaluator):
+    """The engine's dense/sparse stage evaluation over arena scratch."""
+
+    def __init__(
+        self,
+        cascade,
+        mapping,
+        *,
+        sparse_threshold: float | None = None,
+        arena: ScratchArena | None = None,
+    ) -> None:
         self._plan = cascade_plan(cascade)
         self._n_stages = cascade.num_stages
         self._mapping = mapping
@@ -224,34 +277,46 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         self._window = mapping.window
         self._stride = mapping.level_width + 1
         self._flat_offsets = flat_offsets(self._plan, self._stride)
-
-        # dense-stage scratch grids
-        self._wsum = np.empty((ay, ax), dtype=np.float64)
-        self._wsq = np.empty((ay, ax), dtype=np.float64)
-        self._mean = np.empty((ay, ax), dtype=np.float64)
-        self._ga = np.empty((ay, ax), dtype=np.float64)
-        self._vals = np.empty((ay, ax), dtype=np.float64)
-        self._tmp = np.empty((ay, ax), dtype=np.float64)
-        self._ts = np.empty((ay, ax), dtype=np.float64)
-        self._wbuf = np.empty((ay, ax), dtype=np.float64)
-        self._sums = np.empty((ay, ax), dtype=np.float64)
-        self._mask = np.empty((ay, ax), dtype=bool)
-        self._alive = np.empty((ay, ax), dtype=bool)
-        self._passed = np.empty((ay, ax), dtype=bool)
-
-        # sparse-stage scratch (bounded by the dense->sparse switch point)
-        nmax = int(max(64, sparse_threshold * ay * ax)) + 1
-        self._s_base = np.empty(nmax, dtype=np.int64)
-        self._s_t1 = np.empty(nmax, dtype=np.float64)
-        self._s_vals = np.empty(nmax, dtype=np.float64)
-        self._s_ts = np.empty(nmax, dtype=np.float64)
-        self._s_wv = np.empty(nmax, dtype=np.float64)
-        self._s_sums = np.empty(nmax, dtype=np.float64)
-        self._s_mask = np.empty(nmax, dtype=bool)
+        self._arena = arena if arena is not None else ScratchArena()
+        #: sparse-stage capacity: bounded by the dense->sparse switch point
+        self._nmax = int(max(64, sparse_threshold * ay * ax)) + 1
 
     def _default_sparse_threshold(self) -> float:
         # read at construction time so tests can monkeypatch the module global
         return SPARSE_THRESHOLD
+
+    def _grid(self, name: str, dtype=np.float64) -> np.ndarray:
+        return self._arena.take(f"cascade.{name}", (self._ay, self._ax), dtype)
+
+    def _dense_scratch(self) -> _DenseScratch:
+        grid = self._grid
+        return _DenseScratch(
+            tmp=grid("tmp"),
+            vals=grid("vals"),
+            ts=grid("ts"),
+            wbuf=grid("wbuf"),
+            sums=grid("sums"),
+            mask=grid("mask", bool),
+        )
+
+    def _ensure_sparse_capacity(self, n: int) -> _SparseScratch:
+        """The sparse-stage scratch, bound for at least ``n`` survivors.
+
+        Never smaller than the dense->sparse switch point; masked
+        evaluation may seed more survivors than that switch ever would,
+        and the arena regrows its buffers to fit them.
+        """
+        n = max(n, self._nmax)
+        take = self._arena.take
+        return _SparseScratch(
+            base=take("cascade.s_base", n, np.int64),
+            t1=take("cascade.s_t1", n, np.float64),
+            vals=take("cascade.s_vals", n, np.float64),
+            ts=take("cascade.s_ts", n, np.float64),
+            wv=take("cascade.s_wv", n, np.float64),
+            sums=take("cascade.s_sums", n, np.float64),
+            mask=take("cascade.s_mask", n, bool),
+        )
 
     def window_sigma(self, ii: np.ndarray, sqii: np.ndarray) -> np.ndarray:
         """Window sums and variance normalisation (identical op order).
@@ -263,19 +328,23 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         ay, ax = self._ay, self._ax
         w = self._window
         area = WINDOW_AREA
-        np.subtract(ii[w:, w:], ii[:-w, w:], out=self._wsum)
-        np.subtract(self._wsum, ii[w:, :-w], out=self._wsum)
-        np.add(self._wsum, ii[:-w, :-w], out=self._wsum)
-        np.subtract(sqii[w:, w:], sqii[:-w, w:], out=self._wsq)
-        np.subtract(self._wsq, sqii[w:, :-w], out=self._wsq)
-        np.add(self._wsq, sqii[:-w, :-w], out=self._wsq)
-        np.divide(self._wsum, area, out=self._mean)
+        grid = self._grid
+        wsum, wsq, mean, ga, tmp = (
+            grid("wsum"), grid("wsq"), grid("mean"), grid("ga"), grid("tmp")
+        )
+        np.subtract(ii[w:, w:], ii[:-w, w:], out=wsum)
+        np.subtract(wsum, ii[w:, :-w], out=wsum)
+        np.add(wsum, ii[:-w, :-w], out=wsum)
+        np.subtract(sqii[w:, w:], sqii[:-w, w:], out=wsq)
+        np.subtract(wsq, sqii[w:, :-w], out=wsq)
+        np.add(wsq, sqii[:-w, :-w], out=wsq)
+        np.divide(wsum, area, out=mean)
         sigma = np.empty((ay, ax), dtype=np.float64)
-        np.divide(self._wsq, area, out=self._ga)
-        np.multiply(self._mean, self._mean, out=self._tmp)
-        np.subtract(self._ga, self._tmp, out=self._ga)
-        np.maximum(self._ga, 1.0, out=self._ga)
-        np.sqrt(self._ga, out=sigma)
+        np.divide(wsq, area, out=ga)
+        np.multiply(mean, mean, out=tmp)
+        np.subtract(ga, tmp, out=ga)
+        np.maximum(ga, 1.0, out=ga)
+        np.sqrt(ga, out=sigma)
         return sigma
 
     def evaluate(self, ii: np.ndarray, sqii: np.ndarray) -> CascadeMaps:
@@ -284,9 +353,11 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
 
         depth = np.zeros((ay, ax), dtype=np.int32)
         margin = np.zeros((ay, ax), dtype=np.float64)
-        alive = self._alive
+        dense = self._dense_scratch()
+        sparse_scratch = self._ensure_sparse_capacity(0)
+        alive = self._grid("alive", bool)
         alive.fill(True)
-        passed = self._passed
+        passed = self._grid("passed", bool)
         sparse: tuple[np.ndarray, np.ndarray] | None = None
         total = ay * ax
         flat = ii.reshape(-1)
@@ -300,12 +371,12 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
                     sparse = np.nonzero(alive)
             if sparse is not None:
                 sparse = self._sparse_stage(
-                    stage_idx, stage, flat, sigma, depth, margin, sparse
+                    stage_idx, stage, flat, sigma, depth, margin, sparse, sparse_scratch
                 )
                 if sparse is None:
                     break
             else:
-                self._dense_stage(stage, ii, sigma, depth, margin, alive, passed)
+                self._dense_stage(stage, ii, sigma, depth, margin, alive, passed, dense)
                 alive, passed = passed, alive
 
         return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
@@ -334,76 +405,56 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         margin = np.zeros((ay, ax), dtype=np.float64)
         ys, xs = np.nonzero(active)
         if ys.size:
-            self._ensure_sparse_capacity(ys.size)
+            scratch = self._ensure_sparse_capacity(ys.size)
             flat = ii.reshape(-1)
             sparse: tuple[np.ndarray, np.ndarray] | None = (ys, xs)
             for stage_idx, stage in enumerate(self._plan):
                 sparse = self._sparse_stage(
-                    stage_idx, stage, flat, sigma, depth, margin, sparse
+                    stage_idx, stage, flat, sigma, depth, margin, sparse, scratch
                 )
                 if sparse is None:
                     break
         return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
 
-    def _ensure_sparse_capacity(self, n: int) -> None:
-        """Grow the sparse scratch: masked evaluation may seed more
-        survivors than the dense->sparse switch point ever would."""
-        if self._s_base.shape[0] >= n:
-            return
-        self._s_base = np.empty(n, dtype=np.int64)
-        self._s_t1 = np.empty(n, dtype=np.float64)
-        self._s_vals = np.empty(n, dtype=np.float64)
-        self._s_ts = np.empty(n, dtype=np.float64)
-        self._s_wv = np.empty(n, dtype=np.float64)
-        self._s_sums = np.empty(n, dtype=np.float64)
-        self._s_mask = np.empty(n, dtype=bool)
-
-    def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed) -> None:
+    def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed, scratch) -> None:
         ay, ax = self._ay, self._ax
-        sums = self._sums
+        tmp, vals, ts, wbuf, sums, mask = scratch
         sums.fill(0.0)
         for cl in stage.classifiers:
-            vals = self._vals
             vals.fill(0.0)
             for x0, y0, x1, y1, wt in cl.rects:
                 # out += wt * (A - B - C + D), replayed in the same order
                 np.subtract(
                     ii[y1 : y1 + ay, x1 : x1 + ax],
                     ii[y0 : y0 + ay, x1 : x1 + ax],
-                    out=self._tmp,
+                    out=tmp,
                 )
-                np.subtract(self._tmp, ii[y1 : y1 + ay, x0 : x0 + ax], out=self._tmp)
-                np.add(self._tmp, ii[y0 : y0 + ay, x0 : x0 + ax], out=self._tmp)
-                np.multiply(self._tmp, wt, out=self._tmp)
-                np.add(vals, self._tmp, out=vals)
-            np.multiply(sigma, cl.threshold, out=self._ts)
-            np.less_equal(vals, self._ts, out=self._mask)
-            np.copyto(self._wbuf, cl.right)
-            np.copyto(self._wbuf, cl.left, where=self._mask)
-            np.add(sums, self._wbuf, out=sums)
-        np.subtract(sums, stage.threshold, out=self._tmp)
-        margin[alive] = self._tmp[alive]
-        np.greater_equal(sums, stage.threshold, out=self._mask)
-        np.logical_and(alive, self._mask, out=passed)
+                np.subtract(tmp, ii[y1 : y1 + ay, x0 : x0 + ax], out=tmp)
+                np.add(tmp, ii[y0 : y0 + ay, x0 : x0 + ax], out=tmp)
+                np.multiply(tmp, wt, out=tmp)
+                np.add(vals, tmp, out=vals)
+            np.multiply(sigma, cl.threshold, out=ts)
+            np.less_equal(vals, ts, out=mask)
+            np.copyto(wbuf, cl.right)
+            np.copyto(wbuf, cl.left, where=mask)
+            np.add(sums, wbuf, out=sums)
+        np.subtract(sums, stage.threshold, out=tmp)
+        margin[alive] = tmp[alive]
+        np.greater_equal(sums, stage.threshold, out=mask)
+        np.logical_and(alive, mask, out=passed)
         depth[passed] += 1
 
-    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse):
+    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse, scratch):
         ys, xs = sparse
         if ys.size == 0:
             return None
         offsets = self._flat_offsets[stage_idx]
         n = ys.size
         sig = sigma[ys, xs]
-        base = self._s_base[:n]
+        base, t1, vals, ts, wv, sums, mask = (buf[:n] for buf in scratch)
         np.multiply(ys, self._stride, out=base)
         np.add(base, xs, out=base)
-        sums = self._s_sums[:n]
         sums.fill(0.0)
-        t1 = self._s_t1[:n]
-        ts = self._s_ts[:n]
-        wv = self._s_wv[:n]
-        mask = self._s_mask[:n]
-        vals = self._s_vals[:n]
         for cl, (offs, weights) in zip(stage.classifiers, offsets):
             # gather all corners of all rects at once: (n_rects, 4, n)
             corners = flat.take(offs + base)
@@ -451,9 +502,9 @@ class ReferenceBackend(ComputeBackend):
         return downscale(Texture2D(image), out_width, out_height)
 
     def make_bilinear_plan(
-        self, src_h: int, src_w: int, dst_h: int, dst_w: int
+        self, src_h: int, src_w: int, dst_h: int, dst_w: int, *, arena=None
     ) -> ReferenceBilinearPlan:
-        return ReferenceBilinearPlan(src_h, src_w, dst_h, dst_w)
+        return ReferenceBilinearPlan(src_h, src_w, dst_h, dst_w, arena=arena)
 
     def integral_image(self, image: np.ndarray) -> np.ndarray:
         from repro.image.integral import integral_image
@@ -470,12 +521,14 @@ class ReferenceBackend(ComputeBackend):
 
         return tiled_transpose(matrix)
 
-    def make_integral_plan(self, height: int, width: int) -> ReferenceIntegralPlan:
-        return ReferenceIntegralPlan(height, width)
+    def make_integral_plan(
+        self, height: int, width: int, *, arena=None
+    ) -> ReferenceIntegralPlan:
+        return ReferenceIntegralPlan(height, width, arena=arena)
 
     def make_cascade_evaluator(
-        self, cascade, mapping, *, sparse_threshold: float | None = None
+        self, cascade, mapping, *, sparse_threshold: float | None = None, arena=None
     ) -> ReferenceCascadeEvaluator:
         return ReferenceCascadeEvaluator(
-            cascade, mapping, sparse_threshold=sparse_threshold
+            cascade, mapping, sparse_threshold=sparse_threshold, arena=arena
         )

@@ -145,7 +145,7 @@ class VectorizedIntegralPlan(ReferenceIntegralPlan):
     ``cumsum`` runs independently along each lane of the stacked axis,
     so every lane equals the per-frame :meth:`compute` bit-for-bit.  The
     returned stacks are freshly allocated (they outlive the next call),
-    unlike the plan-owned single-frame buffers.
+    unlike the arena-backed single-frame buffers.
     """
 
     def compute_batch(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,31 +166,25 @@ class VectorizedIntegralPlan(ReferenceIntegralPlan):
 class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
     """Reference evaluation with batched sparse gathers (see module doc)."""
 
-    def __init__(self, cascade, mapping, *, sparse_threshold: float | None = None) -> None:
-        super().__init__(cascade, mapping, sparse_threshold=sparse_threshold)
-        self._batches = _build_batches(
-            self._plan, self._stride, self._s_base.shape[0]
-        )
+    def __init__(
+        self, cascade, mapping, *, sparse_threshold: float | None = None, arena=None
+    ) -> None:
+        super().__init__(cascade, mapping, sparse_threshold=sparse_threshold, arena=arena)
+        self._batches = _build_batches(self._plan, self._stride, self._nmax)
 
     def _default_sparse_threshold(self) -> float:
         return VEC_SPARSE_THRESHOLD
 
-    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse):
+    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse, scratch):
         ys, xs = sparse
         if ys.size == 0:
             return None
         n = ys.size
         sig = sigma[ys, xs]
-        base = self._s_base[:n]
+        base, t1, vals, ts, wv, sums, mask = (buf[:n] for buf in scratch)
         np.multiply(ys, self._stride, out=base)
         np.add(base, xs, out=base)
-        sums = self._s_sums[:n]
         sums.fill(0.0)
-        t1 = self._s_t1[:n]
-        ts = self._s_ts[:n]
-        wv = self._s_wv[:n]
-        mask = self._s_mask[:n]
-        vals = self._s_vals[:n]
         for group in self._batches[stage_idx]:
             # one gather for every rectangle corner in the group: (R, 4, n)
             corners = flat.take(group.offs + base)
@@ -366,16 +360,18 @@ class VectorizedBackend(ReferenceBackend):
     name = "vectorized"
 
     def make_bilinear_plan(
-        self, src_h: int, src_w: int, dst_h: int, dst_w: int
+        self, src_h: int, src_w: int, dst_h: int, dst_w: int, *, arena=None
     ) -> VectorizedBilinearPlan:
-        return VectorizedBilinearPlan(src_h, src_w, dst_h, dst_w)
+        return VectorizedBilinearPlan(src_h, src_w, dst_h, dst_w, arena=arena)
 
-    def make_integral_plan(self, height: int, width: int) -> VectorizedIntegralPlan:
-        return VectorizedIntegralPlan(height, width)
+    def make_integral_plan(
+        self, height: int, width: int, *, arena=None
+    ) -> VectorizedIntegralPlan:
+        return VectorizedIntegralPlan(height, width, arena=arena)
 
     def make_cascade_evaluator(
-        self, cascade, mapping, *, sparse_threshold: float | None = None
+        self, cascade, mapping, *, sparse_threshold: float | None = None, arena=None
     ) -> VectorizedCascadeEvaluator:
         return VectorizedCascadeEvaluator(
-            cascade, mapping, sparse_threshold=sparse_threshold
+            cascade, mapping, sparse_threshold=sparse_threshold, arena=arena
         )

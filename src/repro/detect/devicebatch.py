@@ -21,8 +21,9 @@ frames treated as N lanes of the same per-level streams:
   whole-frame hit is the case where every level is clean: grouping and
   the schedule then replay from the cache.
 
-:class:`FrameWorkspace` owns the per-shape geometry and the temporal
-cache and feeds the executor;
+:class:`FrameWorkspace` owns the per-shape geometry, one scratch arena
+shared by every level and the temporal cache, and feeds the executor,
+which runs one pyramid level at a time;
 :meth:`~repro.detect.pipeline.FaceDetectionPipeline.process_frame` runs
 the same executor once over fresh geometry with the fast path off.
 Functional outputs do not depend on N: every lane of every fused kernel
@@ -32,11 +33,11 @@ goldens assert it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.backend.base import BilinearPlan, CascadeMaps, ComputeBackend
+from repro.backend.base import BilinearPlan, CascadeMaps, ComputeBackend, ScratchArena
 from repro.detect.display import display_launch
 from repro.detect.fastpath import (
     FastpathConfig,
@@ -228,6 +229,7 @@ class _LevelState:
         self,
         pipeline: FaceDetectionPipeline,
         backend: ComputeBackend,
+        arena: ScratchArena,
         index: int,
         scale: float,
         width: int,
@@ -239,6 +241,10 @@ class _LevelState:
         self.width = width
         self.height = height
         self.octave = octave
+        #: the level's geometry without pixels: what slim results carry
+        self.geometry = PyramidLevel(
+            index=index, scale=scale, width=width, height=height, image=None
+        )
         stream = index + 1
 
         cost_model = pipeline.scheduler.cost_model
@@ -271,9 +277,12 @@ class _LevelState:
             block_h=pipeline.config.block_h,
         )
 
-        # the backend side of the seam: reusable, buffer-owning kernels
-        self.integral_plan = backend.make_integral_plan(height, width)
-        self.evaluator = backend.make_cascade_evaluator(pipeline.cascade, self.mapping)
+        # the backend side of the seam: reusable kernels whose scratch is
+        # the workspace's one arena, shared by every level
+        self.integral_plan = backend.make_integral_plan(height, width, arena=arena)
+        self.evaluator = backend.make_cascade_evaluator(
+            pipeline.cascade, self.mapping, arena=arena
+        )
         self.bilinear: BilinearPlan | None = None  # set by _Geometry
 
         self.launch_template = CascadeLaunchTemplate(
@@ -281,6 +290,7 @@ class _LevelState:
             self.mapping,
             stream,
             name=f"cascade_s{index}",
+            arena=arena,
         )
 
     def result(self, maps: CascadeMaps, n_stages: int) -> CascadeKernelResult:
@@ -296,6 +306,17 @@ class _LevelState:
             ),
         )
 
+    def summary(self, result: CascadeKernelResult) -> CascadeKernelResult:
+        """``result`` without its maps and launch: what slim results carry."""
+        return CascadeKernelResult(
+            depth_map=None,
+            margin_map=None,
+            sigma_map=None,
+            launch=None,
+            mapping=self.mapping,
+            rejections_by_depth=result.rejections_by_depth,
+        )
+
 
 class _Geometry:
     """Everything frame-independent for one ``(height, width)`` frame shape."""
@@ -305,6 +326,7 @@ class _Geometry:
         pipeline: FaceDetectionPipeline,
         backend: ComputeBackend,
         shape: tuple[int, int],
+        arena: ScratchArena,
     ) -> None:
         height, width = shape
         config = pipeline.config.pyramid
@@ -320,7 +342,7 @@ class _Geometry:
         for (ph, pw), (oh, ow) in zip(octave_shapes, octave_shapes[1:]):
             self.octave_plans.append(
                 (
-                    backend.make_bilinear_plan(ph, pw, oh, ow),
+                    backend.make_bilinear_plan(ph, pw, oh, ow, arena=arena),
                     np.empty((oh, ow), dtype=np.float32),
                 )
             )
@@ -333,10 +355,10 @@ class _Geometry:
             octave = 0
             if index > 0:
                 octave = min(int(np.floor(np.log2(scale))), n_octaves - 1)
-            state = _LevelState(pipeline, backend, index, scale, w, h, octave)
+            state = _LevelState(pipeline, backend, arena, index, scale, w, h, octave)
             if index > 0:
                 oh, ow = octave_shapes[octave]
-                state.bilinear = backend.make_bilinear_plan(oh, ow, h, w)
+                state.bilinear = backend.make_bilinear_plan(oh, ow, h, w, arena=arena)
             self.levels.append(state)
 
         self.display_stream = len(scales) + 1
@@ -389,11 +411,16 @@ class _FastpathState:
     its own subsequence of the stream — reuse fires whenever *that
     worker's* previous frame matches, which keeps ``exact`` mode
     byte-identical by construction regardless of how frames shard.
+
+    The executor refills the level caches one level at a time as it
+    goes, each with a matching (pixels, result) pair, and sets
+    ``frame`` (level 0's cached pixels) only once every level is in: a
+    pass that stops early leaves ``frame`` unset, so no whole-frame hit
+    replays a half-refilled cache.
     """
 
     def __init__(self, n_levels: int) -> None:
         self.frame: np.ndarray | None = None
-        self.levels: list[PyramidLevel] | None = None
         self.caches = [_FastpathLevelCache() for _ in range(n_levels)]
         # downstream replay state: the grouped detections and the
         # simulated schedules of the cached frame.  On a whole-frame hit
@@ -409,30 +436,6 @@ class _FastpathState:
             c.result is not None for c in self.caches
         )
 
-    def update(
-        self, levels: list[PyramidLevel], results: list[CascadeKernelResult]
-    ) -> None:
-        # level 0 aliases the caller's frame buffer (a shared-memory ring
-        # slot under process sharding) — copy it; deeper levels are
-        # freshly allocated by the bilinear plans, so references are safe
-        level0 = levels[0]
-        frame = np.array(level0.image, copy=True)
-        self.levels = [
-            PyramidLevel(
-                index=level0.index,
-                scale=level0.scale,
-                width=level0.width,
-                height=level0.height,
-                image=frame,
-            ),
-            *levels[1:],
-        ]
-        for cache, level, result in zip(self.caches, self.levels, results):
-            cache.image = level.image
-            cache.result = result
-        self.frame = frame
-        self.schedules = {}
-
 
 # ---------------------------------------------------------------------------
 # the executor
@@ -445,24 +448,21 @@ def _resample(plan: BilinearPlan, lanes, out: np.ndarray | None = None) -> np.nd
     return plan.apply_batch(np.asarray(lanes))
 
 
-def _build_pyramid(
+def _build_octaves(
     geo: _Geometry, stack: np.ndarray, backend: ComputeBackend, tracer: Tracer
 ) -> list[np.ndarray]:
-    """Every level's ``(n, h, w)`` lane stack; level 0 is ``stack`` itself."""
+    """The octave chain's ``(n, h, w)`` lane stacks; octave 0 is ``stack``.
+
+    Every pyramid level resamples from one octave, so the octaves live
+    for the whole pass and each level is built when the loop reaches it.
+    """
     octaves = [stack]
     for plan, buf in geo.octave_plans:
         with tracer.span("pyramid.antialias"):
             filtered = [backend.antialias(lane, 2.0) for lane in octaves[-1]]
         with tracer.span("pyramid.scale"):
             octaves.append(_resample(plan, filtered, out=buf))
-    stacks = []
-    for state in geo.levels:
-        if state.index == 0:
-            stacks.append(stack)
-        else:
-            with tracer.span("pyramid.scale"):
-                stacks.append(_resample(state.bilinear, octaves[state.octave]))
-    return stacks
+    return octaves
 
 
 def _integrals(state: _LevelState, images: np.ndarray):
@@ -587,18 +587,23 @@ def _execute(
     tracer: Tracer,
     fp: FastpathConfig,
     cache: _FastpathState | None,
+    keep_maps: bool,
 ) -> dict[ExecutionMode, list[FrameResult]]:
     """Run the Fig. 1 stage sequence over ``frames`` as lanes, once.
 
-    The functional pass (pyramid, integrals, cascade, grouping) runs one
-    time; the launch list it builds is scheduled under each of
-    ``modes``.  ``fp`` enabled implies a single lane (the workspace's
-    dispatch rule); ``cache`` is that lane's temporal delta cache, or
-    ``None`` when temporal reuse is off.
+    The functional pass runs one level at a time: build the level,
+    integrate it, evaluate it and group its detections, then drop its
+    pixels, integrals and maps before the next level.  The launch list
+    it builds is scheduled under each of ``modes``.  ``fp`` enabled
+    implies a single lane (the workspace's dispatch rule); ``cache`` is
+    that lane's temporal delta cache, or ``None`` when temporal reuse is
+    off.  The cache keeps the lane's pixels and full results; results
+    carry level images and maps only under ``keep_maps``.
     """
     n = len(frames)
     backend = pipeline.backend
     n_stages = pipeline.cascade.num_stages
+    window = pipeline.config.pyramid.window
     if n == 1:
         stack = np.asarray(frames[0], dtype=np.float32)[None]
     else:
@@ -612,19 +617,34 @@ def _execute(
             with tracer.span("fastpath.diff", cat="fastpath"):
                 frame_hit = _frame_clean(stack[0], cache.frame, fp)
             stats.frames_reused = int(frame_hit)
+    # grouping is deterministic in (levels, kernel results) and a hit's
+    # launch list is content-identical to the cached frame's, so a hit
+    # whose every schedule is cached replays detections and schedules
+    replay = frame_hit and all(mode in cache.schedules for mode in modes)
+    refill = cache is not None and not frame_hit
     if frame_hit:
-        # the whole frame matches the cached predecessor: skip the pyramid
-        level_stacks = [level.image[None] for level in cache.levels]
+        octaves = None  # the whole frame matches: skip the pyramid
     else:
-        level_stacks = _build_pyramid(geo, stack, backend, tracer)
+        octaves = _build_octaves(geo, stack, backend, tracer)
+    if refill:
+        cache.frame = None
     level_caches = cache.caches if cache is not None else [None] * len(geo.levels)
 
     launches: list[KernelLaunch] = []
+    levels: list[list[PyramidLevel]] = [[] for _ in range(n)]
     kernels: list[list[CascadeKernelResult]] = [[] for _ in range(n)]
-    for state, (pre, integral), images, level_cache in zip(
-        geo.levels, geo.static_launches(n), level_stacks, level_caches
+    raws: list[list] = [[] for _ in range(n)]
+    for state, (pre, integral), level_cache in zip(
+        geo.levels, geo.static_launches(n), level_caches
     ):
         launches.extend(pre)
+        if frame_hit:
+            images = level_cache.image[None]
+        elif state.index == 0:
+            images = stack
+        else:
+            with tracer.span("pyramid.scale"):
+                images = _resample(state.bilinear, octaves[state.octave])
         clean, dirty = frame_hit, None
         if not clean and level_cache is not None and level_cache.result is not None:
             with tracer.span("fastpath.diff", cat="fastpath"):
@@ -654,37 +674,33 @@ def _execute(
                 results = [state.result(m, n_stages) for m in maps]
                 if fp.policy is FastpathPolicy.EXACT:
                     _observe_proposal(tracer, fp, results[0], stats, n_stages)
+            del iis, sqiis, maps
         launches.extend(integral)
         launches.append(concat_launches([result.launch for result in results]))
-        for lane, result in zip(kernels, results):
-            lane.append(result)
+        if refill:
+            # level 0 aliases the caller's frame buffer (a shared-memory
+            # ring slot under process sharding), so the cache copies it;
+            # deeper levels are fresh arrays from the bilinear plans
+            level_cache.image = np.array(images[0]) if state.index == 0 else images[0]
+            level_cache.result = results[0]
+        if not replay:
+            with tracer.span("grouping"):
+                for raw, result in zip(raws, results):
+                    raw.extend(collect_raw_detections([state.geometry], [result], window))
+        for i, result in enumerate(results):
+            if keep_maps:
+                levels[i].append(replace(state.geometry, image=images[i]))
+                kernels[i].append(result)
+            else:
+                levels[i].append(state.geometry)
+                kernels[i].append(state.summary(result))
+    if refill:
+        cache.frame = level_caches[0].image
 
-    levels = [
-        [
-            PyramidLevel(
-                index=state.index,
-                scale=state.scale,
-                width=state.width,
-                height=state.height,
-                image=images[i],
-            )
-            for state, images in zip(geo.levels, level_stacks)
-        ]
-        for i in range(n)
-    ]
-    if cache is not None and not frame_hit:
-        cache.update(levels[0], kernels[0])
-
-    if frame_hit and all(mode in cache.schedules for mode in modes):
-        # grouping is deterministic in (levels, kernel results) and the
-        # launch list is content-identical to the cached frame's, so the
-        # stored detections and schedules are byte-identical replays
+    if replay:
         raws = [list(cache.raw)]
         schedules = {mode: cache.schedules[mode] for mode in modes}
     else:
-        window = pipeline.config.pyramid.window
-        with tracer.span("grouping"):
-            raws = [collect_raw_detections(levels[i], kernels[i], window) for i in range(n)]
         launches.append(
             display_launch(
                 stack.shape[2],
@@ -701,6 +717,8 @@ def _execute(
             with tracer.span("schedule"):
                 schedules[mode] = pipeline.scheduler.run(launches, mode)
         if cache is not None:
+            if refill:
+                cache.schedules = {}
             cache.raw = list(raws[0])
             cache.schedules.update(schedules)
 
@@ -733,8 +751,18 @@ class FrameWorkspace:
     cost cohorts, backend integral plans and cascade evaluators, fused
     launches per lane count) plus the fast path's temporal delta cache,
     so a workspace can serve mixed-resolution streams and each
-    resolution pays its plan cost once.  Not thread-safe: each engine
-    worker owns one workspace.
+    resolution pays its plan cost once.  Every plan of every shape
+    shares one :class:`~repro.backend.base.ScratchArena`, sized to the
+    largest level the workspace has run, because the executor runs one
+    level at a time.  Not thread-safe: each engine worker owns one
+    workspace.
+
+    Results are slim by default: detections, schedule, fast-path stats,
+    per-level geometry (image ``None``) and per-level
+    ``rejections_by_depth`` (maps and launch ``None``).  ``keep_maps``
+    keeps every level image and cascade map on them instead, the view
+    the one-shot :meth:`FaceDetectionPipeline.process_frame` oracle
+    always returns.
 
     ``tracer`` wraps every Fig. 1 stage in a span (DESIGN §8).  Spans
     only observe — output stays byte-identical with tracing on.
@@ -745,6 +773,7 @@ class FrameWorkspace:
         pipeline: FaceDetectionPipeline,
         tracer: Tracer | None = None,
         stream: str | None = "default",
+        keep_maps: bool = False,
     ) -> None:
         self._pipeline = pipeline
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -753,6 +782,8 @@ class FrameWorkspace:
         #: stream identity for the temporal delta cache; ``None`` disables
         #: temporal reuse (the proposal screen still applies under ``fast``)
         self._stream = stream
+        self._keep_maps = keep_maps
+        self._arena = ScratchArena()
         self._geometries: dict[tuple[int, int], _Geometry] = {}
         self._fp_states: dict[tuple[int, int], _FastpathState] = {}
 
@@ -802,8 +833,8 @@ class FrameWorkspace:
         ``device_batch`` records the batch size so aggregation can count
         it once).  A singleton batch is one N=1 lane, and so is every
         frame while the fast path is on: its temporal delta cache is
-        sequential across frames, and fused batches would roughly double
-        peak memory on held streams (DESIGN §12, "The N=1 rule").
+        sequential across frames, and fusing it waits on the fused
+        temporal reference (DESIGN §12, "The N=1 rule").
         """
         frames = list(lumas)
         if not frames:
@@ -838,7 +869,9 @@ class FrameWorkspace:
         shape = frames[0].shape
         geo = self._geometries.get(shape)
         if geo is None:
-            geo = self._geometries[shape] = _Geometry(self._pipeline, self._backend, shape)
+            geo = self._geometries[shape] = _Geometry(
+                self._pipeline, self._backend, shape, self._arena
+            )
         cache = None
         if self._fastpath.enabled and self._stream is not None:
             cache = self._fp_states.get(shape)
@@ -846,7 +879,14 @@ class FrameWorkspace:
                 cache = self._fp_states[shape] = _FastpathState(len(geo.levels))
         mode = mode or self._pipeline.config.mode
         return _execute(
-            self._pipeline, geo, frames, [mode], self._tracer, self._fastpath, cache
+            self._pipeline,
+            geo,
+            frames,
+            [mode],
+            self._tracer,
+            self._fastpath,
+            cache,
+            self._keep_maps,
         )[mode]
 
 

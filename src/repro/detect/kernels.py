@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.backend.base import ScratchArena
 from repro.backend.warps import tile_warps
 from repro.errors import ConfigurationError
 from repro.detect.windows import BlockMapping
@@ -135,11 +136,13 @@ def cascade_launch_costs(cascade: Cascade) -> CascadeLaunchCosts:
 class CascadeLaunchTemplate:
     """Frame-independent state for pricing cascade launches of one level.
 
-    Owns the padded depth buffers and the launch parameters that only
-    depend on (cascade, mapping, stream); :meth:`build` then derives the
-    per-frame :class:`KernelLaunch` from measured anchor depths.  The
-    engine caches one template per pyramid level; the one-shot kernel
-    builds a throwaway one per call.  Not thread-safe (persistent pads).
+    Holds the launch parameters that only depend on (cascade, mapping,
+    stream); :meth:`build` then derives the per-frame
+    :class:`KernelLaunch` from measured anchor depths, padding them in
+    two buffers of ``arena`` (a private one when ``None``).  The engine
+    caches one template per pyramid level over its workspace's arena;
+    the one-shot kernel builds a throwaway one per call.  Not
+    thread-safe (shared pads).
     """
 
     def __init__(
@@ -148,16 +151,16 @@ class CascadeLaunchTemplate:
         mapping: BlockMapping,
         stream: int,
         name: str | None = None,
+        *,
+        arena: ScratchArena | None = None,
     ) -> None:
         self._costs = costs
         self._mapping = mapping
         self._stream = stream
         self._name = name or f"cascade_{mapping.level_width}x{mapping.level_height}"
         m = mapping
-        self._pad_lo = np.empty(
-            (m.blocks_y * m.block_h, m.blocks_x * m.block_w), dtype=np.int32
-        )
-        self._pad_hi = np.empty_like(self._pad_lo)
+        self._arena = arena if arena is not None else ScratchArena()
+        self._pad_shape = (m.blocks_y * m.block_h, m.blocks_x * m.block_w)
         self._staging = INSTR_STAGING_PER_THREAD * m.threads_per_block / 32.0
         self._dram_read = 2.0 * m.shared_tile_bytes * (1.0 - L2_HIT_RATE)
         self._dram_write = m.threads_per_block * 4.0
@@ -177,10 +180,10 @@ class CascadeLaunchTemplate:
         # Out-of-grid lanes (edge blocks) exit at the bounds check: they add
         # no work and no divergence.  Pad with -1 for the max (never deepens
         # a warp) and with n_stages for the min (never widens its spread).
-        pad_lo = self._pad_lo
+        pad_lo = self._arena.take("launch.pad_lo", self._pad_shape, np.int32)
         pad_lo.fill(-1)
         pad_lo[: depth.shape[0], : depth.shape[1]] = depth
-        pad_hi = self._pad_hi
+        pad_hi = self._arena.take("launch.pad_hi", self._pad_shape, np.int32)
         pad_hi.fill(n_stages)
         pad_hi[: depth.shape[0], : depth.shape[1]] = depth
         warps_lo = tile_warps(pad_lo, m.blocks_y, m.block_h, m.blocks_x, m.block_w)
@@ -220,12 +223,17 @@ class CascadeLaunchTemplate:
 
 @dataclass
 class CascadeKernelResult:
-    """Functional + timing output of one cascade kernel launch."""
+    """Functional + timing output of one cascade kernel launch.
 
-    depth_map: np.ndarray  # (ay, ax) int32: stages passed per anchor
-    margin_map: np.ndarray  # (ay, ax): last evaluated stage's margin
-    sigma_map: np.ndarray  # (ay, ax): per-window pixel std deviations
-    launch: KernelLaunch
+    Slim engine results keep only ``mapping`` and
+    ``rejections_by_depth``; their maps and ``launch`` are ``None``
+    (see :class:`~repro.detect.pipeline.FrameResult`).
+    """
+
+    depth_map: np.ndarray | None  # (ay, ax) int32: stages passed per anchor
+    margin_map: np.ndarray | None  # (ay, ax): last evaluated stage's margin
+    sigma_map: np.ndarray | None  # (ay, ax): per-window pixel std deviations
+    launch: KernelLaunch | None
     mapping: BlockMapping
     rejections_by_depth: np.ndarray  # (S+1,): anchors whose depth == k
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.backend import ComputeBackend, default_backend_name, resolve_backend
-from repro.backend.base import DEVICE_ORDER
+from repro.backend.base import DEVICE_ORDER, ScratchArena
 from repro.backend.registry import ProbeReport
 from repro.detect.fastpath import FastpathConfig, FastpathFrameStats, resolve_fastpath
 from repro.detect.grouping import RawDetection
@@ -109,11 +109,26 @@ class PipelineSpec:
 
 @dataclass
 class FrameResult:
-    """Everything one frame's pipeline pass produced."""
+    """What one frame's pipeline pass produced.
+
+    :meth:`FaceDetectionPipeline.process_frame` and
+    :meth:`~FaceDetectionPipeline.schedule_modes` (the one-shot oracle),
+    and a workspace made with ``keep_maps=True``, fill in everything:
+    each level's image and each level's full
+    :class:`~repro.detect.kernels.CascadeKernelResult`.  Workspace,
+    engine and serving results are slim: ``raw_detections``,
+    ``schedule`` and ``fastpath`` as usual, ``levels`` as geometry only
+    (``image`` is ``None``), and ``kernel_results`` carrying only
+    ``mapping`` and ``rejections_by_depth`` (maps and ``launch`` are
+    ``None``).  That keeps a 480x270 result to tens of kilobytes, which
+    process workers send back per frame.
+    """
 
     raw_detections: list[RawDetection]
     schedule: ScheduleResult
+    #: per level; maps and launch only on full results (see above)
     kernel_results: list[CascadeKernelResult]
+    #: per level; images only on full results (see above)
     levels: list[PyramidLevel]
     #: what the two-tier fast path did (``None`` when the policy is off,
     #: which :meth:`FaceDetectionPipeline.process_frame` always runs with)
@@ -307,12 +322,17 @@ class FaceDetectionPipeline:
             cascade=self._source_cascade, device=self._device, config=config
         )
 
-    def make_workspace(self, tracer: Tracer | None = None, stream: str | None = "default"):
+    def make_workspace(
+        self,
+        tracer: Tracer | None = None,
+        stream: str | None = "default",
+        keep_maps: bool = False,
+    ):
         """A reusable per-worker :class:`~repro.detect.devicebatch.FrameWorkspace`.
 
         The workspace caches every expensive frame-independent artefact
         (pyramid resampling plans, block mappings, launch templates with
-        precomputed cost cohorts, scratch buffers) across frames.  It runs
+        precomputed cost cohorts, one scratch arena) across frames.  It runs
         single frames and fused device batches through the same executor
         as this pipeline's own one-shot :meth:`process_frame`.
         ``tracer`` overrides the pipeline's own span tracer.  ``stream``
@@ -320,7 +340,9 @@ class FaceDetectionPipeline:
         temporal delta cache may diff; ``None`` disables temporal reuse
         (unrelated frames — e.g. serving requests — must never delta
         against each other) while the stateless proposal screen still
-        applies under the ``fast`` policy.
+        applies under the ``fast`` policy.  ``keep_maps`` keeps level
+        images and cascade maps on its results, which are otherwise slim
+        (see :class:`FrameResult`).
         """
         from repro.detect.devicebatch import FrameWorkspace
 
@@ -328,6 +350,7 @@ class FaceDetectionPipeline:
             self,
             tracer=tracer if tracer is not None else self._tracer,
             stream=stream,
+            keep_maps=keep_maps,
         )
 
     def process_frame(self, luma: np.ndarray, mode: ExecutionMode | None = None) -> FrameResult:
@@ -343,15 +366,16 @@ class FaceDetectionPipeline:
         The functional output (detections, depth maps) is mode-independent;
         only the timing layer differs, so Table II's serial-vs-concurrent
         comparison reuses one functional pass.  This is the one-shot path:
-        it builds fresh frame geometry per call, shares no mutable state
-        and always runs with the fast path off.
+        it builds fresh frame geometry per call, shares no mutable state,
+        always runs with the fast path off and keeps every level image
+        and cascade map on its results (the byte-identity oracle).
         """
         from repro.detect.devicebatch import _execute, _Geometry
 
         frame = np.asarray(luma)
         check_shape_2d("luma", frame)
-        geo = _Geometry(self, self._backend, frame.shape)
+        geo = _Geometry(self, self._backend, frame.shape, ScratchArena())
         lanes = _execute(
-            self, geo, [frame], modes, self._tracer, FastpathConfig(), None
+            self, geo, [frame], modes, self._tracer, FastpathConfig(), None, True
         )
         return {mode: lanes[mode][0] for mode in modes}

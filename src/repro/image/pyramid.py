@@ -55,13 +55,17 @@ class PyramidConfig:
 
 @dataclass(frozen=True)
 class PyramidLevel:
-    """One downscaled level: its geometry and pixel data."""
+    """One downscaled level: its geometry and pixel data.
+
+    ``image`` is ``None`` on the geometry-only levels of slim engine
+    results (see :class:`~repro.detect.pipeline.FrameResult`).
+    """
 
     index: int
     scale: float
     width: int
     height: int
-    image: np.ndarray
+    image: np.ndarray | None
 
     @property
     def window_size_in_frame(self) -> float:

@@ -42,18 +42,28 @@ def _detections(result):
     return [(d.x, d.y, d.size, d.score) for d in result.raw_detections]
 
 
+def _rejections(result):
+    return [kr.rejections_by_depth.tobytes() for kr in result.kernel_results]
+
+
 class TestDeterminism:
     def test_batched_identical_to_serial(self, pipeline, frames):
         reference = [pipeline.process_frame(f) for f in frames]
         engine = DetectionEngine(pipeline, workers=2)
+        # engine results are slim: the maps come from a workspace that keeps them
+        workspace = pipeline.make_workspace(keep_maps=True)
         # two passes: fresh workspaces, then reused ones
         for _ in range(2):
             batched = list(engine.process_frames(iter(frames)))
+            kept = [workspace.process_frame(f) for f in frames]
             assert len(batched) == len(reference)
-            for ref, out in zip(reference, batched):
+            for ref, out, full in zip(reference, batched, kept):
                 assert _detections(out) == _detections(ref)
                 assert out.schedule.makespan_s == ref.schedule.makespan_s
-                for kr, ko in zip(ref.kernel_results, out.kernel_results):
+                assert _rejections(out) == _rejections(ref)
+                assert _detections(full) == _detections(ref)
+                assert len(full.kernel_results) == len(ref.kernel_results)
+                for kr, ko in zip(ref.kernel_results, full.kernel_results):
                     assert np.array_equal(kr.depth_map, ko.depth_map)
                     assert np.array_equal(kr.margin_map, ko.margin_map)
                     assert np.array_equal(kr.sigma_map, ko.sigma_map)
@@ -68,9 +78,15 @@ class TestDeterminism:
         reference = [pipeline.process_frame(f) for f in frames]
         engine = DetectionEngine(vec_pipeline, workers=2)
         batched = list(engine.process_frames(iter(frames)))
-        for ref, out in zip(reference, batched):
+        workspace = vec_pipeline.make_workspace(keep_maps=True)
+        kept = [workspace.process_frame(f) for f in frames]
+        for ref, out, full in zip(reference, batched, kept):
             assert _detections(out) == _detections(ref)
-            for kr, ko in zip(ref.kernel_results, out.kernel_results):
+            assert out.schedule.makespan_s == ref.schedule.makespan_s
+            assert _rejections(out) == _rejections(ref)
+            assert _detections(full) == _detections(ref)
+            assert len(full.kernel_results) == len(ref.kernel_results)
+            for kr, ko in zip(ref.kernel_results, full.kernel_results):
                 assert kr.depth_map.tobytes() == ko.depth_map.tobytes()
                 assert kr.margin_map.tobytes() == ko.margin_map.tobytes()
                 assert kr.score_map.tobytes() == ko.score_map.tobytes()

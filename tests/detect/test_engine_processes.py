@@ -69,6 +69,26 @@ def _detections(result):
     return [(d.x, d.y, d.size, d.score) for d in result.raw_detections]
 
 
+def _rejections(result):
+    return [kr.rejections_by_depth.tobytes() for kr in result.kernel_results]
+
+
+def _worker_maps(pipeline, frames, device_batch=1):
+    """Full results of the pipeline a spawn worker rebuilds from its spec.
+
+    Engine results are slim, so the maps are read from a workspace that
+    keeps them, built the way :func:`repro.detect.shard.init_worker`
+    builds its resident one and fed the engine's groups of
+    ``device_batch`` frames.
+    """
+    workspace = pipeline.spec().build().make_workspace(keep_maps=True)
+    return [
+        result
+        for i in range(0, len(frames), device_batch)
+        for result in workspace.process_batch(frames[i : i + device_batch]).results
+    ]
+
+
 class TestIdentity:
     def test_byte_identical_to_serial(self, pipeline, frames, engine):
         reference = [pipeline.process_frame(f) for f in frames]
@@ -79,10 +99,14 @@ class TestIdentity:
             for ref, out in zip(reference, sharded):
                 assert _detections(out) == _detections(ref)
                 assert out.schedule.makespan_s == ref.schedule.makespan_s
-                for kr, ko in zip(ref.kernel_results, out.kernel_results):
-                    assert kr.depth_map.tobytes() == ko.depth_map.tobytes()
-                    assert kr.margin_map.tobytes() == ko.margin_map.tobytes()
-                    assert kr.sigma_map.tobytes() == ko.sigma_map.tobytes()
+                assert _rejections(out) == _rejections(ref)
+        for ref, full in zip(reference, _worker_maps(pipeline, frames)):
+            assert _detections(full) == _detections(ref)
+            assert len(full.kernel_results) == len(ref.kernel_results)
+            for kr, ko in zip(ref.kernel_results, full.kernel_results):
+                assert kr.depth_map.tobytes() == ko.depth_map.tobytes()
+                assert kr.margin_map.tobytes() == ko.margin_map.tobytes()
+                assert kr.sigma_map.tobytes() == ko.sigma_map.tobytes()
 
     def test_accepts_frame_packets(self, pipeline, engine):
         packets = list(synthetic_stream(96, 72, 3, seed=5))
@@ -191,7 +215,10 @@ class TestCrashSurfacing:
             assert len(out) == len(frames)
             for ref, got in zip(reference, out):
                 assert _detections(got) == _detections(ref)
-                for kr, ko in zip(ref.kernel_results, got.kernel_results):
+                assert _rejections(got) == _rejections(ref)
+            for ref, full in zip(reference, _worker_maps(pipeline, frames, 3)):
+                assert len(full.kernel_results) == len(ref.kernel_results)
+                for kr, ko in zip(ref.kernel_results, full.kernel_results):
                     assert kr.depth_map.tobytes() == ko.depth_map.tobytes()
                     assert kr.margin_map.tobytes() == ko.margin_map.tobytes()
 

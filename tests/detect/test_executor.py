@@ -54,7 +54,7 @@ def _lanes(path, pipeline, width, height):
         frame = _frame(width, height)
         return [(frame, pipeline.process_frame(frame))]
     frames = [_frame(width, height, i) for i in range(2)]
-    execution = pipeline.make_workspace().process_batch(frames)
+    execution = pipeline.make_workspace(keep_maps=True).process_batch(frames)
     assert execution.fused
     return list(zip(frames, execution.results))
 

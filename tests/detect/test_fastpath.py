@@ -48,9 +48,12 @@ def _detections(result):
 
 
 def _assert_frame_identical(reference, candidate):
+    """Detections, schedule and maps; ``candidate`` must keep its maps."""
     assert _detections(reference) == _detections(candidate)
     assert reference.schedule.makespan_s == candidate.schedule.makespan_s
+    assert len(reference.kernel_results) == len(candidate.kernel_results)
     for kr, kc in zip(reference.kernel_results, candidate.kernel_results):
+        assert kc.depth_map is not None
         assert np.array_equal(kr.depth_map, kc.depth_map)
         assert np.array_equal(kr.margin_map, kc.margin_map)
 
@@ -149,7 +152,7 @@ class TestTemporalCache:
     def test_repeated_frame_reuses_everything(self, cascade, scenes):
         ws = FaceDetectionPipeline(
             cascade, config=PipelineConfig(fastpath="exact")
-        ).make_workspace()
+        ).make_workspace(keep_maps=True)
         first = ws.process_frame(scenes[0])
         second = ws.process_frame(scenes[0])
         stats = second.fastpath
@@ -164,7 +167,7 @@ class TestTemporalCache:
         )
         ws = FaceDetectionPipeline(
             cascade, config=PipelineConfig(fastpath="exact")
-        ).make_workspace()
+        ).make_workspace(keep_maps=True)
         ws.process_frame(scenes[0])
         cut = ws.process_frame(scenes[1])
         assert cut.fastpath.frames_reused == 0
@@ -225,7 +228,7 @@ class TestExactByteIdentity:
         )
         ws = FaceDetectionPipeline(
             cascade, config=PipelineConfig(backend=backend, fastpath="exact")
-        ).make_workspace()
+        ).make_workspace(keep_maps=True)
         for frame in self._frames(scenes):
             _assert_frame_identical(
                 baseline.process_frame(frame), ws.process_frame(frame)

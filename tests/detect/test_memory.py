@@ -1,0 +1,185 @@
+"""Deterministic memory guards for the executor and its results.
+
+Three bounds, measured with ``tracemalloc`` (allocation counts, not the
+noisy process RSS) on 480x270 frames:
+
+* a workspace holds one largest-level scratch set (its one arena), the
+  fast path's temporal cache and its frame-independent plans — not one
+  scratch set per pyramid level;
+* one frame's transient peak stays below the cascade maps of all its
+  levels, because the executor runs one level at a time and drops each
+  level's maps before building the next;
+* an engine result is slim: it pickles to at most 64 KB per frame,
+  which is what a process worker sends back.
+"""
+
+import gc
+import pickle
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.backend.base import ScratchArena
+from repro.detect.devicebatch import _Geometry
+from repro.detect.engine import DetectionEngine
+from repro.detect.kernels import CascadeLaunchTemplate, cascade_launch_costs
+from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
+from repro.detect.shard import run_group
+from repro.detect.windows import BlockMapping
+from repro.video.stream import synthetic_stream
+from repro.zoo import quick_cascade
+
+SHAPE = (270, 480)
+#: pickled bytes one engine result may take per 480x270 frame
+RESULT_BUDGET = 64 * 1024
+#: the fast-path cache's replay state next to its pixels and maps: the
+#: cached frame's launches, schedule and raw detections
+REPLAY_BUDGET = 256 * 1024
+
+
+@pytest.fixture(scope="module")
+def cascade():
+    return quick_cascade(seed=0)
+
+
+@pytest.fixture(scope="module")
+def frames():
+    height, width = SHAPE
+    return [
+        packet.luma.astype(np.float32)
+        for packet in synthetic_stream(width, height, 3, faces=2, seed=3)
+    ]
+
+
+def _pipeline(cascade, backend, fastpath):
+    return FaceDetectionPipeline(
+        cascade, config=PipelineConfig(backend=backend, fastpath=fastpath)
+    )
+
+
+def _traced(fn):
+    """``(live bytes, peak bytes, result)`` of ``fn()`` under tracemalloc.
+
+    Live bytes are what is still allocated once ``fn`` returned (its
+    result included); both are relative to the start.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        live, peak = tracemalloc.get_traced_memory()
+        return live - base, peak - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def _one_level_scratch(pipeline) -> int:
+    """Bytes of one largest-level scratch set.
+
+    Every kernel that takes scratch runs once over a full-frame level on
+    a fresh arena; no pyramid level is larger than the frame.
+    """
+    height, width = SHAPE
+    config = pipeline.config
+    backend = pipeline.backend
+    arena = ScratchArena()
+    image = np.zeros(SHAPE, dtype=np.float32)
+    backend.make_bilinear_plan(height, width, height, width, arena=arena).apply(image)
+    ii, sqii = backend.make_integral_plan(height, width, arena=arena).compute(image)
+    mapping = BlockMapping(
+        level_width=width,
+        level_height=height,
+        window=config.pyramid.window,
+        block_w=config.block_w,
+        block_h=config.block_h,
+    )
+    evaluator = backend.make_cascade_evaluator(pipeline.cascade, mapping, arena=arena)
+    maps = evaluator.evaluate(ii, sqii)
+    template = CascadeLaunchTemplate(
+        cascade_launch_costs(pipeline.cascade), mapping, 1, arena=arena
+    )
+    template.build(maps.depth_map)
+    return arena.nbytes
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_workspace_holds_one_scratch_set_plus_the_fastpath_cache(
+    cascade, frames, backend
+):
+    pipeline = _pipeline(cascade, backend, "exact")
+    scratch = _one_level_scratch(pipeline)
+    # warm the per-cascade caches every geometry shares, then price the
+    # frame-independent plans of one 480x270 geometry on their own
+    _Geometry(pipeline, pipeline.backend, SHAPE, ScratchArena())
+    plans, _, _ = _traced(
+        lambda: _Geometry(pipeline, pipeline.backend, SHAPE, ScratchArena())
+    )
+
+    def stream():
+        workspace = pipeline.make_workspace()
+        for frame in frames:
+            workspace.process_frame(frame)
+        return workspace
+
+    live, _, workspace = _traced(stream)
+    cache = sum(
+        level.image.nbytes
+        + level.result.depth_map.nbytes
+        + level.result.margin_map.nbytes
+        + level.result.sigma_map.nbytes
+        for level in workspace._fp_states[SHAPE].caches
+    )
+    assert plans <= scratch // 8
+    assert workspace._arena.nbytes <= scratch
+    assert live <= scratch + cache + plans + REPLAY_BUDGET, (live, scratch, cache, plans)
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_frame_peak_stays_below_all_levels_maps(cascade, frames, backend):
+    pipeline = _pipeline(cascade, backend, "off")
+    full = pipeline.process_frame(frames[1])
+    all_maps = sum(
+        kr.depth_map.nbytes + kr.margin_map.nbytes + kr.sigma_map.nbytes
+        for kr in full.kernel_results
+    )
+    del full
+    workspace = pipeline.make_workspace()
+    workspace.process_frame(frames[0])  # plans and arena in place
+    _, peak, _ = _traced(lambda: workspace.process_frame(frames[1]))
+    assert peak < all_maps, (peak, all_maps)
+
+
+class TestSlimResults:
+    def test_engine_results_pickle_small(self, cascade, frames):
+        pipeline = _pipeline(cascade, "reference", "off")
+        with DetectionEngine(pipeline, workers=0) as engine:
+            results = list(engine.process_frames(iter(frames)))
+        for result in results:
+            assert len(pickle.dumps(result)) <= RESULT_BUDGET
+        # one worker job's reply, as a process worker pickles it back
+        for frame in frames:
+            reply = run_group(0, [frame], None, 0.0, workspace=pipeline.make_workspace())
+            assert len(pickle.dumps(reply)) <= RESULT_BUDGET
+
+    def test_engine_results_keep_geometry_and_histograms(self, cascade, frames):
+        pipeline = _pipeline(cascade, "reference", "off")
+        reference = pipeline.process_frame(frames[0])
+        with DetectionEngine(pipeline, workers=0) as engine:
+            (result,) = engine.process_frames(iter(frames[:1]))
+        assert len(result.levels) == len(reference.levels)
+        for got, want in zip(result.levels, reference.levels):
+            assert got.image is None
+            assert (got.index, got.scale, got.width, got.height) == (
+                want.index, want.scale, want.width, want.height,
+            )
+        for got, want in zip(result.kernel_results, reference.kernel_results):
+            assert got.depth_map is None and got.launch is None
+            assert got.mapping == want.mapping
+            assert np.array_equal(got.rejections_by_depth, want.rejections_by_depth)
+        n_stages = pipeline.cascade.num_stages
+        assert np.array_equal(
+            result.rejection_matrix(n_stages), reference.rejection_matrix(n_stages)
+        )

@@ -96,6 +96,26 @@ def test_frame_result_roundtrip():
     ] == [(d.x, d.y, d.size, d.score) for d in result.raw_detections]
     assert len(restored.levels) == len(result.levels)
     assert restored.detection_time_s == result.detection_time_s
+    for kr, ko in zip(result.kernel_results, restored.kernel_results):
+        assert kr.depth_map.tobytes() == ko.depth_map.tobytes()
+        assert kr.margin_map.tobytes() == ko.margin_map.tobytes()
+
+
+def test_slim_frame_result_roundtrip():
+    """Workspace results cross the boundary slim: geometry and histograms."""
+    pipeline = FaceDetectionPipeline(zoo.quick_cascade(seed=0))
+    luma = next(iter(synthetic_stream(96, 72, 1, faces=1, seed=5))).luma
+    full = pipeline.process_frame(luma)
+    restored = roundtrip(pipeline.make_workspace().process_frame(luma))
+    assert [
+        (d.x, d.y, d.size, d.score) for d in restored.raw_detections
+    ] == [(d.x, d.y, d.size, d.score) for d in full.raw_detections]
+    assert len(restored.levels) == len(full.levels)
+    assert all(level.image is None for level in restored.levels)
+    for kr, ko in zip(full.kernel_results, restored.kernel_results):
+        assert ko.depth_map is None
+        assert kr.rejections_by_depth.tobytes() == ko.rejections_by_depth.tobytes()
+    assert restored.detection_time_s == full.detection_time_s
 
 
 def test_shard_reply_roundtrip():

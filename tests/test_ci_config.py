@@ -94,6 +94,8 @@ def test_process_sharding_job(workflow):
     assert "tests/detect/test_engine_submit.py" in text
     assert "tests/detect/test_pickling.py" in text
     assert "tests/video/test_shm.py" in text
+    # the slim-result and scratch-arena memory guards run there too
+    assert "tests/detect/test_memory.py" in text
 
 
 def test_fastpath_job(workflow):
