@@ -49,7 +49,7 @@ from repro.backend.base import (
     IntegralPlan,
     ScratchArena,
 )
-from repro.backend.reference import cascade_plan, flat_offsets
+from repro.backend.compiled import compile_cascade
 from repro.errors import BackendUnavailableError, ConfigurationError
 from repro.image.filtering import binomial_kernel
 
@@ -269,7 +269,8 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
 
     def __init__(self, backend, cascade, mapping, *, sparse_threshold=None) -> None:
         self._b = backend
-        self._plan = cascade_plan(cascade)
+        compiled = compile_cascade(cascade)
+        self._plan = compiled.stages
         self._mapping = mapping
         if sparse_threshold is None:
             sparse_threshold = SPARSE_THRESHOLD
@@ -277,11 +278,9 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         self._ay, self._ax = mapping.anchors_y, mapping.anchors_x
         self._window = mapping.window
         self._stride = mapping.level_width + 1
-        xp = backend._xp
-        self._flat_offsets = tuple(
-            tuple((xp.asarray(offs), weights) for offs, weights in stage_offs)
-            for stage_offs in flat_offsets(self._plan, self._stride)
-        )
+        self._plane = (mapping.level_height + 1) * self._stride
+        #: this level's flat corner offsets: each classifier's rects are a slice
+        self._offsets = backend._xp.asarray(compiled.offsets(self._stride))
 
     def _sigma_device(self, ii, sqii):
         """Window sums + variance normalisation, same op order as reference."""
@@ -314,7 +313,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         total = ay * ax
         flat = xp.reshape(ii_d, (-1,))
 
-        for stage_idx, stage in enumerate(self._plan):
+        for stage in self._plan:
             if sparse is None:
                 live = int(xp.count_nonzero(alive))
                 if live == 0:
@@ -323,7 +322,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
                     sparse = b._nonzero(alive)
             if sparse is not None:
                 sparse, depth, margin = self._sparse_stage(
-                    stage_idx, stage, flat, sigma, depth, margin, sparse
+                    stage, flat, sigma, depth, margin, sparse
                 )
                 if sparse is None:
                     break
@@ -374,10 +373,9 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         alive = xp.ones((n, ay, ax), dtype=b._bool)
         sparse = None
         total = n * ay * ax
-        plane = iis.shape[1] * iis.shape[2]
         flat = xp.reshape(ii_d, (-1,))
 
-        for stage_idx, stage in enumerate(self._plan):
+        for stage in self._plan:
             if sparse is None:
                 live = int(xp.count_nonzero(alive))
                 if live == 0:
@@ -385,8 +383,8 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
                 if live < max(64, self._sparse_threshold * total):
                     sparse = b._nonzero(alive)
             if sparse is not None:
-                sparse, depth, margin = self._sparse_stage_batch(
-                    stage_idx, stage, flat, plane, sigma, depth, margin, sparse
+                sparse, depth, margin = self._sparse_stage(
+                    stage, flat, sigma, depth, margin, sparse
                 )
                 if sparse is None:
                     break
@@ -427,38 +425,6 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         depth = xp.where(passed, depth + 1, depth)
         return depth, margin, passed
 
-    def _sparse_stage_batch(
-        self, stage_idx, stage, flat, plane, sigma, depth, margin, sparse
-    ):
-        b = self._b
-        xp = b._xp
-        fs, ys, xs = sparse
-        if int(ys.shape[0]) == 0:
-            return None, depth, margin
-        offsets = self._flat_offsets[stage_idx]
-        ay, ax = self._ay, self._ax
-        sig = xp.take(xp.reshape(sigma, (-1,)), (fs * ay + ys) * ax + xs)
-        base = (fs * plane) + ys * self._stride + xs
-        n = int(ys.shape[0])
-        sums = xp.zeros(n, dtype=xp.float64)
-        for cl, (offs, weights) in zip(stage.classifiers, offsets):
-            idx = offs + base
-            corners = xp.reshape(xp.take(flat, xp.reshape(idx, (-1,))), idx.shape)
-            vals = xp.zeros(n, dtype=xp.float64)
-            for r, wt in enumerate(weights):
-                g = corners[r]
-                t = ((g[0] - g[1]) - g[2]) + g[3]
-                vals = vals + t * wt
-            mask = vals <= sig * cl.threshold
-            sums = sums + xp.where(mask, cl.left, cl.right)
-        margin[fs, ys, xs] = sums - stage.threshold
-        mask = sums >= stage.threshold
-        fs_next = fs[mask]
-        ys_next = ys[mask]
-        xs_next = xs[mask]
-        depth[fs_next, ys_next, xs_next] = depth[fs_next, ys_next, xs_next] + 1
-        return (fs_next, ys_next, xs_next), depth, margin
-
     def _dense_stage(self, stage, ii, sigma, depth, margin, alive):
         xp = self._b._xp
         ay, ax = self._ay, self._ax
@@ -478,34 +444,39 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         depth = xp.where(passed, depth + 1, depth)
         return depth, margin, passed
 
-    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse):
+    def _sparse_stage(self, stage, flat, sigma, depth, margin, sparse):
+        """One stage over the survivors ``sparse``: ``(ys, xs)`` of one
+        anchor grid, or ``(fs, ys, xs)`` of a frame stack whose integrals
+        ``flat`` flattens plane after plane."""
         b = self._b
         xp = b._xp
-        ys, xs = sparse
+        *frame, ys, xs = sparse
         if int(ys.shape[0]) == 0:
             return None, depth, margin
-        offsets = self._flat_offsets[stage_idx]
-        sig = xp.take(xp.reshape(sigma, (-1,)), ys * self._ax + xs)
+        anchor = ys * self._ax + xs
         base = ys * self._stride + xs
+        if frame:
+            anchor = anchor + frame[0] * (self._ay * self._ax)
+            base = base + frame[0] * self._plane
+        sig = xp.take(xp.reshape(sigma, (-1,)), anchor)
         n = int(ys.shape[0])
         sums = xp.zeros(n, dtype=xp.float64)
-        for cl, (offs, weights) in zip(stage.classifiers, offsets):
+        for cl in stage.classifiers:
             # gather all corners of all rects at once: (n_rects, 4, n)
-            idx = offs + base
+            idx = self._offsets[cl.start : cl.end] + base
             corners = xp.reshape(xp.take(flat, xp.reshape(idx, (-1,))), idx.shape)
             vals = xp.zeros(n, dtype=xp.float64)
-            for r, wt in enumerate(weights):
+            for r, (_x0, _y0, _x1, _y1, wt) in enumerate(cl.rects):
                 g = corners[r]
                 t = ((g[0] - g[1]) - g[2]) + g[3]
                 vals = vals + t * wt
             mask = vals <= sig * cl.threshold
             sums = sums + xp.where(mask, cl.left, cl.right)
-        margin[ys, xs] = sums - stage.threshold
+        margin[sparse] = sums - stage.threshold
         mask = sums >= stage.threshold
-        ys_next = ys[mask]
-        xs_next = xs[mask]
-        depth[ys_next, xs_next] = depth[ys_next, xs_next] + 1
-        return (ys_next, xs_next), depth, margin
+        survivors = tuple(ix[mask] for ix in sparse)
+        depth[survivors] = depth[survivors] + 1
+        return survivors, depth, margin
 
 
 class ArrayApiBackend(ComputeBackend):

@@ -10,7 +10,6 @@ is the byte-identity oracle every other backend is differenced against
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -25,92 +24,15 @@ from repro.backend.base import (
     IntegralPlan,
     ScratchArena,
 )
+from repro.backend.compiled import compile_cascade
 from repro.errors import ConfigurationError
-from repro.haar.features import feature_rects
 
 __all__ = [
-    "ClassifierPlan",
-    "StagePlan",
-    "cascade_plan",
-    "flat_offsets",
     "ReferenceBilinearPlan",
     "ReferenceIntegralPlan",
     "ReferenceCascadeEvaluator",
     "ReferenceBackend",
 ]
-
-
-# ---------------------------------------------------------------------------
-# cascade evaluation plan (frame independent, shared per cascade)
-
-
-class ClassifierPlan:
-    """One weak classifier, with its rectangles resolved once."""
-
-    __slots__ = ("rects", "threshold", "left", "right")
-
-    def __init__(self, classifier) -> None:
-        self.rects = tuple(
-            (r.x, r.y, r.x + r.w, r.y + r.h, r.weight)
-            for r in feature_rects(classifier.feature)
-        )
-        self.threshold = classifier.threshold
-        self.left = classifier.left
-        self.right = classifier.right
-
-
-class StagePlan:
-    __slots__ = ("classifiers", "threshold")
-
-    def __init__(self, stage) -> None:
-        self.classifiers = tuple(ClassifierPlan(c) for c in stage.classifiers)
-        self.threshold = stage.threshold
-
-
-@lru_cache(maxsize=16)
-def cascade_plan(cascade) -> tuple[StagePlan, ...]:
-    """Resolve every stage's rectangles/thresholds into plain tuples.
-
-    A naive evaluator re-reads ``feature_rects`` (an ``lru_cache`` keyed by
-    hashing the feature) for every classifier of every level of every
-    frame; the plan pays the hash cost once per cascade.
-    """
-    if cascade.window != 24:
-        raise ConfigurationError("the kernel is specialised for 24x24 windows")
-    return tuple(StagePlan(s) for s in cascade.stages)
-
-
-@lru_cache(maxsize=64)
-def flat_offsets(plan: tuple[StagePlan, ...], stride: int):
-    """Per-stage corner-offset arrays into the flattened integral image.
-
-    For a rectangle corner ``(y, x)`` the flat index is ``y * stride + x``.
-    Each classifier gets an ``(n_rects, 4, 1)`` int64 array ordered
-    ``[A, B, C, D]`` per rectangle, so one broadcast add + one ``take``
-    gathers every corner term while the per-rectangle combination keeps
-    the reference order (A - B - C + D).  Cached per (plan, stride): the
-    offset arrays are read-only and shared across evaluators.
-    """
-    out = []
-    for stage in plan:
-        stage_offs = []
-        for cl in stage.classifiers:
-            offs = np.array(
-                [
-                    (
-                        y1 * stride + x1,
-                        y0 * stride + x1,
-                        y1 * stride + x0,
-                        y0 * stride + x0,
-                    )
-                    for (x0, y0, x1, y1, _wt) in cl.rects
-                ],
-                dtype=np.int64,
-            )[:, :, np.newaxis]
-            weights = tuple(wt for (_x0, _y0, _x1, _y1, wt) in cl.rects)
-            stage_offs.append((offs, weights))
-        out.append(tuple(stage_offs))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +188,8 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         sparse_threshold: float | None = None,
         arena: ScratchArena | None = None,
     ) -> None:
-        self._plan = cascade_plan(cascade)
+        self._compiled = compile_cascade(cascade)
+        self._plan = self._compiled.stages
         self._n_stages = cascade.num_stages
         self._mapping = mapping
         if sparse_threshold is None:
@@ -276,14 +199,20 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         self._ay, self._ax = ay, ax
         self._window = mapping.window
         self._stride = mapping.level_width + 1
-        self._flat_offsets = flat_offsets(self._plan, self._stride)
         self._arena = arena if arena is not None else ScratchArena()
         #: sparse-stage capacity: bounded by the dense->sparse switch point
         self._nmax = int(max(64, sparse_threshold * ay * ax)) + 1
+        #: this level's flat corner offsets, the one per-stride table
+        self._offsets = self._compiled.offsets(self._stride, self._rect_order())
 
     def _default_sparse_threshold(self) -> float:
         # read at construction time so tests can monkeypatch the module global
         return SPARSE_THRESHOLD
+
+    def _rect_order(self):
+        """Row order of the offset array: ``None`` keeps the compiled order,
+        in which each classifier's rectangles are one slice."""
+        return None
 
     def _grid(self, name: str, dtype=np.float64) -> np.ndarray:
         return self._arena.take(f"cascade.{name}", (self._ay, self._ax), dtype)
@@ -354,7 +283,6 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         depth = np.zeros((ay, ax), dtype=np.int32)
         margin = np.zeros((ay, ax), dtype=np.float64)
         dense = self._dense_scratch()
-        sparse_scratch = self._ensure_sparse_capacity(0)
         alive = self._grid("alive", bool)
         alive.fill(True)
         passed = self._grid("passed", bool)
@@ -370,9 +298,7 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
                 if live < max(64, self._sparse_threshold * total):
                     sparse = np.nonzero(alive)
             if sparse is not None:
-                sparse = self._sparse_stage(
-                    stage_idx, stage, flat, sigma, depth, margin, sparse, sparse_scratch
-                )
+                sparse = self._sparse_stage(stage_idx, stage, flat, sigma, depth, margin, sparse)
                 if sparse is None:
                     break
             else:
@@ -405,13 +331,10 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         margin = np.zeros((ay, ax), dtype=np.float64)
         ys, xs = np.nonzero(active)
         if ys.size:
-            scratch = self._ensure_sparse_capacity(ys.size)
             flat = ii.reshape(-1)
             sparse: tuple[np.ndarray, np.ndarray] | None = (ys, xs)
             for stage_idx, stage in enumerate(self._plan):
-                sparse = self._sparse_stage(
-                    stage_idx, stage, flat, sigma, depth, margin, sparse, scratch
-                )
+                sparse = self._sparse_stage(stage_idx, stage, flat, sigma, depth, margin, sparse)
                 if sparse is None:
                     break
         return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
@@ -444,22 +367,24 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         np.logical_and(alive, mask, out=passed)
         depth[passed] += 1
 
-    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse, scratch):
+    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse):
         ys, xs = sparse
         if ys.size == 0:
             return None
-        offsets = self._flat_offsets[stage_idx]
         n = ys.size
         sig = sigma[ys, xs]
-        base, t1, vals, ts, wv, sums, mask = (buf[:n] for buf in scratch)
+        base, t1, vals, ts, wv, sums, mask = (
+            buf[:n] for buf in self._ensure_sparse_capacity(n)
+        )
         np.multiply(ys, self._stride, out=base)
         np.add(base, xs, out=base)
         sums.fill(0.0)
-        for cl, (offs, weights) in zip(stage.classifiers, offsets):
+        offsets = self._offsets
+        for cl in stage.classifiers:
             # gather all corners of all rects at once: (n_rects, 4, n)
-            corners = flat.take(offs + base)
+            corners = flat.take(offsets[cl.start : cl.end] + base)
             vals.fill(0.0)
-            for r, wt in enumerate(weights):
+            for r, (_x0, _y0, _x1, _y1, wt) in enumerate(cl.rects):
                 g = corners[r]
                 np.subtract(g[0], g[1], out=t1)
                 np.subtract(t1, g[2], out=t1)

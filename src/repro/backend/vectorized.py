@@ -6,30 +6,32 @@ ReferenceBackend`, neither of which may move a single output bit:
 * the dense->sparse switch happens much earlier (25% of anchors alive
   instead of 4%), so mid-cascade stages run on gathered survivors instead
   of full grids — most stages touch a fraction of the elements;
-* sparse stages gather the integral-image corners of *many classifiers at
-  once* (one ``take`` per rectangle group instead of one per classifier)
-  and combine all rectangles with whole-array ops.
+* a sparse stage costs a fixed number of array ops per *rectangle group*
+  of the compiled cascade (:meth:`~repro.backend.compiled.
+  CompiledCascade.layout`), whatever its classifier count: one corner
+  gather, the corner combine, at most three slot adds, one threshold
+  multiply, compare and select, and one accumulate.
 
 Bit-identity holds because every elementwise operation keeps the
 reference order — ``((A - B) - C) + D``, then ``* weight``, then a
-sequential per-rectangle accumulation — and the switch point itself is
-bit-neutral (dense slices and sparse gathers read the same float64
-values).  The cross-backend oracle tests pin this.
+sequential per-rectangle sum, then a sequential per-classifier stage sum
+(``np.add.accumulate``; ``reduce`` and ``reduceat`` may pair the terms
+differently) — and the switch point itself is bit-neutral (dense slices
+and sparse gathers read the same float64 values).  The cross-backend
+oracle tests and ``tests/backend/test_kernel_identity.py`` pin this.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.backend.base import WINDOW_AREA, CascadeMaps
+from repro.backend.compiled import GroupLayout
 from repro.backend.reference import (
     ReferenceBackend,
     ReferenceBilinearPlan,
     ReferenceCascadeEvaluator,
     ReferenceIntegralPlan,
-    flat_offsets,
 )
 
 __all__ = [
@@ -48,64 +50,6 @@ VEC_SPARSE_THRESHOLD = 0.25
 #: per-gather element budget for one batched corner block ``(R, 4, n)``;
 #: keeps a single ``take`` under ~16 MiB of float64 even on large levels
 _GROUP_ELEMS = 1 << 21
-
-
-class _RectGroup:
-    """A run of consecutive classifiers gathered by one ``take``."""
-
-    __slots__ = ("offs", "weights", "classifiers")
-
-    def __init__(self, offs, weights, classifiers) -> None:
-        self.offs = offs  # (R, 4, 1) int64 flat corner offsets
-        self.weights = weights  # (R, 1) float64 per-rectangle weights
-        # (rect_start, rect_end, threshold, left, right) per classifier
-        self.classifiers = classifiers
-
-
-@lru_cache(maxsize=64)
-def _build_batches(plan, stride: int, nmax: int) -> tuple[tuple[_RectGroup, ...], ...]:
-    """Concatenate per-classifier offset arrays into per-stage rect groups.
-
-    Groups are capped so one ``(R, 4, nmax)`` corner gather stays inside
-    ``_GROUP_ELEMS``; classifier boundaries are never split.  Cached per
-    (plan, stride, nmax): the arrays are read-only and shared.
-    """
-    flat_offs = flat_offsets(plan, stride)
-    cap_rects = max(4, _GROUP_ELEMS // max(1, 4 * nmax))
-    batches = []
-    for stage, stage_offs in zip(plan, flat_offs):
-        groups: list[_RectGroup] = []
-        cur_offs: list[np.ndarray] = []
-        cur_weights: list[float] = []
-        cur_cls: list[tuple[int, int, float, float, float]] = []
-        r_count = 0
-
-        def flush() -> None:
-            nonlocal r_count
-            groups.append(
-                _RectGroup(
-                    np.concatenate(cur_offs, axis=0),
-                    np.array(cur_weights, dtype=np.float64)[:, np.newaxis],
-                    tuple(cur_cls),
-                )
-            )
-            cur_offs.clear()
-            cur_weights.clear()
-            cur_cls.clear()
-            r_count = 0
-
-        for cl, (offs, weights) in zip(stage.classifiers, stage_offs):
-            n_rects = offs.shape[0]
-            if cur_offs and r_count + n_rects > cap_rects:
-                flush()
-            cur_cls.append((r_count, r_count + n_rects, cl.threshold, cl.left, cl.right))
-            cur_offs.append(offs)
-            cur_weights.extend(weights)
-            r_count += n_rects
-        if cur_offs:
-            flush()
-        batches.append(tuple(groups))
-    return tuple(batches)
 
 
 class VectorizedBilinearPlan(ReferenceBilinearPlan):
@@ -170,45 +114,72 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         self, cascade, mapping, *, sparse_threshold: float | None = None, arena=None
     ) -> None:
         super().__init__(cascade, mapping, sparse_threshold=sparse_threshold, arena=arena)
-        self._batches = _build_batches(self._plan, self._stride, self._nmax)
+        self._groups = self._layout().stages
+        self._ii_shape = (mapping.level_height + 1, mapping.level_width + 1)
 
     def _default_sparse_threshold(self) -> float:
         return VEC_SPARSE_THRESHOLD
 
-    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse, scratch):
-        ys, xs = sparse
-        if ys.size == 0:
+    def _layout(self) -> GroupLayout:
+        # groups are capped so one (R, 4, nmax) corner gather stays inside
+        # _GROUP_ELEMS; the layout depends on nothing else
+        return self._compiled.layout(max(4, _GROUP_ELEMS // max(1, 4 * self._nmax)))
+
+    def _rect_order(self):
+        return self._layout().order
+
+    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse):
+        """One stage over the survivors ``sparse``: a fixed number of array
+        ops per rectangle group, whatever its classifier count.
+
+        ``sparse`` indexes the anchor grid, ``(ys, xs)``, or a stack of
+        them, ``(fs, ys, xs)`` over the flattened stacked integrals.
+        """
+        n = sparse[0].size
+        if n == 0:
             return None
-        n = ys.size
-        sig = sigma[ys, xs]
-        base, t1, vals, ts, wv, sums, mask = (buf[:n] for buf in scratch)
-        np.multiply(ys, self._stride, out=base)
-        np.add(base, xs, out=base)
-        sums.fill(0.0)
-        for group in self._batches[stage_idx]:
-            # one gather for every rectangle corner in the group: (R, 4, n)
-            corners = flat.take(group.offs + base)
-            # rv[r] = (A - B - C + D) * weight, reference op order per element
-            rv = np.subtract(corners[:, 0, :], corners[:, 1, :])
-            np.subtract(rv, corners[:, 2, :], out=rv)
-            np.add(rv, corners[:, 3, :], out=rv)
+        # flat index of each survivor's window origin in the integral(s)
+        base = np.ravel_multi_index(sparse, depth.shape[:-2] + self._ii_shape)
+        sig = sigma[sparse]
+        sums = np.zeros(n, dtype=np.float64)
+        offsets = self._offsets
+        for group in self._groups[stage_idx]:
+            c = group.n
+            # one gather of every corner of the group, corner-major: (4, R_g, n)
+            corners = flat.take(offsets[group.start : group.end].transpose(1, 0, 2) + base)
+            # rv[r] = (((A - B) - C) + D) * weight, the reference op order
+            rv = corners[0]
+            np.subtract(rv, corners[1], out=rv)
+            np.subtract(rv, corners[2], out=rv)
+            np.add(rv, corners[3], out=rv)
             np.multiply(rv, group.weights, out=rv)
-            for start, end, threshold, left, right in group.classifiers:
-                vals.fill(0.0)
-                for r in range(start, end):
-                    np.add(vals, rv[r], out=vals)
-                np.multiply(sig, threshold, out=ts)
-                np.less_equal(vals, ts, out=mask)
-                np.copyto(wv, right)
-                np.copyto(wv, left, where=mask)
-                np.add(sums, wv, out=sums)
-        np.subtract(sums, stage.threshold, out=t1)
-        margin[ys, xs] = t1
-        np.greater_equal(sums, stage.threshold, out=mask)
-        ys_next = ys[mask]
-        xs_next = xs[mask]
-        depth[ys_next, xs_next] += 1
-        return ys_next, xs_next
+            # per-classifier sums, rect by rect: slot k is a prefix of rows
+            vals = rv[:c]
+            row = c
+            for k in group.slots:
+                np.add(vals[:k], rv[row : row + k], out=vals[:k])
+                row += k
+            # the (C, n) temporaries live in the dead B/C/D rows, the mask in
+            # the dead slot rows (every feature has two rects or more)
+            dead = corners[1:].reshape(-1)
+            wv = dead[: c * n].reshape(c, n)
+            acc = dead[c * n : (2 * c + 1) * n].reshape(c + 1, n)
+            mask = rv[c:].reshape(-1).view(np.bool_)[: c * n].reshape(c, n)
+            np.multiply(sig, group.threshold, out=wv)
+            np.less_equal(vals, wv, out=mask)
+            np.copyto(wv, group.right)
+            np.copyto(wv, group.left, where=mask)
+            # the stage sum in cascade order, one classifier after another:
+            # accumulate (never reduce) over the rows [sums; wv[inverse]]
+            acc[0] = sums
+            np.take(wv, group.inverse, axis=0, out=acc[1:], mode="clip")
+            np.add.accumulate(acc, axis=0, out=acc)
+            np.copyto(sums, acc[c])
+        margin[sparse] = sums - stage.threshold
+        keep = sums >= stage.threshold
+        survivors = tuple(ix[keep] for ix in sparse)
+        depth[survivors] += 1
+        return survivors
 
     # -- fused multi-frame evaluation ---------------------------------------
     #
@@ -236,7 +207,6 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         passed = np.empty((n, ay, ax), dtype=bool)
         sparse: tuple[np.ndarray, ...] | None = None
         total = n * ay * ax
-        plane = iis.shape[1] * iis.shape[2]
         flat = iis.reshape(-1)
 
         for stage_idx, stage in enumerate(self._plan):
@@ -247,9 +217,7 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
                 if live < max(64, self._sparse_threshold * total):
                     sparse = np.nonzero(alive)
             if sparse is not None:
-                sparse = self._sparse_stage_batch(
-                    stage_idx, stage, flat, plane, sigma, depth, margin, sparse
-                )
+                sparse = self._sparse_stage(stage_idx, stage, flat, sigma, depth, margin, sparse)
                 if sparse is None:
                     break
             else:
@@ -309,49 +277,6 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         np.greater_equal(sums, stage.threshold, out=mask)
         np.logical_and(alive, mask, out=passed)
         depth[passed] += 1
-
-    def _sparse_stage_batch(
-        self, stage_idx, stage, flat, plane, sigma, depth, margin, sparse
-    ):
-        fs, ys, xs = sparse
-        if ys.size == 0:
-            return None
-        n = ys.size
-        sig = sigma[fs, ys, xs]
-        # flat index into the stacked integrals: frame plane, then row, col
-        base = np.multiply(fs, plane)
-        t1 = np.multiply(ys, self._stride)
-        np.add(base, t1, out=base)
-        np.add(base, xs, out=base)
-        sums = np.zeros(n, dtype=np.float64)
-        vals = np.empty(n, dtype=np.float64)
-        t1 = np.empty(n, dtype=np.float64)
-        ts = np.empty(n, dtype=np.float64)
-        wv = np.empty(n, dtype=np.float64)
-        mask = np.empty(n, dtype=bool)
-        for group in self._batches[stage_idx]:
-            corners = flat.take(group.offs + base)
-            rv = np.subtract(corners[:, 0, :], corners[:, 1, :])
-            np.subtract(rv, corners[:, 2, :], out=rv)
-            np.add(rv, corners[:, 3, :], out=rv)
-            np.multiply(rv, group.weights, out=rv)
-            for start, end, threshold, left, right in group.classifiers:
-                vals.fill(0.0)
-                for r in range(start, end):
-                    np.add(vals, rv[r], out=vals)
-                np.multiply(sig, threshold, out=ts)
-                np.less_equal(vals, ts, out=mask)
-                np.copyto(wv, right)
-                np.copyto(wv, left, where=mask)
-                np.add(sums, wv, out=sums)
-        np.subtract(sums, stage.threshold, out=t1)
-        margin[fs, ys, xs] = t1
-        np.greater_equal(sums, stage.threshold, out=mask)
-        fs_next = fs[mask]
-        ys_next = ys[mask]
-        xs_next = xs[mask]
-        depth[fs_next, ys_next, xs_next] += 1
-        return fs_next, ys_next, xs_next
 
 
 class VectorizedBackend(ReferenceBackend):

@@ -10,19 +10,26 @@ paper's Fig. 4 loop, with the SpMM standing in for the SSE4 row arithmetic.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.boosting.dataset import PACKED_ROWS
 from repro.errors import TrainingError
 from repro.haar.features import HaarFeature, feature_projection
+
+# scipy is imported inside the functions that train with it: detectors,
+# servers and spawn workers reach this module and never need it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["projection_matrix", "compute_responses"]
 
 
 def projection_matrix(features: Sequence[HaarFeature]) -> sp.csr_matrix:
     """Stack feature projections into a CSR matrix of shape ``(F, 625)``."""
+    import scipy.sparse as sp
+
     if not features:
         raise TrainingError("feature list is empty")
     indptr = [0]
@@ -48,6 +55,8 @@ def compute_responses(
     ``data`` is the ``(625, N)`` packed dataset matrix (columns already
     variance-normalised, so responses are too).
     """
+    import scipy.sparse as sp
+
     proj = features if sp.issparse(features) else projection_matrix(features)
     if data.ndim != 2 or data.shape[0] != PACKED_ROWS:
         raise TrainingError(f"dataset matrix must be ({PACKED_ROWS}, N), got {data.shape}")

@@ -1,0 +1,139 @@
+"""Byte identity of the vectorized sparse kernel against ``reference``.
+
+The vectorized kernel evaluates a sparse stage one rectangle group at a
+time: per-classifier sums as slot adds over a slot-major layout, then one
+row-wise accumulate of the classifier outputs (see
+:mod:`repro.backend.compiled`).  Every case here compares the depth,
+margin and sigma bytes with the reference evaluator, which keeps its
+per-classifier loop.  The cases reach the kernel's edges: stages split
+into several groups, a single survivor (where a reordered sum would
+show), survivors that all die mid-cascade, a masked walk seeded with
+more survivors than the dense->sparse switch ever keeps, and a fused
+three-frame batch.
+
+``quick_cascade(seed=0)`` mixes 2-, 3- and 4-rectangle features, so
+every group has classifiers of several rectangle counts.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import repro.backend.vectorized as vectorized
+from repro.backend import get_backend
+from repro.detect.windows import BlockMapping
+from repro.haar.features import feature_rects
+from repro.image.integral import integral_image, squared_integral_image
+from repro.utils.rng import rng_for
+from repro.video.stream import synthetic_stream
+from repro.zoo import quick_cascade
+
+
+@pytest.fixture(scope="module")
+def cascade():
+    cascade = quick_cascade(seed=0)
+    counts = Counter(
+        len(feature_rects(c.feature)) for stage in cascade.stages for c in stage.classifiers
+    )
+    assert counts == {2: 43, 3: 98, 4: 59}
+    return cascade
+
+
+@pytest.fixture(scope="module")
+def scenes():
+    return [
+        packet.luma.astype(np.float64)
+        for packet in synthetic_stream(96, 72, 3, faces=2, seed=0)
+    ]
+
+
+def _evaluator(backend, cascade, image):
+    mapping = BlockMapping(level_width=image.shape[1], level_height=image.shape[0])
+    return get_backend(backend).make_cascade_evaluator(cascade, mapping)
+
+
+def _integrals(image):
+    return integral_image(image), squared_integral_image(image)
+
+
+def _assert_same(got, want):
+    assert got.depth_map.tobytes() == want.depth_map.tobytes()
+    assert got.margin_map.tobytes() == want.margin_map.tobytes()
+    assert got.sigma_map.tobytes() == want.sigma_map.tobytes()
+
+
+def _both(cascade, image):
+    ii, sqii = _integrals(image)
+    return (
+        _evaluator("vectorized", cascade, image).evaluate(ii, sqii),
+        _evaluator("reference", cascade, image).evaluate(ii, sqii),
+    )
+
+
+def test_scene_levels(cascade, scenes):
+    for image in scenes:
+        got, want = _both(cascade, image)
+        assert want.depth_map.max() == cascade.num_stages
+        _assert_same(got, want)
+
+
+def test_every_stage_split_into_three_groups(cascade, scenes, monkeypatch):
+    # the smallest cap: a group holds one classifier, or two 2-rect ones
+    monkeypatch.setattr(vectorized, "_GROUP_ELEMS", 1)
+    evaluator = _evaluator("vectorized", cascade, scenes[0])
+    assert min(len(groups) for groups in evaluator._groups) >= 3
+    ii, sqii = _integrals(scenes[0])
+    want = _evaluator("reference", cascade, scenes[0]).evaluate(ii, sqii)
+    _assert_same(evaluator.evaluate(ii, sqii), want)
+
+
+def test_one_survivor(cascade, scenes):
+    """Window-sized levels around faces: one anchor, through every stage.
+
+    A level's margin is its last stage's sum, so each truncation of the
+    cascade checks one more stage sum of the lone survivor.
+    """
+    reference = _evaluator("reference", cascade, scenes[0])
+    crops = 0
+    for image in scenes:
+        depth = reference.evaluate(*_integrals(image)).depth_map
+        for y, x in np.argwhere(depth == cascade.num_stages)[::4]:
+            crop = image[y : y + 24, x : x + 24]
+            for n_stages in range(1, cascade.num_stages + 1):
+                got, want = _both(cascade.truncated(n_stages), crop)
+                assert want.depth_map.shape == (1, 1)
+                assert want.depth_map[0, 0] == n_stages
+                _assert_same(got, want)
+            crops += 1
+    assert crops >= 8
+
+
+def test_every_anchor_dies_mid_cascade(cascade):
+    image = rng_for(1, "kernel-identity-noise").uniform(0, 255, (48, 64))
+    got, want = _both(cascade, image)
+    assert 0 < want.depth_map.max() < cascade.num_stages
+    _assert_same(got, want)
+
+
+def test_masked_walk_seeded_past_nmax(cascade, scenes):
+    image = scenes[1]
+    ii, sqii = _integrals(image)
+    evaluator = _evaluator("vectorized", cascade, image)
+    active = np.ones(evaluator.window_sigma(ii, sqii).shape, dtype=bool)
+    active[::7, ::5] = False
+    assert active.sum() > evaluator._nmax
+    want = _evaluator("reference", cascade, image).evaluate_masked(ii, sqii, active)
+    _assert_same(evaluator.evaluate_masked(ii, sqii, active), want)
+    full = _evaluator("reference", cascade, image).evaluate(ii, sqii)
+    np.testing.assert_array_equal(want.depth_map[active], full.depth_map[active])
+
+
+def test_fused_batch_of_three(cascade, scenes):
+    iis = np.stack([integral_image(image) for image in scenes])
+    sqiis = np.stack([squared_integral_image(image) for image in scenes])
+    lanes = _evaluator("vectorized", cascade, scenes[0]).evaluate_batch(iis, sqiis)
+    reference = _evaluator("reference", cascade, scenes[0])
+    assert len(lanes) == 3
+    for lane, ii, sqii in zip(lanes, iis, sqiis):
+        _assert_same(lane, reference.evaluate(ii, sqii))

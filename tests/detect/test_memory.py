@@ -1,7 +1,7 @@
 """Deterministic memory guards for the executor and its results.
 
-Three bounds, measured with ``tracemalloc`` (allocation counts, not the
-noisy process RSS) on 480x270 frames:
+Four bounds, measured with ``tracemalloc`` (allocation counts, not the
+noisy process RSS), three of them on 480x270 frames:
 
 * a workspace holds one largest-level scratch set (its one arena), the
   fast path's temporal cache and its frame-independent plans — not one
@@ -10,27 +10,37 @@ noisy process RSS) on 480x270 frames:
   levels, because the executor runs one level at a time and drops each
   level's maps before building the next;
 * an engine result is slim: it pickles to at most 64 KB per frame,
-  which is what a process worker sends back.
+  which is what a process worker sends back;
+* the cascade is compiled once: a workspace's geometries for five frame
+  shapes hold one flat corner-offset table per pyramid level, next to
+  the compiled cascade and its per-cap group layouts, and no table
+  outlives its workspace.
 """
 
 import gc
+import inspect
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.backend import compiled as compiled_module
 from repro.backend.base import ScratchArena
+from repro.backend.compiled import CompiledCascade, compile_cascade
 from repro.detect.devicebatch import _Geometry
 from repro.detect.engine import DetectionEngine
 from repro.detect.kernels import CascadeLaunchTemplate, cascade_launch_costs
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.detect.shard import run_group
 from repro.detect.windows import BlockMapping
+from repro.haar.cascade import Cascade
 from repro.video.stream import synthetic_stream
 from repro.zoo import quick_cascade
 
 SHAPE = (270, 480)
+#: the serving mix: five frame shapes, 42 distinct pyramid level widths
+MIXED_SHAPES = ((96, 96), (120, 160), (180, 240), (240, 320), (270, 480))
 #: pickled bytes one engine result may take per 480x270 frame
 RESULT_BUDGET = 64 * 1024
 #: the fast-path cache's replay state next to its pixels and maps: the
@@ -183,3 +193,43 @@ class TestSlimResults:
         assert np.array_equal(
             result.rejection_matrix(n_stages), reference.rejection_matrix(n_stages)
         )
+
+
+def _offset_table_bytes() -> int:
+    """Live bytes allocated by :meth:`CompiledCascade.offsets`: the
+    per-stride corner tables, and nothing else."""
+    lines, first = inspect.getsourcelines(CompiledCascade.offsets)
+    span = range(first, first + len(lines))
+    return sum(
+        trace.size
+        for trace in tracemalloc.take_snapshot().traces
+        if trace.traceback[0].filename == compiled_module.__file__
+        and trace.traceback[0].lineno in span
+    )
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_one_offset_table_per_level_freed_with_the_workspace(cascade, backend):
+    # a fresh cascade object: its compiled form and layouts are built here
+    fresh = Cascade.from_dict(cascade.to_dict())
+    pipeline = _pipeline(fresh, backend, "off")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workspace = pipeline.make_workspace()
+        for shape in MIXED_SHAPES:
+            workspace.process_frame(np.zeros(shape, dtype=np.float32))
+        levels = sum(len(geo.levels) for geo in workspace._geometries.values())
+        tables = _offset_table_bytes()
+        compiled = compile_cascade(pipeline.cascade)
+        table = compiled.num_rects * 4 * np.dtype(np.int64).itemsize
+        # one (R, 4, 1) int64 table per level, each with its array header
+        assert levels * table <= tables <= levels * (table + 1024), (levels, table, tables)
+        # group layouts are per element cap, shared by every stride
+        assert len(compiled._layouts) <= levels
+        del workspace
+        gc.collect()
+        # numpy's small shape caches may keep a few hundred bytes, no table
+        assert _offset_table_bytes() < table
+    finally:
+        tracemalloc.stop()

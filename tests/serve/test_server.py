@@ -264,8 +264,10 @@ class TestAdmission:
             admission=AdmissionConfig(max_concurrency=1, retry_after_s=0.2),
         )
         # a big frame keeps the single admission slot busy long enough
-        # that the raced request deterministically sheds
-        slow = encode_pgm(np.zeros((256, 256), dtype=np.float32))
+        # that the raced request deterministically sheds: its first
+        # request builds a new geometry and runs for several times the
+        # 20 ms head start below
+        slow = encode_pgm(np.zeros((512, 512), dtype=np.float32))
 
         def head(body: bytes) -> bytes:
             return (
@@ -302,7 +304,8 @@ class TestAdmission:
 class TestLifecycle:
     def test_readyz_flips_during_drain_and_inflight_finishes(self):
         """K8s ordering: /readyz answers 503 while admitted work drains."""
-        slow = (encode_pgm(np.zeros((256, 256), dtype=np.float32)), PGM)
+        # big enough to still be inferring after the 20 ms head start
+        slow = (encode_pgm(np.zeros((512, 512), dtype=np.float32)), PGM)
 
         @serve()
         async def outcome(server, conn):

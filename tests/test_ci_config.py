@@ -94,8 +94,10 @@ def test_process_sharding_job(workflow):
     assert "tests/detect/test_engine_submit.py" in text
     assert "tests/detect/test_pickling.py" in text
     assert "tests/video/test_shm.py" in text
-    # the slim-result and scratch-arena memory guards run there too
+    # the slim-result, scratch-arena and offset-table memory guards run
+    # there too, and so does the import guard: spawn workers re-import repro
     assert "tests/detect/test_memory.py" in text
+    assert "tests/test_import_cost.py" in text
 
 
 def test_fastpath_job(workflow):
