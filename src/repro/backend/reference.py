@@ -83,33 +83,34 @@ class ReferenceBilinearPlan(BilinearPlan):
 
     def apply(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Resample ``src`` into a fresh (or provided) ``(dst_h, dst_w)`` grid."""
-        # scratch: two row-gather panels plus four corner grids
+        # scratch: one row-gather panel, refilled for the second source
+        # row, and three grids: the top lerp, the bottom lerp, and each
+        # row's right-hand corner (dead once its row lerp has run)
         take = self._arena.take
-        rows0 = take("bilinear.rows0", self._panel, np.float32)
-        rows1 = take("bilinear.rows1", self._panel, np.float32)
-        g00, g01, g10, g11 = (
-            take(f"bilinear.g{i}", self._grid, np.float32) for i in range(4)
+        rows = take("bilinear.rows", self._panel, np.float32)
+        top, bottom, right = (
+            take(f"bilinear.g{i}", self._grid, np.float32) for i in range(3)
         )
-        np.take(src, self.y0, axis=0, out=rows0)
-        np.take(src, self.y1, axis=0, out=rows1)
-        np.take(rows0, self.x0, axis=1, out=g00)
-        np.take(rows0, self.x1, axis=1, out=g01)
-        np.take(rows1, self.x0, axis=1, out=g10)
-        np.take(rows1, self.x1, axis=1, out=g11)
         # top = d[y0, x0] * (1 - fx) + d[y0, x1] * fx  (float32, as tex2D)
-        np.multiply(g00, self.omfx, out=g00)
-        np.multiply(g01, self.fx, out=g01)
-        np.add(g00, g01, out=g00)
+        np.take(src, self.y0, axis=0, out=rows)
+        np.take(rows, self.x0, axis=1, out=top)
+        np.take(rows, self.x1, axis=1, out=right)
+        np.multiply(top, self.omfx, out=top)
+        np.multiply(right, self.fx, out=right)
+        np.add(top, right, out=top)
         # bottom = d[y1, x0] * (1 - fx) + d[y1, x1] * fx
-        np.multiply(g10, self.omfx, out=g10)
-        np.multiply(g11, self.fx, out=g11)
-        np.add(g10, g11, out=g10)
+        np.take(src, self.y1, axis=0, out=rows)
+        np.take(rows, self.x0, axis=1, out=bottom)
+        np.take(rows, self.x1, axis=1, out=right)
+        np.multiply(bottom, self.omfx, out=bottom)
+        np.multiply(right, self.fx, out=right)
+        np.add(bottom, right, out=bottom)
         # result = top * (1 - fy) + bottom * fy
-        np.multiply(g00, self.omfy, out=g00)
-        np.multiply(g10, self.fy, out=g10)
+        np.multiply(top, self.omfy, out=top)
+        np.multiply(bottom, self.fy, out=bottom)
         if out is None:
-            return np.add(g00, g10)
-        np.add(g00, g10, out=out)
+            return np.add(top, bottom)
+        np.add(top, bottom, out=out)
         return out
 
 
@@ -132,8 +133,6 @@ class ReferenceIntegralPlan(IntegralPlan):
     def compute(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h, w = self.height, self.width
         take = self._arena.take
-        img64 = take("integral.img64", (h, w), np.float64)
-        cum0 = take("integral.cum0", (h, w), np.float64)
         ii = take("integral.ii", (h + 1, w + 1), np.float64)
         sqii = take("integral.sqii", (h + 1, w + 1), np.float64)
         # the buffers are shared across level shapes, so the zero border
@@ -141,12 +140,15 @@ class ReferenceIntegralPlan(IntegralPlan):
         for padded in (ii, sqii):
             padded[0, :] = 0.0
             padded[1:, 0] = 0.0
-        img64[...] = image
-        np.cumsum(img64, axis=0, out=cum0)
-        np.cumsum(cum0, axis=1, out=ii[1:, 1:])
-        np.multiply(img64, img64, out=img64)
-        np.cumsum(img64, axis=0, out=cum0)
-        np.cumsum(cum0, axis=1, out=sqii[1:, 1:])
+        # both scans run in place in the padded interior: the float64
+        # cast (exact) and the float64 square are written straight there
+        body, sqbody = ii[1:, 1:], sqii[1:, 1:]
+        body[...] = image
+        np.cumsum(body, axis=0, out=body)
+        np.cumsum(body, axis=1, out=body)
+        np.multiply(image, image, dtype=np.float64, out=sqbody)
+        np.cumsum(sqbody, axis=0, out=sqbody)
+        np.cumsum(sqbody, axis=1, out=sqbody)
         return ii, sqii
 
 
@@ -155,24 +157,27 @@ class ReferenceIntegralPlan(IntegralPlan):
 
 
 class _DenseScratch(NamedTuple):
-    """Arena grids of the dense stages, bound once per :meth:`evaluate`."""
+    """Arena grids of the dense stages, bound once per :meth:`evaluate`.
+
+    ``ts`` doubles as the classifier vote buffer: the threshold grid is
+    dead once the ``less_equal`` has read it.
+    """
 
     tmp: np.ndarray
     vals: np.ndarray
     ts: np.ndarray
-    wbuf: np.ndarray
     sums: np.ndarray
     mask: np.ndarray
 
 
 class _SparseScratch(NamedTuple):
-    """Arena vectors of the sparse stages, sliced to the survivor count."""
+    """Arena vectors of the sparse stages, sliced to the survivor count
+    (``ts`` doubles as the vote buffer, as in :class:`_DenseScratch`)."""
 
     base: np.ndarray
     t1: np.ndarray
     vals: np.ndarray
     ts: np.ndarray
-    wv: np.ndarray
     sums: np.ndarray
     mask: np.ndarray
 
@@ -223,7 +228,6 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
             tmp=grid("tmp"),
             vals=grid("vals"),
             ts=grid("ts"),
-            wbuf=grid("wbuf"),
             sums=grid("sums"),
             mask=grid("mask", bool),
         )
@@ -242,7 +246,6 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
             t1=take("cascade.s_t1", n, np.float64),
             vals=take("cascade.s_vals", n, np.float64),
             ts=take("cascade.s_ts", n, np.float64),
-            wv=take("cascade.s_wv", n, np.float64),
             sums=take("cascade.s_sums", n, np.float64),
             mask=take("cascade.s_mask", n, bool),
         )
@@ -252,26 +255,25 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
 
         This is the :meth:`evaluate` preamble verbatim — the fast path's
         variance screen calls it on its own, and :meth:`evaluate` calls
-        it too, so both read bit-identical sigma grids.
+        it too, so both read bit-identical sigma grids.  It works in two
+        of the dense grids, in place: window sum -> mean in ``tmp``,
+        window square sum -> variance in ``vals``.
         """
         ay, ax = self._ay, self._ax
         w = self._window
         area = WINDOW_AREA
-        grid = self._grid
-        wsum, wsq, mean, ga, tmp = (
-            grid("wsum"), grid("wsq"), grid("mean"), grid("ga"), grid("tmp")
-        )
-        np.subtract(ii[w:, w:], ii[:-w, w:], out=wsum)
-        np.subtract(wsum, ii[w:, :-w], out=wsum)
-        np.add(wsum, ii[:-w, :-w], out=wsum)
-        np.subtract(sqii[w:, w:], sqii[:-w, w:], out=wsq)
-        np.subtract(wsq, sqii[w:, :-w], out=wsq)
-        np.add(wsq, sqii[:-w, :-w], out=wsq)
-        np.divide(wsum, area, out=mean)
+        mean, ga = self._grid("tmp"), self._grid("vals")
+        np.subtract(ii[w:, w:], ii[:-w, w:], out=mean)
+        np.subtract(mean, ii[w:, :-w], out=mean)
+        np.add(mean, ii[:-w, :-w], out=mean)
+        np.subtract(sqii[w:, w:], sqii[:-w, w:], out=ga)
+        np.subtract(ga, sqii[w:, :-w], out=ga)
+        np.add(ga, sqii[:-w, :-w], out=ga)
+        np.divide(mean, area, out=mean)
         sigma = np.empty((ay, ax), dtype=np.float64)
-        np.divide(wsq, area, out=ga)
-        np.multiply(mean, mean, out=tmp)
-        np.subtract(ga, tmp, out=ga)
+        np.divide(ga, area, out=ga)
+        np.multiply(mean, mean, out=mean)
+        np.subtract(ga, mean, out=ga)
         np.maximum(ga, 1.0, out=ga)
         np.sqrt(ga, out=sigma)
         return sigma
@@ -341,7 +343,7 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
 
     def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed, scratch) -> None:
         ay, ax = self._ay, self._ax
-        tmp, vals, ts, wbuf, sums, mask = scratch
+        tmp, vals, ts, sums, mask = scratch
         sums.fill(0.0)
         for cl in stage.classifiers:
             vals.fill(0.0)
@@ -358,9 +360,9 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
                 np.add(vals, tmp, out=vals)
             np.multiply(sigma, cl.threshold, out=ts)
             np.less_equal(vals, ts, out=mask)
-            np.copyto(wbuf, cl.right)
-            np.copyto(wbuf, cl.left, where=mask)
-            np.add(sums, wbuf, out=sums)
+            np.copyto(ts, cl.right)
+            np.copyto(ts, cl.left, where=mask)
+            np.add(sums, ts, out=sums)
         np.subtract(sums, stage.threshold, out=tmp)
         margin[alive] = tmp[alive]
         np.greater_equal(sums, stage.threshold, out=mask)
@@ -373,7 +375,7 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
             return None
         n = ys.size
         sig = sigma[ys, xs]
-        base, t1, vals, ts, wv, sums, mask = (
+        base, t1, vals, ts, sums, mask = (
             buf[:n] for buf in self._ensure_sparse_capacity(n)
         )
         np.multiply(ys, self._stride, out=base)
@@ -393,9 +395,9 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
                 np.add(vals, t1, out=vals)
             np.multiply(sig, cl.threshold, out=ts)
             np.less_equal(vals, ts, out=mask)
-            np.copyto(wv, cl.right)
-            np.copyto(wv, cl.left, where=mask)
-            np.add(sums, wv, out=sums)
+            np.copyto(ts, cl.right)
+            np.copyto(ts, cl.left, where=mask)
+            np.add(sums, ts, out=sums)
         np.subtract(sums, stage.threshold, out=t1)
         margin[ys, xs] = t1
         np.greater_equal(sums, stage.threshold, out=mask)

@@ -253,7 +253,6 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         vals = np.empty((n, ay, ax), dtype=np.float64)
         tmp = np.empty((n, ay, ax), dtype=np.float64)
         ts = np.empty((n, ay, ax), dtype=np.float64)
-        wbuf = np.empty((n, ay, ax), dtype=np.float64)
         mask = np.empty((n, ay, ax), dtype=bool)
         for cl in stage.classifiers:
             vals.fill(0.0)
@@ -269,9 +268,9 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
                 np.add(vals, tmp, out=vals)
             np.multiply(sigma, cl.threshold, out=ts)
             np.less_equal(vals, ts, out=mask)
-            np.copyto(wbuf, cl.right)
-            np.copyto(wbuf, cl.left, where=mask)
-            np.add(sums, wbuf, out=sums)
+            np.copyto(ts, cl.right)
+            np.copyto(ts, cl.left, where=mask)
+            np.add(sums, ts, out=sums)
         np.subtract(sums, stage.threshold, out=tmp)
         margin[alive] = tmp[alive]
         np.greater_equal(sums, stage.threshold, out=mask)

@@ -16,10 +16,11 @@ frames treated as N lanes of the same per-level streams:
   frames, not just scales, feeding the streams;
 * the two-tier fast path (:mod:`repro.detect.fastpath`) is a per-level
   reuse decision inside the same level loop.  A bit-equal level reuses
-  its cached :class:`~repro.detect.kernels.CascadeKernelResult`, a dirty
-  level under ``fast`` goes through ``evaluate_masked``, and a
-  whole-frame hit is the case where every level is clean: grouping and
-  the schedule then replay from the cache.
+  its cached detections and (slimmed)
+  :class:`~repro.detect.kernels.CascadeKernelResult`, a dirty level
+  under ``fast`` goes through ``evaluate_masked``, and a whole-frame hit
+  is the case where every level is clean: the schedule then replays
+  from the cache too.
 
 :class:`FrameWorkspace` owns the per-shape geometry, one scratch arena
 shared by every level and the temporal cache, and feeds the executor,
@@ -394,13 +395,37 @@ class _Geometry:
 
 
 class _FastpathLevelCache:
-    """Previous frame's pixels and cascade result for one pyramid level."""
+    """Previous frame's pixels, detections and cascade result for one level.
 
-    __slots__ = ("image", "result")
+    ``result`` keeps only what a later frame reads (:func:`_cache_entry`);
+    a clean level takes its detections from ``raw`` instead of grouping
+    its maps again.
+    """
+
+    __slots__ = ("image", "raw", "result")
 
     def __init__(self) -> None:
         self.image: np.ndarray | None = None
+        self.raw: list | None = None
         self.result: CascadeKernelResult | None = None
+
+
+def _cache_entry(
+    result: CascadeKernelResult, fp: FastpathConfig, keep_maps: bool
+) -> CascadeKernelResult:
+    """What the temporal cache keeps of ``result``: what its policy reads.
+
+    A clean level replays the launch and the histogram under every
+    policy.  ``exact`` reuses only bit-equal levels, so it needs nothing
+    else; ``fast`` carries depth and margin forward onto clean anchors of
+    a dirty level (``_evaluate_fast`` recomputes sigma); ``keep_maps``
+    results hand a clean level's cached maps back out, so they keep all.
+    """
+    if keep_maps:
+        return result
+    if fp.policy is FastpathPolicy.FAST:
+        return replace(result, sigma_map=None)
+    return replace(result, depth_map=None, margin_map=None, sigma_map=None)
 
 
 class _FastpathState:
@@ -413,21 +438,19 @@ class _FastpathState:
     byte-identical by construction regardless of how frames shard.
 
     The executor refills the level caches one level at a time as it
-    goes, each with a matching (pixels, result) pair, and sets
-    ``frame`` (level 0's cached pixels) only once every level is in: a
-    pass that stops early leaves ``frame`` unset, so no whole-frame hit
-    replays a half-refilled cache.
+    goes, each with a matching (pixels, detections, result) triple, and
+    sets ``frame`` (level 0's cached pixels) only once every level is
+    in: a pass that stops early leaves ``frame`` unset, so no whole-frame
+    hit replays a half-refilled cache.
     """
 
     def __init__(self, n_levels: int) -> None:
         self.frame: np.ndarray | None = None
         self.caches = [_FastpathLevelCache() for _ in range(n_levels)]
-        # downstream replay state: the grouped detections and the
-        # simulated schedules of the cached frame.  On a whole-frame hit
-        # the launch list is content-identical and scheduler.run is a
+        # the cached frame's simulated schedules: on a whole-frame hit the
+        # launch list is content-identical and scheduler.run is a
         # deterministic, stateless function of (launches, mode), so
-        # replaying these is byte-identical to recomputing them.
-        self.raw: list | None = None
+        # replaying them is byte-identical to recomputing them
         self.schedules: dict[ExecutionMode, object] = {}
 
     @property
@@ -597,7 +620,8 @@ def _execute(
     it builds is scheduled under each of ``modes``.  ``fp`` enabled
     implies a single lane (the workspace's dispatch rule); ``cache`` is
     that lane's temporal delta cache, or ``None`` when temporal reuse is
-    off.  The cache keeps the lane's pixels and full results; results
+    off.  The cache keeps the lane's pixels, per-level detections and
+    what its policy reads of each result (:func:`_cache_entry`); results
     carry level images and maps only under ``keep_maps``.
     """
     n = len(frames)
@@ -617,9 +641,8 @@ def _execute(
             with tracer.span("fastpath.diff", cat="fastpath"):
                 frame_hit = _frame_clean(stack[0], cache.frame, fp)
             stats.frames_reused = int(frame_hit)
-    # grouping is deterministic in (levels, kernel results) and a hit's
-    # launch list is content-identical to the cached frame's, so a hit
-    # whose every schedule is cached replays detections and schedules
+    # a hit's launch list is content-identical to the cached frame's, so
+    # a hit whose every schedule is cached replays the schedules
     replay = frame_hit and all(mode in cache.schedules for mode in modes)
     refill = cache is not None and not frame_hit
     if frame_hit:
@@ -677,16 +700,25 @@ def _execute(
             del iis, sqiis, maps
         launches.extend(integral)
         launches.append(concat_launches([result.launch for result in results]))
+        # grouping is deterministic in (level, kernel result): a clean
+        # level's detections are its cached ones
+        if clean:
+            level_raws = [level_cache.raw]
+        else:
+            with tracer.span("grouping"):
+                level_raws = [
+                    collect_raw_detections([state.geometry], [result], window)
+                    for result in results
+                ]
+        for raw, level_raw in zip(raws, level_raws):
+            raw.extend(level_raw)
         if refill:
             # level 0 aliases the caller's frame buffer (a shared-memory
             # ring slot under process sharding), so the cache copies it;
             # deeper levels are fresh arrays from the bilinear plans
             level_cache.image = np.array(images[0]) if state.index == 0 else images[0]
-            level_cache.result = results[0]
-        if not replay:
-            with tracer.span("grouping"):
-                for raw, result in zip(raws, results):
-                    raw.extend(collect_raw_detections([state.geometry], [result], window))
+            level_cache.raw = level_raws[0]
+            level_cache.result = _cache_entry(results[0], fp, keep_maps)
         for i, result in enumerate(results):
             if keep_maps:
                 levels[i].append(replace(state.geometry, image=images[i]))
@@ -698,7 +730,6 @@ def _execute(
         cache.frame = level_caches[0].image
 
     if replay:
-        raws = [list(cache.raw)]
         schedules = {mode: cache.schedules[mode] for mode in modes}
     else:
         launches.append(
@@ -719,7 +750,6 @@ def _execute(
         if cache is not None:
             if refill:
                 cache.schedules = {}
-            cache.raw = list(raws[0])
             cache.schedules.update(schedules)
 
     device_batch = n if n > 1 else None

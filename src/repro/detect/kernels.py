@@ -251,7 +251,20 @@ class CascadeKernelResult:
         Monotone in the stage depth, tie-broken by the margin of the last
         stage evaluated — the scalar the Fig. 9 threshold sweep varies.
         """
-        return self.depth_map + 1.0 / (1.0 + np.exp(-np.clip(self.margin_map, -30, 30)))
+        return _detection_scores(self.depth_map, self.margin_map)
+
+    def scores_at(self, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """:attr:`score_map` at the anchors ``(ys, xs)`` only.
+
+        The score is elementwise, so gathering depth and margin first
+        gives the same bytes as indexing the full map.
+        """
+        return _detection_scores(self.depth_map[ys, xs], self.margin_map[ys, xs])
+
+
+def _detection_scores(depth: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Depth plus the squashed margin, elementwise (the Fig. 9 scalar)."""
+    return depth + 1.0 / (1.0 + np.exp(-np.clip(margin, -30, 30)))
 
 
 def cascade_eval_kernel(

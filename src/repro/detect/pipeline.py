@@ -186,7 +186,7 @@ def collect_raw_detections(
         ys, xs = result.accepted
         if ys.size == 0:
             continue
-        scores = result.score_map[ys, xs]
+        scores = result.scores_at(ys, xs)
         size = float(window * level.scale)
         # int64 -> float64 multiply matches float(x) * scale exactly, so the
         # batched form is bit-identical to the old per-pixel loop

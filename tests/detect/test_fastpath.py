@@ -25,6 +25,7 @@ from repro.detect.fastpath import (
 )
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
+from repro.gpusim.scheduler import ExecutionMode
 from repro.utils.rng import rng_for
 from repro.video.synthesis import render_scene
 from repro.zoo import quick_cascade
@@ -265,6 +266,80 @@ class TestExactByteIdentityProcesses:
             results = list(engine.process_frames(iter(frames)))
         for r, c in zip(reference, results):
             assert _detections(r) == _detections(c)
+
+
+def _assert_slim_identical(reference, candidate):
+    """Detections, schedule and histograms of a slim result, byte for byte."""
+    assert _detections(reference) == _detections(candidate)
+    assert reference.schedule.makespan_s == candidate.schedule.makespan_s
+    assert len(reference.kernel_results) == len(candidate.kernel_results)
+    for kr, kc in zip(reference.kernel_results, candidate.kernel_results):
+        assert kc.depth_map is None
+        assert kr.rejections_by_depth.tobytes() == kc.rejections_by_depth.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+class TestSlimCacheReplay:
+    """The slim temporal cache keeps no ``exact`` maps and no ``fast``
+    sigma; every path that replays from it must still match a
+    ``keep_maps=True`` workspace, which caches everything."""
+
+    def _workspaces(self, cascade, backend, fastpath):
+        pipeline = FaceDetectionPipeline(
+            cascade, config=PipelineConfig(backend=backend, fastpath=fastpath)
+        )
+        return pipeline.make_workspace(keep_maps=True), pipeline.make_workspace()
+
+    def test_frame_hit_under_an_uncached_mode_groups_from_cached_raws(
+        self, backend, cascade, scenes
+    ):
+        baseline = FaceDetectionPipeline(
+            cascade, config=PipelineConfig(backend=backend, fastpath="off")
+        )
+        full, slim = self._workspaces(cascade, backend, "exact")
+        for mode in (ExecutionMode.CONCURRENT, ExecutionMode.SERIAL):
+            want = full.process_frame(scenes[0], mode)
+            got = slim.process_frame(scenes[0], mode)
+            _assert_frame_identical(baseline.process_frame(scenes[0], mode), want)
+            _assert_slim_identical(want, got)
+            assert got.fastpath == want.fastpath
+        # the SERIAL frame hit every level but had no schedule to replay
+        assert got.fastpath.frames_reused == 1
+        assert slim._fp_states[scenes[0].shape].schedules.keys() == set(ExecutionMode)
+
+    def test_fast_carry_forward_sequence(self, backend, cascade, scenes):
+        full, slim = self._workspaces(cascade, backend, "fast")
+        edited = np.array(scenes[0], copy=True)
+        edited[40:48, 60:68] += 25.0
+        moved = np.array(edited, copy=True)
+        moved[10:20, 90:110] -= 15.0
+        for frame in (scenes[0], edited, edited, moved, scenes[1], scenes[1]):
+            want = full.process_frame(frame)
+            got = slim.process_frame(frame)
+            _assert_slim_identical(want, got)
+            assert got.fastpath == want.fastpath
+        assert got.fastpath.frames_reused == 1
+
+
+class TestSlimCacheReplayProcesses:
+    def test_process_sharded_engine_matches_keep_maps(self, cascade, scenes):
+        """Each spawn worker replays from its own slim cache."""
+        baseline = FaceDetectionPipeline(
+            cascade, config=PipelineConfig(fastpath="off")
+        )
+        exact = FaceDetectionPipeline(
+            cascade, config=PipelineConfig(fastpath="exact")
+        )
+        full = exact.make_workspace(keep_maps=True)
+        frames = [scenes[0], scenes[0], scenes[1], scenes[0], scenes[0], scenes[1]]
+        reference = [full.process_frame(f) for f in frames]
+        for frame, want in zip(frames, reference):
+            _assert_frame_identical(baseline.process_frame(frame), want)
+        with DetectionEngine(exact, workers=2, sharding="processes") as engine:
+            results = list(engine.process_frames(iter(frames)))
+        assert len(results) == len(frames)
+        for want, got in zip(reference, results):
+            _assert_slim_identical(want, got)
 
 
 class TestEnginePlumbing:

@@ -1,11 +1,16 @@
 """Deterministic memory guards for the executor and its results.
 
-Four bounds, measured with ``tracemalloc`` (allocation counts, not the
-noisy process RSS), three of them on 480x270 frames:
+Five bounds, measured with ``tracemalloc`` (allocation counts, not the
+noisy process RSS), four of them on 480x270 frames:
 
 * a workspace holds one largest-level scratch set (its one arena), the
   fast path's temporal cache and its frame-independent plans — not one
-  scratch set per pyramid level;
+  scratch set per pyramid level — and the cache keeps per level only
+  what its policy reads again;
+* the arena holds exactly the buffers DESIGN §7 lists: four float64
+  anchor grids, two padded integrals, one bilinear panel and three
+  grids, two launch pads and three flag grids (plus the reference
+  backend's sparse survivor vectors);
 * one frame's transient peak stays below the cascade maps of all its
   levels, because the executor runs one level at a time and drops each
   level's maps before building the next;
@@ -20,16 +25,21 @@ noisy process RSS), three of them on 480x270 frames:
 import gc
 import inspect
 import pickle
+import re
+import sys
 import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.backend import compiled as compiled_module
-from repro.backend.base import ScratchArena
+from repro.backend.base import SPARSE_THRESHOLD, ScratchArena
 from repro.backend.compiled import CompiledCascade, compile_cascade
 from repro.detect.devicebatch import _Geometry
 from repro.detect.engine import DetectionEngine
+from repro.detect.fastpath import FastpathConfig
 from repro.detect.kernels import CascadeLaunchTemplate, cascade_launch_costs
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.detect.shard import run_group
@@ -43,9 +53,11 @@ SHAPE = (270, 480)
 MIXED_SHAPES = ((96, 96), (120, 160), (180, 240), (240, 320), (270, 480))
 #: pickled bytes one engine result may take per 480x270 frame
 RESULT_BUDGET = 64 * 1024
-#: the fast-path cache's replay state next to its pixels and maps: the
-#: cached frame's launches, schedule and raw detections
+#: the fast-path cache's replay state next to its pixels, detections and
+#: histograms: the cached frame's launches and schedule
 REPLAY_BUDGET = 256 * 1024
+
+_DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 
 
 @pytest.fixture(scope="module")
@@ -135,16 +147,100 @@ def test_workspace_holds_one_scratch_set_plus_the_fastpath_cache(
         return workspace
 
     live, _, workspace = _traced(stream)
+    caches = workspace._fp_states[SHAPE].caches
     cache = sum(
-        level.image.nbytes
-        + level.result.depth_map.nbytes
-        + level.result.margin_map.nbytes
-        + level.result.sigma_map.nbytes
-        for level in workspace._fp_states[SHAPE].caches
+        level.image.nbytes + _raw_bytes(level.raw) + level.result.rejections_by_depth.nbytes
+        for level in caches
     )
-    assert plans <= scratch // 8
+    assert all(_cached_maps(level) == set() for level in caches)
+    # plans stay well below one scratch set of four anchor grids
+    assert plans <= scratch // 5
     assert workspace._arena.nbytes <= scratch
     assert live <= scratch + cache + plans + REPLAY_BUDGET, (live, scratch, cache, plans)
+
+
+def _raw_bytes(raw) -> int:
+    """Bytes of one level's cached detection list and its objects."""
+    return sys.getsizeof(raw) + sum(
+        sys.getsizeof(d) + sum(sys.getsizeof(v) for v in astuple(d)) for d in raw
+    )
+
+
+def _cached_maps(level) -> set[str]:
+    return {
+        name
+        for name in ("depth_map", "margin_map", "sigma_map")
+        if getattr(level.result, name) is not None
+    }
+
+
+@pytest.mark.parametrize(
+    "policy, keep_maps, maps",
+    [
+        ("exact", False, set()),
+        # dirty-anchor carry-forward reads depth and margin; sigma is recomputed
+        ("fast", False, {"depth_map", "margin_map"}),
+        ("exact", True, {"depth_map", "margin_map", "sigma_map"}),
+        ("fast", True, {"depth_map", "margin_map", "sigma_map"}),
+    ],
+)
+def test_fastpath_cache_keeps_what_its_policy_reads(
+    cascade, frames, policy, keep_maps, maps
+):
+    fastpath = FastpathConfig(policy=policy, min_sigma=0.0)
+    workspace = _pipeline(cascade, "vectorized", fastpath).make_workspace(keep_maps=keep_maps)
+    edited = frames[0].copy()
+    edited[200:] += np.float32(1.0)
+    for frame in (frames[0], edited, edited):
+        workspace.process_frame(frame)
+    caches = workspace._fp_states[SHAPE].caches
+    for level in caches:
+        assert _cached_maps(level) == maps
+        assert level.result.launch is not None and level.raw is not None
+
+
+def _documented_arena_buffers() -> set[str]:
+    """Buffer names of the DESIGN §7 arena table."""
+    section = _DESIGN.read_text().split("## 7.", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `([a-z_0-9.]+)` \|", section, flags=re.MULTILINE))
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_arena_holds_the_documented_buffers(cascade, frames, backend):
+    pipeline = _pipeline(cascade, backend, "exact")
+    workspace = pipeline.make_workspace()
+    for frame in frames:
+        workspace.process_frame(frame)
+    arena = workspace._arena
+    documented = _documented_arena_buffers()
+    sparse = {name for name in documented if name.startswith("cascade.s_")}
+    expected = documented if backend == "reference" else documented - sparse
+    assert set(arena._buffers) == expected
+
+    # every bound from the frame shape: no level, panel or grid is larger
+    height, width = SHAPE
+    config = pipeline.config
+    m = BlockMapping(
+        level_width=width,
+        level_height=height,
+        window=config.pyramid.window,
+        block_w=config.block_w,
+        block_h=config.block_h,
+    )
+    anchors = m.anchors_y * m.anchors_x
+    f64, f32, i32 = 8, 4, 4
+    bound = (
+        4 * anchors * f64  # tmp, vals, ts, sums
+        + 2 * (height + 1) * (width + 1) * f64  # ii, sqii
+        + (1 + 3) * height * width * f32  # the row panel and three corner grids
+        + 2 * (m.blocks_y * m.block_h) * (m.blocks_x * m.block_w) * i32  # launch pads
+        + 3 * anchors  # mask, alive, passed
+    )
+    if backend == "reference":
+        # five 8-byte vectors and one flag vector, sized by the switch point
+        nmax = int(max(64, SPARSE_THRESHOLD * anchors)) + 1
+        bound += nmax * (5 * f64 + 1)
+    assert arena.nbytes <= bound, (arena.nbytes, bound)
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
