@@ -269,8 +269,8 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
 
     def __init__(self, backend, cascade, mapping, *, sparse_threshold=None) -> None:
         self._b = backend
-        compiled = compile_cascade(cascade)
-        self._plan = compiled.stages
+        self._compiled = compile_cascade(cascade)
+        self._plan = self._compiled.stages
         self._mapping = mapping
         if sparse_threshold is None:
             sparse_threshold = SPARSE_THRESHOLD
@@ -279,8 +279,12 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         self._window = mapping.window
         self._stride = mapping.level_width + 1
         self._plane = (mapping.level_height + 1) * self._stride
-        #: this level's flat corner offsets: each classifier's rects are a slice
-        self._offsets = backend._xp.asarray(compiled.offsets(self._stride))
+
+    def _bind_offsets(self):
+        """This level's ``(R, 4)`` flat corner offsets in the namespace,
+        bound once per kernel call: each classifier's rects are a slice."""
+        compiled = self._compiled
+        return self._b._xp.asarray(compiled.rows * self._stride + compiled.cols)
 
     def _sigma_device(self, ii, sqii):
         """Window sums + variance normalisation, same op order as reference."""
@@ -312,6 +316,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         sparse = None
         total = ay * ax
         flat = xp.reshape(ii_d, (-1,))
+        offsets = self._bind_offsets()
 
         for stage in self._plan:
             if sparse is None:
@@ -322,7 +327,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
                     sparse = b._nonzero(alive)
             if sparse is not None:
                 sparse, depth, margin = self._sparse_stage(
-                    stage, flat, sigma, depth, margin, sparse
+                    stage, flat, offsets, sigma, depth, margin, sparse
                 )
                 if sparse is None:
                     break
@@ -374,6 +379,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         sparse = None
         total = n * ay * ax
         flat = xp.reshape(ii_d, (-1,))
+        offsets = self._bind_offsets()
 
         for stage in self._plan:
             if sparse is None:
@@ -384,7 +390,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
                     sparse = b._nonzero(alive)
             if sparse is not None:
                 sparse, depth, margin = self._sparse_stage(
-                    stage, flat, sigma, depth, margin, sparse
+                    stage, flat, offsets, sigma, depth, margin, sparse
                 )
                 if sparse is None:
                     break
@@ -444,7 +450,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         depth = xp.where(passed, depth + 1, depth)
         return depth, margin, passed
 
-    def _sparse_stage(self, stage, flat, sigma, depth, margin, sparse):
+    def _sparse_stage(self, stage, flat, offsets, sigma, depth, margin, sparse):
         """One stage over the survivors ``sparse``: ``(ys, xs)`` of one
         anchor grid, or ``(fs, ys, xs)`` of a frame stack whose integrals
         ``flat`` flattens plane after plane."""
@@ -463,7 +469,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         sums = xp.zeros(n, dtype=xp.float64)
         for cl in stage.classifiers:
             # gather all corners of all rects at once: (n_rects, 4, n)
-            idx = self._offsets[cl.start : cl.end] + base
+            idx = offsets[cl.start : cl.end, :, None] + base
             corners = xp.reshape(xp.take(flat, xp.reshape(idx, (-1,))), idx.shape)
             vals = xp.zeros(n, dtype=xp.float64)
             for r, (_x0, _y0, _x1, _y1, wt) in enumerate(cl.rects):

@@ -21,21 +21,21 @@ over its ``R`` rectangles, ``K`` weak classifiers and ``S`` stages:
     ``(S + 1,)``: stage ``s`` owns classifiers
     ``stage_start[s]:stage_start[s + 1]``.
 
-A level evaluator derives its one ``(R, 4, 1)`` flat corner-offset array
-from these with :meth:`CompiledCascade.offsets` — ``rows * stride +
-cols`` — and frees it with its workspace; nothing per stride is cached
-here.  The compiled form is keyed by cascade *identity*: hashing a frozen
-cascade by value walks every classifier.
+Nothing here depends on a level's row stride.  An evaluator binds
+``rows * stride + cols`` into one ``(R, 4)`` int64 arena buffer,
+``cascade.offsets``, at the start of every kernel call; no per-level or
+per-stride table is kept.  The compiled form is keyed by cascade
+*identity*: hashing a frozen cascade by value walks every classifier.
 
-The vectorized kernel evaluates a sparse stage one *rectangle group* at a
-time (:meth:`CompiledCascade.layout`).  A group is a run of consecutive
-classifiers whose ``(R_g, 4, n)`` corner gather fits an element cap.
-Inside it the classifiers are sorted by rectangle count (most first) and
-the rectangles laid out slot-major: slot ``k`` holds rectangle ``k`` of
+The vectorized kernel evaluates a sparse stage as one *rectangle group*
+(:attr:`CompiledCascade.layout`, one per compiled cascade).  Inside a
+stage the classifiers are sorted by rectangle count (most first) and the
+rectangles laid out slot-major: slot ``k`` holds rectangle ``k`` of
 every classifier that has one, so each slot is a prefix of the sorted
 classifiers and the per-classifier rectangle sums are at most three
 elementwise slot adds.  ``inverse`` maps each classifier back to its
 sorted row, so the stage sum still accumulates in the cascade's order.
+The layout keeps its own ``rows`` and ``cols`` in that rectangle order.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class ClassifierPlan:
 
     ``rects`` are ``(x0, y0, x1, y1, weight)`` tuples for the dense
     loops; ``start:end`` is the classifier's range of rows in
-    :attr:`CompiledCascade.rows` (and in a level's offset array).
+    :attr:`CompiledCascade.rows`, and in the offsets that the
+    ``reference`` and ``arrayapi`` evaluators bind from them.
     """
 
     __slots__ = ("rects", "threshold", "left", "right", "start", "end")
@@ -89,19 +90,19 @@ class StagePlan:
 
 
 class RectGroup(NamedTuple):
-    """One gather of the vectorized sparse kernel (see module doc).
+    """One stage of the vectorized sparse kernel (see module doc).
 
-    ``start:end`` is the group's row range in the layout's rectangle
+    ``start:end`` is the stage's row range in the layout's rectangle
     order; every array is a view into :class:`GroupLayout` storage.
     """
 
     start: int
     end: int
-    #: classifiers in the group; slot 0 holds one rectangle of each
+    #: classifiers in the stage; slot 0 holds one rectangle of each
     n: int
     #: classifiers with a rectangle in slot 1, 2, 3 (non-increasing)
     slots: tuple[int, ...]
-    #: (R_g, 1) rectangle weights, slot-major
+    #: (R_s, 1) rectangle weights, slot-major
     weights: np.ndarray
     #: (C, 1) thresholds and outputs, in sorted classifier order
     threshold: np.ndarray
@@ -112,11 +113,12 @@ class RectGroup(NamedTuple):
 
 
 class GroupLayout(NamedTuple):
-    """Rectangle groups of every stage under one rectangle cap."""
+    """One rectangle group per stage, and the corners in its order."""
 
-    #: (R,) compiled rectangle index of each layout position
-    order: np.ndarray
-    stages: tuple[tuple[RectGroup, ...], ...]
+    #: (R, 4) corner rows and columns, in the layout's rectangle order
+    rows: np.ndarray
+    cols: np.ndarray
+    stages: tuple[RectGroup, ...]
 
 
 class CompiledCascade:
@@ -151,55 +153,15 @@ class CompiledCascade:
         self.stage_start = np.cumsum(
             [0] + [len(stage.classifiers) for stage in self.stages], dtype=np.int64
         )
-        #: the most rectangles one stage holds: caps at or above it all
-        #: give one group per stage, so they share one layout
-        self._max_stage_rects = int(
-            np.diff(self.rect_start[self.stage_start]).max()
-        )
-        self._layouts: dict[int, GroupLayout] = {}
+        #: the vectorized kernel's rectangle groups, one per stage
+        self.layout: GroupLayout = self._build_layout()
 
     @property
     def num_rects(self) -> int:
         return int(self.rows.shape[0])
 
-    def offsets(self, stride: int, order: np.ndarray | None = None) -> np.ndarray:
-        """``(R, 4, 1)`` int64 flat corner offsets for one row ``stride``.
-
-        Rows follow the compiled rectangle order, or ``order`` (a
-        :attr:`GroupLayout.order`) when given.
-        """
-        rows, cols = self.rows, self.cols
-        if order is not None:
-            rows, cols = rows[order], cols[order]
-        return (rows * stride + cols)[:, :, np.newaxis]
-
-    def layout(self, cap_rects: int) -> GroupLayout:
-        """Rectangle groups of at most ``cap_rects`` rows (cached per cap).
-
-        Classifier boundaries are never split, so a classifier larger
-        than the cap gets a group of its own.
-        """
-        cap = min(cap_rects, self._max_stage_rects)
-        layout = self._layouts.get(cap)
-        if layout is None:
-            layout = self._layouts[cap] = self._build_layout(cap)
-        return layout
-
-    def _build_layout(self, cap: int) -> GroupLayout:
+    def _build_layout(self) -> GroupLayout:
         counts = np.diff(self.rect_start)
-        spans = []  # (first classifier, end classifier) per group, per stage
-        for s in range(len(self.stages)):
-            groups = []
-            first = int(self.stage_start[s])
-            r_count = 0
-            for k in range(first, int(self.stage_start[s + 1])):
-                if k > first and r_count + counts[k] > cap:
-                    groups.append((first, k))
-                    first, r_count = k, 0
-                r_count += counts[k]
-            groups.append((first, int(self.stage_start[s + 1])))
-            spans.append(groups)
-
         order = np.empty(self.num_rects, dtype=np.int64)
         n_cls = len(counts)
         threshold = np.empty((n_cls, 1))
@@ -208,39 +170,36 @@ class CompiledCascade:
         inverse = np.empty(n_cls, dtype=np.int64)
         weights = np.empty((self.num_rects, 1))
         stages = []
-        for groups in spans:
-            built = []
-            for k0, k1 in groups:
-                # most rectangles first; stable, so ties keep cascade order
-                ranked = k0 + np.argsort(-counts[k0:k1], kind="stable")
-                inverse[k0:k1] = np.argsort(ranked - k0, kind="stable")
-                threshold[k0:k1, 0] = self.threshold[ranked]
-                left[k0:k1, 0] = self.left[ranked]
-                right[k0:k1, 0] = self.right[ranked]
-                r0 = pos = int(self.rect_start[k0])
-                slots = []
-                for slot in range(int(counts[k0:k1].max())):
-                    members = ranked[counts[ranked] > slot]
-                    order[pos : pos + members.size] = self.rect_start[members] + slot
-                    pos += members.size
-                    if slot:
-                        slots.append(int(members.size))
-                weights[r0:pos] = self.weights[order[r0:pos], np.newaxis]
-                built.append(
-                    RectGroup(
-                        start=r0,
-                        end=pos,
-                        n=k1 - k0,
-                        slots=tuple(slots),
-                        weights=weights[r0:pos],
-                        threshold=threshold[k0:k1],
-                        left=left[k0:k1],
-                        right=right[k0:k1],
-                        inverse=inverse[k0:k1],
-                    )
+        for k0, k1 in zip(self.stage_start[:-1].tolist(), self.stage_start[1:].tolist()):
+            # most rectangles first; stable, so ties keep cascade order
+            ranked = k0 + np.argsort(-counts[k0:k1], kind="stable")
+            inverse[k0:k1] = np.argsort(ranked - k0, kind="stable")
+            threshold[k0:k1, 0] = self.threshold[ranked]
+            left[k0:k1, 0] = self.left[ranked]
+            right[k0:k1, 0] = self.right[ranked]
+            r0 = pos = int(self.rect_start[k0])
+            slots = []
+            for slot in range(int(counts[k0:k1].max())):
+                members = ranked[counts[ranked] > slot]
+                order[pos : pos + members.size] = self.rect_start[members] + slot
+                pos += members.size
+                if slot:
+                    slots.append(int(members.size))
+            weights[r0:pos] = self.weights[order[r0:pos], np.newaxis]
+            stages.append(
+                RectGroup(
+                    start=r0,
+                    end=pos,
+                    n=k1 - k0,
+                    slots=tuple(slots),
+                    weights=weights[r0:pos],
+                    threshold=threshold[k0:k1],
+                    left=left[k0:k1],
+                    right=right[k0:k1],
+                    inverse=inverse[k0:k1],
                 )
-            stages.append(tuple(built))
-        return GroupLayout(order=order, stages=tuple(stages))
+            )
+        return GroupLayout(rows=self.rows[order], cols=self.cols[order], stages=tuple(stages))
 
 
 #: id(cascade) -> (weak reference to it, its compiled form)

@@ -207,17 +207,32 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         self._arena = arena if arena is not None else ScratchArena()
         #: sparse-stage capacity: bounded by the dense->sparse switch point
         self._nmax = int(max(64, sparse_threshold * ay * ax)) + 1
-        #: this level's flat corner offsets, the one per-stride table
-        self._offsets = self._compiled.offsets(self._stride, self._rect_order())
 
     def _default_sparse_threshold(self) -> float:
         # read at construction time so tests can monkeypatch the module global
         return SPARSE_THRESHOLD
 
-    def _rect_order(self):
-        """Row order of the offset array: ``None`` keeps the compiled order,
-        in which each classifier's rectangles are one slice."""
-        return None
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(R, 4)`` corner rows and columns in the order the sparse stage
+        reads them: the compiled order, where each classifier's
+        rectangles are one slice."""
+        return self._compiled.rows, self._compiled.cols
+
+    def _bind_offsets(self) -> np.ndarray:
+        """This level's ``(R, 4)`` flat corner offsets, ``rows * stride +
+        cols``, in the arena buffer ``cascade.offsets``.
+
+        Bound once per kernel call, so no offset table outlives it.
+        """
+        rows, cols = self._corners()
+        offsets = self._arena.take("cascade.offsets", rows.shape, np.int64)
+        np.multiply(rows, self._stride, out=offsets)
+        np.add(offsets, cols, out=offsets)
+        return offsets
+
+    def _survivors(self, alive: np.ndarray):
+        """The sparse stages' survivor set of an ``alive`` grid."""
+        return np.nonzero(alive)
 
     def _grid(self, name: str, dtype=np.float64) -> np.ndarray:
         return self._arena.take(f"cascade.{name}", (self._ay, self._ax), dtype)
@@ -288,9 +303,10 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         alive = self._grid("alive", bool)
         alive.fill(True)
         passed = self._grid("passed", bool)
-        sparse: tuple[np.ndarray, np.ndarray] | None = None
+        sparse = None
         total = ay * ax
         flat = ii.reshape(-1)
+        offsets = self._bind_offsets()
 
         for stage_idx, stage in enumerate(self._plan):
             if sparse is None:
@@ -298,9 +314,11 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
                 if live == 0:
                     break
                 if live < max(64, self._sparse_threshold * total):
-                    sparse = np.nonzero(alive)
+                    sparse = self._survivors(alive)
             if sparse is not None:
-                sparse = self._sparse_stage(stage_idx, stage, flat, sigma, depth, margin, sparse)
+                sparse = self._sparse_stage(
+                    stage_idx, stage, flat, offsets, sigma, depth, margin, sparse
+                )
                 if sparse is None:
                     break
             else:
@@ -331,14 +349,15 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         ay, ax = self._ay, self._ax
         depth = np.zeros((ay, ax), dtype=np.int32)
         margin = np.zeros((ay, ax), dtype=np.float64)
-        ys, xs = np.nonzero(active)
-        if ys.size:
-            flat = ii.reshape(-1)
-            sparse: tuple[np.ndarray, np.ndarray] | None = (ys, xs)
-            for stage_idx, stage in enumerate(self._plan):
-                sparse = self._sparse_stage(stage_idx, stage, flat, sigma, depth, margin, sparse)
-                if sparse is None:
-                    break
+        flat = ii.reshape(-1)
+        offsets = self._bind_offsets()
+        sparse = self._survivors(active)
+        for stage_idx, stage in enumerate(self._plan):
+            sparse = self._sparse_stage(
+                stage_idx, stage, flat, offsets, sigma, depth, margin, sparse
+            )
+            if sparse is None:
+                break
         return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
 
     def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed, scratch) -> None:
@@ -369,7 +388,7 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         np.logical_and(alive, mask, out=passed)
         depth[passed] += 1
 
-    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse):
+    def _sparse_stage(self, stage_idx, stage, flat, offsets, sigma, depth, margin, sparse):
         ys, xs = sparse
         if ys.size == 0:
             return None
@@ -381,10 +400,9 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         np.multiply(ys, self._stride, out=base)
         np.add(base, xs, out=base)
         sums.fill(0.0)
-        offsets = self._offsets
         for cl in stage.classifiers:
             # gather all corners of all rects at once: (n_rects, 4, n)
-            corners = flat.take(offsets[cl.start : cl.end] + base)
+            corners = flat.take(offsets[cl.start : cl.end, :, np.newaxis] + base)
             vals.fill(0.0)
             for r, (_x0, _y0, _x1, _y1, wt) in enumerate(cl.rects):
                 g = corners[r]

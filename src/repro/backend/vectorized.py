@@ -6,11 +6,15 @@ ReferenceBackend`, neither of which may move a single output bit:
 * the dense->sparse switch happens much earlier (25% of anchors alive
   instead of 4%), so mid-cascade stages run on gathered survivors instead
   of full grids — most stages touch a fraction of the elements;
-* a sparse stage costs a fixed number of array ops per *rectangle group*
-  of the compiled cascade (:meth:`~repro.backend.compiled.
-  CompiledCascade.layout`), whatever its classifier count: one corner
-  gather, the corner combine, at most three slot adds, one threshold
-  multiply, compare and select, and one accumulate.
+* a sparse stage is one *rectangle group* of the compiled cascade
+  (:attr:`~repro.backend.compiled.CompiledCascade.layout`) and costs a
+  fixed number of array ops per chunk of survivors, whatever its
+  classifier count: one corner gather, the corner combine, at most three
+  slot adds, one threshold multiply, compare and select, and one
+  accumulate.  Chunks are sized so a gather and its index stay inside
+  ``_GROUP_ELEMS`` however many survivors are alive, and the corner
+  offsets are bound into one arena buffer per kernel call, so the
+  kernel's memory follows the work in flight, not the level count.
 
 Bit-identity holds because every elementwise operation keeps the
 reference order — ``((A - B) - C) + D``, then ``* weight``, then a
@@ -26,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.base import WINDOW_AREA, CascadeMaps
-from repro.backend.compiled import GroupLayout
 from repro.backend.reference import (
     ReferenceBackend,
     ReferenceBilinearPlan,
@@ -47,9 +50,10 @@ __all__ = [
 #: here, so most of the cascade runs on survivors only
 VEC_SPARSE_THRESHOLD = 0.25
 
-#: per-gather element budget for one batched corner block ``(R, 4, n)``;
-#: keeps a single ``take`` under ~16 MiB of float64 even on large levels
-_GROUP_ELEMS = 1 << 21
+#: per-gather element budget of one survivor chunk's ``(4, R_s, m)`` corner
+#: block: the gather and its int64 index take ``2 * 8 * _GROUP_ELEMS`` bytes,
+#: 1 MiB, which still fits a core's L2 (the sweep is in DESIGN.md §9)
+_GROUP_ELEMS = 1 << 16
 
 
 class VectorizedBilinearPlan(ReferenceBilinearPlan):
@@ -97,13 +101,15 @@ class VectorizedIntegralPlan(ReferenceIntegralPlan):
         n = images.shape[0]
         iis = np.zeros((n, self.height + 1, self.width + 1), dtype=np.float64)
         sqiis = np.zeros_like(iis)
-        img64 = images.astype(np.float64)
-        np.cumsum(img64, axis=1, out=img64)
-        np.cumsum(img64, axis=2, out=iis[:, 1:, 1:])
-        sq64 = np.asarray(images, dtype=np.float64)
-        np.multiply(sq64, sq64, out=sq64)
-        np.cumsum(sq64, axis=1, out=sq64)
-        np.cumsum(sq64, axis=2, out=sqiis[:, 1:, 1:])
+        # as compute(): cast and square straight into the padded interiors,
+        # then scan them in place, with no float64 staging stacks
+        body, sqbody = iis[:, 1:, 1:], sqiis[:, 1:, 1:]
+        body[...] = images
+        np.cumsum(body, axis=1, out=body)
+        np.cumsum(body, axis=2, out=body)
+        np.multiply(images, images, dtype=np.float64, out=sqbody)
+        np.cumsum(sqbody, axis=1, out=sqbody)
+        np.cumsum(sqbody, axis=2, out=sqbody)
         return iis, sqiis
 
 
@@ -114,72 +120,54 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         self, cascade, mapping, *, sparse_threshold: float | None = None, arena=None
     ) -> None:
         super().__init__(cascade, mapping, sparse_threshold=sparse_threshold, arena=arena)
-        self._groups = self._layout().stages
         self._ii_shape = (mapping.level_height + 1, mapping.level_width + 1)
 
     def _default_sparse_threshold(self) -> float:
         return VEC_SPARSE_THRESHOLD
 
-    def _layout(self) -> GroupLayout:
-        # groups are capped so one (R, 4, nmax) corner gather stays inside
-        # _GROUP_ELEMS; the layout depends on nothing else
-        return self._compiled.layout(max(4, _GROUP_ELEMS // max(1, 4 * self._nmax)))
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        layout = self._compiled.layout
+        return layout.rows, layout.cols
 
-    def _rect_order(self):
-        return self._layout().order
+    def _survivors(self, alive: np.ndarray) -> np.ndarray:
+        # flat anchor indices: one int64 per survivor, compacted in place
+        return np.flatnonzero(alive)
 
-    def _sparse_stage(self, stage_idx, stage, flat, sigma, depth, margin, sparse):
-        """One stage over the survivors ``sparse``: a fixed number of array
-        ops per rectangle group, whatever its classifier count.
+    def _sparse_stage(self, stage_idx, stage, flat, offsets, sigma, depth, margin, sparse):
+        """One stage over the survivors ``sparse``, a fixed number of array
+        ops per chunk of them, whatever the stage's classifier count.
 
-        ``sparse`` indexes the anchor grid, ``(ys, xs)``, or a stack of
-        them, ``(fs, ys, xs)`` over the flattened stacked integrals.
+        ``sparse`` holds flat indices into ``depth`` — one anchor grid, or
+        a stack of them over the flattened stacked integrals ``flat``.
+        The survivors are walked in chunks whose ``(4, R_s, m)`` corner
+        gather (and its index) stays inside ``_GROUP_ELEMS``; the
+        arithmetic is per survivor, so chunking moves no bit.  Survivors
+        of the stage are compacted into the front of ``sparse``, which
+        is returned shortened.
         """
-        n = sparse[0].size
+        n = sparse.size
         if n == 0:
             return None
-        # flat index of each survivor's window origin in the integral(s)
-        base = np.ravel_multi_index(sparse, depth.shape[:-2] + self._ii_shape)
-        sig = sigma[sparse]
-        sums = np.zeros(n, dtype=np.float64)
-        offsets = self._offsets
-        for group in self._groups[stage_idx]:
-            c = group.n
-            # one gather of every corner of the group, corner-major: (4, R_g, n)
-            corners = flat.take(offsets[group.start : group.end].transpose(1, 0, 2) + base)
-            # rv[r] = (((A - B) - C) + D) * weight, the reference op order
-            rv = corners[0]
-            np.subtract(rv, corners[1], out=rv)
-            np.subtract(rv, corners[2], out=rv)
-            np.add(rv, corners[3], out=rv)
-            np.multiply(rv, group.weights, out=rv)
-            # per-classifier sums, rect by rect: slot k is a prefix of rows
-            vals = rv[:c]
-            row = c
-            for k in group.slots:
-                np.add(vals[:k], rv[row : row + k], out=vals[:k])
-                row += k
-            # the (C, n) temporaries live in the dead B/C/D rows, the mask in
-            # the dead slot rows (every feature has two rects or more)
-            dead = corners[1:].reshape(-1)
-            wv = dead[: c * n].reshape(c, n)
-            acc = dead[c * n : (2 * c + 1) * n].reshape(c + 1, n)
-            mask = rv[c:].reshape(-1).view(np.bool_)[: c * n].reshape(c, n)
-            np.multiply(sig, group.threshold, out=wv)
-            np.less_equal(vals, wv, out=mask)
-            np.copyto(wv, group.right)
-            np.copyto(wv, group.left, where=mask)
-            # the stage sum in cascade order, one classifier after another:
-            # accumulate (never reduce) over the rows [sums; wv[inverse]]
-            acc[0] = sums
-            np.take(wv, group.inverse, axis=0, out=acc[1:], mode="clip")
-            np.add.accumulate(acc, axis=0, out=acc)
-            np.copyto(sums, acc[c])
-        margin[sparse] = sums - stage.threshold
-        keep = sums >= stage.threshold
-        survivors = tuple(ix[keep] for ix in sparse)
-        depth[survivors] += 1
-        return survivors
+        group = self._compiled.layout.stages[stage_idx]
+        # (4, R_s, 1): every corner offset of the stage, corner-major
+        stage_offsets = offsets[group.start : group.end].T[:, :, np.newaxis]
+        shape = depth.shape
+        ii_shape = shape[:-2] + self._ii_shape
+        depth, margin, sigma = depth.reshape(-1), margin.reshape(-1), sigma.reshape(-1)
+        chunk = max(1, _GROUP_ELEMS // (4 * (group.end - group.start)))
+        kept = 0
+        for i in range(0, n, chunk):
+            anchors = sparse[i : i + chunk]
+            # flat index of each survivor's window origin in the integral(s)
+            base = np.ravel_multi_index(np.unravel_index(anchors, shape), ii_shape)
+            sums = _stage_sums(group, flat, stage_offsets, base, sigma[anchors])
+            margin[anchors] = sums - stage.threshold
+            alive = anchors[sums >= stage.threshold]
+            depth[alive] += 1
+            # chunks are read before they are overwritten: kept <= i
+            sparse[kept : kept + alive.size] = alive
+            kept += alive.size
+        return sparse[:kept]
 
     # -- fused multi-frame evaluation ---------------------------------------
     #
@@ -205,9 +193,10 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         margin = np.zeros((n, ay, ax), dtype=np.float64)
         alive = np.ones((n, ay, ax), dtype=bool)
         passed = np.empty((n, ay, ax), dtype=bool)
-        sparse: tuple[np.ndarray, ...] | None = None
+        sparse = None
         total = n * ay * ax
         flat = iis.reshape(-1)
+        offsets = self._bind_offsets()
 
         for stage_idx, stage in enumerate(self._plan):
             if sparse is None:
@@ -215,9 +204,11 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
                 if live == 0:
                     break
                 if live < max(64, self._sparse_threshold * total):
-                    sparse = np.nonzero(alive)
+                    sparse = self._survivors(alive)
             if sparse is not None:
-                sparse = self._sparse_stage(stage_idx, stage, flat, sigma, depth, margin, sparse)
+                sparse = self._sparse_stage(
+                    stage_idx, stage, flat, offsets, sigma, depth, margin, sparse
+                )
                 if sparse is None:
                     break
             else:
@@ -276,6 +267,48 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         np.greater_equal(sums, stage.threshold, out=mask)
         np.logical_and(alive, mask, out=passed)
         depth[passed] += 1
+
+
+def _stage_sums(group, flat, stage_offsets, base, sig) -> np.ndarray:
+    """Stage sums of one survivor chunk: ``base`` window origins in
+    ``flat``, ``sig`` their sigmas.
+
+    Its corner gather and every temporary die on return, so one chunk's
+    ``(4, R_s, m)`` block is never alive next to the next one's.
+    """
+    c, m = group.n, base.size
+    # one gather of every corner of the stage: (4, R_s, m); the index is
+    # built C-ordered, or take() would copy it once more
+    corners = flat.take(np.add(stage_offsets, base, order="C"))
+    # rv[r] = (((A - B) - C) + D) * weight, the reference op order
+    rv = corners[0]
+    np.subtract(rv, corners[1], out=rv)
+    np.subtract(rv, corners[2], out=rv)
+    np.add(rv, corners[3], out=rv)
+    np.multiply(rv, group.weights, out=rv)
+    # per-classifier sums, rect by rect: slot k is a prefix of rows
+    vals = rv[:c]
+    row = c
+    for k in group.slots:
+        np.add(vals[:k], rv[row : row + k], out=vals[:k])
+        row += k
+    # the (C, m) temporaries live in the dead B/C/D rows, the mask in the
+    # dead slot rows (every feature has two rects or more)
+    dead = corners[1:].reshape(-1)
+    wv = dead[: c * m].reshape(c, m)
+    acc = dead[c * m : (2 * c + 1) * m].reshape(c + 1, m)
+    mask = rv[c:].reshape(-1).view(np.bool_)[: c * m].reshape(c, m)
+    np.multiply(sig, group.threshold, out=wv)
+    np.less_equal(vals, wv, out=mask)
+    np.copyto(wv, group.right)
+    np.copyto(wv, group.left, where=mask)
+    # the stage sum in cascade order, one classifier after another:
+    # accumulate (never reduce) over the rows [0; wv[inverse]], the zero
+    # row being the reference's sums = 0 start (0.0 + -0.0 is +0.0)
+    acc[0] = 0.0
+    np.take(wv, group.inverse, axis=0, out=acc[1:], mode="clip")
+    np.add.accumulate(acc, axis=0, out=acc)
+    return acc[c].copy()
 
 
 class VectorizedBackend(ReferenceBackend):

@@ -1,15 +1,15 @@
 """Byte identity of the vectorized sparse kernel against ``reference``.
 
-The vectorized kernel evaluates a sparse stage one rectangle group at a
-time: per-classifier sums as slot adds over a slot-major layout, then one
-row-wise accumulate of the classifier outputs (see
-:mod:`repro.backend.compiled`).  Every case here compares the depth,
-margin and sigma bytes with the reference evaluator, which keeps its
-per-classifier loop.  The cases reach the kernel's edges: stages split
-into several groups, a single survivor (where a reordered sum would
-show), survivors that all die mid-cascade, a masked walk seeded with
-more survivors than the dense->sparse switch ever keeps, and a fused
-three-frame batch.
+The vectorized kernel evaluates a sparse stage as one rectangle group,
+chunk of survivors by chunk: per-classifier sums as slot adds over a
+slot-major layout, then one row-wise accumulate of the classifier
+outputs (see :mod:`repro.backend.compiled`).  Every case here compares
+the depth, margin and sigma bytes with the reference evaluator, which
+keeps its per-classifier loop.  The cases reach the kernel's edges:
+chunks of one survivor and a last chunk shorter than the rest, a single
+survivor (where a reordered sum would show), survivors that all die
+mid-cascade, a masked walk seeded with more survivors than the
+dense->sparse switch ever keeps, and a fused three-frame batch.
 
 ``quick_cascade(seed=0)`` mixes 2-, 3- and 4-rectangle features, so
 every group has classifiers of several rectangle counts.
@@ -22,6 +22,7 @@ import pytest
 
 import repro.backend.vectorized as vectorized
 from repro.backend import get_backend
+from repro.backend.vectorized import VectorizedCascadeEvaluator
 from repro.detect.windows import BlockMapping
 from repro.haar.features import feature_rects
 from repro.image.integral import integral_image, squared_integral_image
@@ -78,14 +79,62 @@ def test_scene_levels(cascade, scenes):
         _assert_same(got, want)
 
 
-def test_every_stage_split_into_three_groups(cascade, scenes, monkeypatch):
-    # the smallest cap: a group holds one classifier, or two 2-rect ones
-    monkeypatch.setattr(vectorized, "_GROUP_ELEMS", 1)
+def _record_walks(monkeypatch):
+    """``(survivors, chunk size)`` of every vectorized sparse stage run."""
+    walks = []
+    walk = VectorizedCascadeEvaluator._sparse_stage
+
+    def recording(self, stage_idx, *args):
+        group = self._compiled.layout.stages[stage_idx]
+        chunk = max(1, vectorized._GROUP_ELEMS // (4 * (group.end - group.start)))
+        walks.append((args[-1].size, chunk))
+        return walk(self, stage_idx, *args)
+
+    monkeypatch.setattr(VectorizedCascadeEvaluator, "_sparse_stage", recording)
+    return walks
+
+
+def _masked_active(evaluator, ii, sqii):
+    """Most anchors active: more than the dense->sparse switch keeps."""
+    active = np.ones(evaluator.window_sigma(ii, sqii).shape, dtype=bool)
+    active[::7, ::5] = False
+    assert active.sum() > evaluator._nmax
+    return active
+
+
+@pytest.mark.parametrize("elems", [1, 997], ids=["one-survivor-chunks", "ragged-chunks"])
+def test_chunk_boundaries(cascade, scenes, monkeypatch, elems):
+    """Chunked survivor walks, byte for byte against ``reference``.
+
+    ``_GROUP_ELEMS = 1`` makes every chunk one survivor; ``997`` leaves a
+    last chunk shorter than the rest.  Each is run on a single frame, a
+    masked walk seeded past the switch point and a fused N=3 batch.
+    """
+    monkeypatch.setattr(vectorized, "_GROUP_ELEMS", elems)
+    walks = _record_walks(monkeypatch)
+    reference = _evaluator("reference", cascade, scenes[0])
     evaluator = _evaluator("vectorized", cascade, scenes[0])
-    assert min(len(groups) for groups in evaluator._groups) >= 3
     ii, sqii = _integrals(scenes[0])
-    want = _evaluator("reference", cascade, scenes[0]).evaluate(ii, sqii)
-    _assert_same(evaluator.evaluate(ii, sqii), want)
+    active = _masked_active(evaluator, ii, sqii)
+    iis = np.stack([integral_image(image) for image in scenes])
+    sqiis = np.stack([squared_integral_image(image) for image in scenes])
+    cases = {
+        "frame": lambda ev: [ev.evaluate(ii, sqii)],
+        "masked": lambda ev: [ev.evaluate_masked(ii, sqii, active)],
+        "fused": lambda ev: ev.evaluate_batch(iis, sqiis),
+    }
+    for name, run in cases.items():
+        walks.clear()
+        got = run(evaluator)
+        if elems == 1:
+            assert {chunk for _, chunk in walks} == {1}, name
+            assert max(n for n, _ in walks) > 1, name
+        else:
+            assert any(n > chunk and n % chunk for n, chunk in walks), name
+        want = run(reference)
+        assert len(got) == len(want)
+        for lane, oracle in zip(got, want):
+            _assert_same(lane, oracle)
 
 
 def test_one_survivor(cascade, scenes):
@@ -120,9 +169,7 @@ def test_masked_walk_seeded_past_nmax(cascade, scenes):
     image = scenes[1]
     ii, sqii = _integrals(image)
     evaluator = _evaluator("vectorized", cascade, image)
-    active = np.ones(evaluator.window_sigma(ii, sqii).shape, dtype=bool)
-    active[::7, ::5] = False
-    assert active.sum() > evaluator._nmax
+    active = _masked_active(evaluator, ii, sqii)
     want = _evaluator("reference", cascade, image).evaluate_masked(ii, sqii, active)
     _assert_same(evaluator.evaluate_masked(ii, sqii, active), want)
     full = _evaluator("reference", cascade, image).evaluate(ii, sqii)

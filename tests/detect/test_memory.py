@@ -1,7 +1,7 @@
 """Deterministic memory guards for the executor and its results.
 
-Five bounds, measured with ``tracemalloc`` (allocation counts, not the
-noisy process RSS), four of them on 480x270 frames:
+Six bounds, measured with ``tracemalloc`` (allocation counts, not the
+noisy process RSS), five of them on 480x270 frames:
 
 * a workspace holds one largest-level scratch set (its one arena), the
   fast path's temporal cache and its frame-independent plans — not one
@@ -9,21 +9,22 @@ noisy process RSS), four of them on 480x270 frames:
   what its policy reads again;
 * the arena holds exactly the buffers DESIGN §7 lists: four float64
   anchor grids, two padded integrals, one bilinear panel and three
-  grids, two launch pads and three flag grids (plus the reference
-  backend's sparse survivor vectors);
+  grids, two launch pads, three flag grids and the cascade's corner
+  offsets (plus the reference backend's sparse survivor vectors);
 * one frame's transient peak stays below the cascade maps of all its
   levels, because the executor runs one level at a time and drops each
   level's maps before building the next;
+* a masked walk over every anchor of a level (the ``fast`` policy after
+  a scene cut) peaks at its maps plus one survivor chunk's corner
+  gather and index, not at a gather sized by the survivor count;
 * an engine result is slim: it pickles to at most 64 KB per frame,
   which is what a process worker sends back;
-* the cascade is compiled once: a workspace's geometries for five frame
-  shapes hold one flat corner-offset table per pyramid level, next to
-  the compiled cascade and its per-cap group layouts, and no table
-  outlives its workspace.
+* the cascade is compiled once, with one group layout, and nothing
+  cascade-sized is kept per pyramid level: corner offsets are bound
+  into the arena per kernel call.
 """
 
 import gc
-import inspect
 import pickle
 import re
 import sys
@@ -34,9 +35,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import compiled as compiled_module
+import repro.backend.vectorized as vectorized
+from repro.backend import get_backend
 from repro.backend.base import SPARSE_THRESHOLD, ScratchArena
-from repro.backend.compiled import CompiledCascade, compile_cascade
+from repro.backend.compiled import GroupLayout, compile_cascade
 from repro.detect.devicebatch import _Geometry
 from repro.detect.engine import DetectionEngine
 from repro.detect.fastpath import FastpathConfig
@@ -51,6 +53,8 @@ from repro.zoo import quick_cascade
 SHAPE = (270, 480)
 #: the serving mix: five frame shapes, 42 distinct pyramid level widths
 MIXED_SHAPES = ((96, 96), (120, 160), (180, 240), (240, 320), (270, 480))
+#: twenty more shapes, none larger than the mix, so no arena buffer grows
+FURTHER_SHAPES = tuple((64 + 7 * k, 80 + 9 * k) for k in range(20))
 #: pickled bytes one engine result may take per 480x270 frame
 RESULT_BUDGET = 64 * 1024
 #: the fast-path cache's replay state next to its pixels, detections and
@@ -228,13 +232,14 @@ def test_arena_holds_the_documented_buffers(cascade, frames, backend):
         block_h=config.block_h,
     )
     anchors = m.anchors_y * m.anchors_x
-    f64, f32, i32 = 8, 4, 4
+    f64, f32, i32, i64 = 8, 4, 4, 8
     bound = (
         4 * anchors * f64  # tmp, vals, ts, sums
         + 2 * (height + 1) * (width + 1) * f64  # ii, sqii
         + (1 + 3) * height * width * f32  # the row panel and three corner grids
         + 2 * (m.blocks_y * m.block_h) * (m.blocks_x * m.block_w) * i32  # launch pads
         + 3 * anchors  # mask, alive, passed
+        + compile_cascade(cascade).num_rects * 4 * i64  # offsets
     )
     if backend == "reference":
         # five 8-byte vectors and one flag vector, sized by the switch point
@@ -291,41 +296,62 @@ class TestSlimResults:
         )
 
 
-def _offset_table_bytes() -> int:
-    """Live bytes allocated by :meth:`CompiledCascade.offsets`: the
-    per-stride corner tables, and nothing else."""
-    lines, first = inspect.getsourcelines(CompiledCascade.offsets)
-    span = range(first, first + len(lines))
-    return sum(
-        trace.size
-        for trace in tracemalloc.take_snapshot().traces
-        if trace.traceback[0].filename == compiled_module.__file__
-        and trace.traceback[0].lineno in span
-    )
+def test_masked_walk_over_every_anchor_is_bounded(cascade, frames):
+    """``fast`` after a scene cut: ``evaluate_masked`` with every anchor of
+    a 480x270 level active, called as the fast path calls it (with its
+    screen's sigma grid).  The survivors are walked in chunks, so the
+    peak is the level's maps, one chunk's gather and index, and the
+    survivor list, whatever the survivor count."""
+    height, width = SHAPE
+    backend = get_backend("vectorized")
+    arena = ScratchArena()
+    ii, sqii = backend.make_integral_plan(height, width, arena=arena).compute(frames[0])
+    mapping = BlockMapping(level_width=width, level_height=height)
+    evaluator = backend.make_cascade_evaluator(cascade, mapping, arena=arena)
+    sigma = evaluator.window_sigma(ii, sqii)
+    active = np.ones(sigma.shape, dtype=bool)
+    evaluator.evaluate_masked(ii, sqii, active, sigma=sigma)  # arena in place
+    _, peak, maps = _traced(lambda: evaluator.evaluate_masked(ii, sqii, active, sigma=sigma))
+    level_maps = maps.depth_map.nbytes + maps.margin_map.nbytes + maps.sigma_map.nbytes
+    bound = level_maps + 2 * vectorized._GROUP_ELEMS * 8 + (1 << 20)
+    assert peak <= bound, (peak, bound)
+
+
+def _long_cascade(cascade) -> Cascade:
+    """A fresh cascade as large as ``paper`` (4312 vs 4409 rectangles):
+    the quick cascade's stages seven times over, so one offset table
+    outweighs a level's frame-independent plans."""
+    return Cascade(stages=cascade.stages * 7, name="long")
+
+
+def _feed(workspace, shapes) -> int:
+    """Pyramid levels the workspace holds after one blank frame per shape."""
+    for shape in shapes:
+        workspace.process_frame(np.zeros(shape, dtype=np.float32))
+    return sum(len(geo.levels) for geo in workspace._geometries.values())
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "arrayapi"])
+def test_one_layout_and_no_cascade_sized_array_per_level(cascade, backend):
+    pipeline = _pipeline(_long_cascade(cascade), backend, "off")
+    workspace = pipeline.make_workspace()
+    _feed(workspace, MIXED_SHAPES)
+    compiled = compile_cascade(pipeline.cascade)
+    table = compiled.num_rects * 4 * np.dtype(np.int64).itemsize
+    for geo in workspace._geometries.values():
+        for level in geo.levels:
+            held = [v for v in vars(level.evaluator).values() if isinstance(v, np.ndarray)]
+            assert all(array.nbytes < table for array in held)
+    layouts = [v for v in vars(compiled).values() if isinstance(v, GroupLayout)]
+    assert layouts == [compiled.layout]
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_one_offset_table_per_level_freed_with_the_workspace(cascade, backend):
-    # a fresh cascade object: its compiled form and layouts are built here
-    fresh = Cascade.from_dict(cascade.to_dict())
-    pipeline = _pipeline(fresh, backend, "off")
-    gc.collect()
-    tracemalloc.start()
-    try:
-        workspace = pipeline.make_workspace()
-        for shape in MIXED_SHAPES:
-            workspace.process_frame(np.zeros(shape, dtype=np.float32))
-        levels = sum(len(geo.levels) for geo in workspace._geometries.values())
-        tables = _offset_table_bytes()
-        compiled = compile_cascade(pipeline.cascade)
-        table = compiled.num_rects * 4 * np.dtype(np.int64).itemsize
-        # one (R, 4, 1) int64 table per level, each with its array header
-        assert levels * table <= tables <= levels * (table + 1024), (levels, table, tables)
-        # group layouts are per element cap, shared by every stride
-        assert len(compiled._layouts) <= levels
-        del workspace
-        gc.collect()
-        # numpy's small shape caches may keep a few hundred bytes, no table
-        assert _offset_table_bytes() < table
-    finally:
-        tracemalloc.stop()
+def test_new_levels_retain_less_than_an_offset_table_each(cascade, backend):
+    pipeline = _pipeline(_long_cascade(cascade), backend, "off")
+    workspace = pipeline.make_workspace()
+    before = _feed(workspace, MIXED_SHAPES)
+    grown, _, after = _traced(lambda: _feed(workspace, FURTHER_SHAPES))
+    table = compile_cascade(pipeline.cascade).num_rects * 4 * np.dtype(np.int64).itemsize
+    assert after - before >= len(FURTHER_SHAPES)
+    assert grown < (after - before) * table, (grown, after - before, table)
