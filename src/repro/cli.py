@@ -261,15 +261,14 @@ def _add_device_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_device(args: argparse.Namespace) -> str | None:
-    device = getattr(args, "device", None)
-    if device is None and getattr(args, "gpu", False):
-        device = "auto"
-    return device
+    if args.device is None and args.gpu:
+        return "auto"
+    return args.device
 
 
 def _maybe_list_devices(args: argparse.Namespace) -> bool:
     """Handle ``--device list``: print the probe report, signal early exit."""
-    if getattr(args, "device", None) != "list":
+    if args.device != "list":
         return False
     from repro.backend import probe_all
 
@@ -280,16 +279,6 @@ def _maybe_list_devices(args: argparse.Namespace) -> bool:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.config import active_profile
 
-    if _maybe_list_devices(args):
-        return 0
-    if args.experiment == "throughput":
-        return _cmd_bench_throughput(args)
-    if args.experiment == "serving":
-        return _cmd_bench_serving(args)
-    if args.experiment == "fastpath":
-        return _cmd_bench_fastpath(args)
-    if args.experiment == "devicebatch":
-        return _cmd_bench_devicebatch(args)
     if args.experiment == "swap":
         return _cmd_bench_swap(args)
     if args.experiment == "check":
@@ -307,60 +296,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.experiment not in drivers:
         print(
             f"unknown experiment {args.experiment!r}; choose from "
-            f"{sorted(drivers) + ['check', 'devicebatch', 'fastpath', 'serving', 'swap', 'throughput']}"
+            f"{sorted(drivers) + ['check', 'swap']}"
         )
         return 2
     print(drivers[args.experiment]())
     return 0
-
-
-def _bench_kwargs(args: argparse.Namespace, names: str) -> dict:
-    """The named (space-separated) bench flags that were set; unset ones
-    keep the runner's own default."""
-    return {n: getattr(args, n) for n in names.split() if getattr(args, n) is not None}
-
-
-def _write_bench(args: argparse.Namespace, result) -> int:
-    print(result.format_table())
-    path = result.write_json(args.output or f"BENCH_{args.experiment}.json")
-    print(f"benchmark artifact -> {path}")
-    return 0
-
-
-def _cmd_bench_throughput(args: argparse.Namespace) -> int:
-    from repro.experiments.throughput import run_throughput
-
-    result = run_throughput(
-        device=_resolve_device(args),
-        **_bench_kwargs(
-            args, "frames workers width height trials warmup cascade backend mode fastpath"
-        ),
-    )
-    return _write_bench(args, result)
-
-
-def _cmd_bench_fastpath(args: argparse.Namespace) -> int:
-    from repro.experiments.fastpath import run_fastpath
-
-    result = run_fastpath(
-        **_bench_kwargs(
-            args, "trailer frames width height hold trials warmup cascade backend tile min_sigma"
-        )
-    )
-    return _write_bench(args, result)
-
-
-def _cmd_bench_devicebatch(args: argparse.Namespace) -> int:
-    from repro.experiments.devicebatch import run_devicebatch
-
-    kwargs = _bench_kwargs(args, "trailer frames width height trials warmup cascade backend")
-    if args.batch_sizes is not None:
-        try:
-            kwargs["batch_sizes"] = tuple(int(b) for b in args.batch_sizes.split(","))
-        except ValueError:
-            print(f"--batch-sizes must be comma-separated integers, got {args.batch_sizes!r}")
-            return 2
-    return _write_bench(args, run_devicebatch(**kwargs))
 
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
@@ -375,27 +315,21 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    from repro.experiments.serving import run_serving
-
-    result = run_serving(
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
-        **_bench_kwargs(args, "requests concurrency width height cascade backend workers"),
-    )
-    return _write_bench(args, result)
-
-
 def _cmd_bench_swap(args: argparse.Namespace) -> int:
     from repro.experiments.swap import run_swap
 
-    kwargs = _bench_kwargs(args, "swap_to requests concurrency width height backend workers")
+    # only the flags that were set: unset ones keep run_swap's own defaults
+    names = "swap_to requests concurrency width height backend workers"
+    kwargs = {n: getattr(args, n) for n in names.split() if getattr(args, n) is not None}
     if args.cascade is not None:
         kwargs["model"] = args.cascade
     result = run_swap(
         max_batch=args.max_batch, max_delay_s=args.max_delay_ms / 1e3, **kwargs
     )
-    return _write_bench(args, result)
+    print(result.format_table())
+    path = result.write_json(args.output or "BENCH_swap.json")
+    print(f"benchmark artifact -> {path}")
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -441,8 +375,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.experiments.serving import serving_artifact
-    from repro.serve.loadgen import build_payloads, run_loadtest
+    from repro.serve.loadgen import build_payloads, run_loadtest, serving_artifact
     from repro.utils.tables import format_table
 
     payloads = build_payloads(
@@ -668,38 +601,16 @@ def build_parser() -> argparse.ArgumentParser:
         "take that experiment's own defaults.",
     )
     p.add_argument(
-        "experiment",
-        help="table1|table2|fig5|fig6|fig7|fig8|fig9|throughput|serving|"
-        "fastpath|devicebatch|swap|check",
+        "experiment", help="table1|table2|fig5|fig6|fig7|fig8|fig9|swap|check"
     )
     p.add_argument(
         "files",
         nargs="*",
         help="BENCH_*.json artifacts to validate (check; default: glob cwd)",
     )
-    p.add_argument(
-        "--frames", type=int, help="frames (throughput, fastpath, devicebatch)"
-    )
-    p.add_argument(
-        "--workers", type=int, help="engine workers (throughput, serving, swap)"
-    )
-    p.add_argument("--width", type=int, help="frame width")
-    p.add_argument("--height", type=int, help="frame height")
-    p.add_argument(
-        "--trials", type=int, help="timing rounds (throughput, fastpath, devicebatch)"
-    )
-    p.add_argument(
-        "--warmup",
-        type=int,
-        help="untimed warmup rounds before the scored rounds "
-        "(throughput, fastpath, devicebatch)",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("threads", "processes", "auto"),
-        help="primary engine sharding mode for the headline speedup and the "
-        "instrumented pass; all three paths are always timed (throughput)",
-    )
+    p.add_argument("--workers", type=int, help="engine workers (swap)")
+    p.add_argument("--width", type=int, help="frame width (swap)")
+    p.add_argument("--height", type=int, help="frame height (swap)")
     p.add_argument(
         "--cascade",
         choices=("quick", "paper", "opencv"),
@@ -709,53 +620,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help="compute backend (reference/vectorized/arrayapi; default: "
-        "$REPRO_BACKEND or reference; fastpath and devicebatch: vectorized)",
+        "$REPRO_BACKEND or reference) (swap)",
     )
-    _add_device_flags(p)
     p.add_argument(
         "--output", help="JSON artifact path (default: BENCH_<experiment>.json)"
     )
-    p.add_argument("--requests", type=int, help="requests (serving, swap)")
-    p.add_argument(
-        "--concurrency", type=int, help="closed-loop clients (serving, swap)"
-    )
-    p.add_argument(
-        "--max-batch", type=int, default=8, help="micro-batch width (serving, swap)"
-    )
+    p.add_argument("--requests", type=int, help="requests (swap)")
+    p.add_argument("--concurrency", type=int, help="closed-loop clients (swap)")
+    p.add_argument("--max-batch", type=int, default=8, help="micro-batch width (swap)")
     p.add_argument(
         "--max-delay-ms",
         type=float,
         default=4.0,
-        help="micro-batch collection window (serving, swap)",
-    )
-    p.add_argument(
-        "--fastpath",
-        choices=("off", "exact", "fast"),
-        default=None,
-        help="two-tier fast-path policy for the timed pipelines "
-        "(default: $REPRO_FASTPATH or off) (throughput)",
-    )
-    p.add_argument(
-        "--trailer", help="synthetic Table II trailer (fastpath, devicebatch)"
-    )
-    p.add_argument(
-        "--hold",
-        type=int,
-        help="times each rendered frame repeats — display-rate pulldown "
-        "cadence (fastpath)",
-    )
-    p.add_argument(
-        "--tile", type=int, help="proposal screen tile size (fastpath)"
-    )
-    p.add_argument(
-        "--min-sigma",
-        type=float,
-        help="variance screen threshold (fastpath)",
-    )
-    p.add_argument(
-        "--batch-sizes",
-        help="comma-separated device-batch widths to sweep; must include "
-        "1, the per-frame baseline (devicebatch)",
+        help="micro-batch collection window (swap)",
     )
     p.add_argument(
         "--swap-to",

@@ -87,7 +87,7 @@ class BatchReport:
         return {tag: s / denom for tag, s in self.stage_busy_seconds.items()}
 
     def to_dict(self) -> dict:
-        """JSON-serialisable summary (the ``BENCH_throughput.json`` payload)."""
+        """JSON-serialisable summary."""
         out = {
             "frames": self.frames,
             "simulated_seconds": self.simulated_seconds,

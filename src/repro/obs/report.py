@@ -2,7 +2,7 @@
 
 :func:`build_snapshot` folds a :class:`~repro.obs.metrics.MetricsRegistry`
 and a :class:`~repro.obs.tracer.Tracer` into one JSON-serialisable dict —
-the artefact ``repro trace`` writes and ``BENCH_throughput.json`` embeds.
+the artefact ``repro trace`` writes and ``/stats`` serves.
 Derived values bridge the simulated layer: the stage-1 rejection rate
 comes from the engine-accumulated Fig. 7 histogram counters, and the
 max queue depth from the engine's in-flight gauge.

@@ -122,8 +122,7 @@ class MicroBatcher:
         :meth:`DetectionEngine.submit` so worker-side spans carry the
         request identity.
     max_batch:
-        Largest batch handed to ``infer`` (``1`` disables coalescing —
-        the unbatched baseline the serving benchmark compares against).
+        Largest batch handed to ``infer`` (``1`` disables coalescing).
     max_delay_s:
         Longest the first request of a batch waits for company.
     executor:

@@ -4,8 +4,7 @@ Two drive modes, because they answer different questions:
 
 * **closed loop** — ``concurrency`` workers, each sending its next
   request the moment the previous answer lands.  Measures the service's
-  sustainable throughput at a fixed number of outstanding requests —
-  the number the serving benchmark gates on.
+  sustainable throughput at a fixed number of outstanding requests.
 * **open loop** — requests launched on a fixed-rate schedule regardless
   of completions, the shape real traffic has.  Latency is measured from
   each request's *scheduled* start, so queueing delay caused by a slow
@@ -27,9 +26,19 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.protocol import TRACE_ID_HEADER
+from repro.utils.provenance import provenance
 from repro.video.pnm import encode_pgm
 
-__all__ = ["LoadTestResult", "build_payloads", "run_loadtest"]
+__all__ = [
+    "LoadTestResult",
+    "build_payloads",
+    "run_loadtest",
+    "serving_artifact",
+    "BENCH_SERVING_SCHEMA_VERSION",
+]
+
+#: ``BENCH_serving-loadtest.json`` schema version
+BENCH_SERVING_SCHEMA_VERSION = 1
 
 _CLIENT_MAX_BODY = 64 * 1024 * 1024
 
@@ -136,6 +145,52 @@ class LoadTestResult:
                 else {}
             ),
         }
+
+
+def serving_artifact(
+    result: LoadTestResult,
+    *,
+    width: int,
+    height: int,
+    frames: int,
+    trailer: str | None,
+    server_stats: dict | None = None,
+) -> dict:
+    """The ``repro loadtest`` artifact: one run against an external server.
+
+    Tagged ``serving-loadtest``.  One run has no unbatched counterpart,
+    so ``speedup`` and ``identical_responses`` are ``null``, and
+    ``repro bench check`` gates on what is knowable here: requests
+    succeeded, zero transport errors.
+    """
+    lat = result.latency_summary()
+    engine = (server_stats or {}).get("engine", {})
+    return {
+        "experiment": "serving-loadtest",
+        "schema_version": BENCH_SERVING_SCHEMA_VERSION,
+        "provenance": provenance(mode=engine.get("sharding")),
+        "workload": {
+            "frame_width": width,
+            "frame_height": height,
+            "payload_frames": frames,
+            "trailer": trailer,
+            "requests": result.requests,
+            "concurrency": result.concurrency,
+        },
+        "runs": {
+            "loadtest": {
+                **result.to_dict(),
+                **({"server": server_stats} if server_stats else {}),
+            }
+        },
+        "fps": result.rps,
+        "latency": {
+            "p50_s": lat.get("p50_s", 0.0),
+            "p95_s": lat.get("p95_s", 0.0),
+        },
+        "speedup": None,
+        "identical_responses": None,
+    }
 
 
 def build_payloads(

@@ -1,6 +1,6 @@
 """Benchmark provenance: who produced this artifact, from what tree.
 
-Bench trajectory points (``BENCH_throughput.json`` across PRs) are only
+Bench trajectory points (``BENCH_*.json`` across commits) are only
 comparable when each one records the commit, time and environment that
 produced it; :func:`provenance` gathers that best-effort — a missing
 ``git`` binary or a non-repo checkout degrades to ``"unknown"`` rather
@@ -45,23 +45,14 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def provenance(
-    backend: str | None = None,
-    mode: str | None = None,
-    device: str | None = None,
-    probe: str | None = None,
-) -> dict:
+def provenance(backend: str | None = None, mode: str | None = None) -> dict:
     """Environment fingerprint embedded in benchmark artifacts.
 
     ``backend`` records the active compute-backend name and ``mode`` the
     engine sharding mode, so trajectory points from different backends
-    or executor kinds are never compared as one series.  ``device``
-    records the compute device kind the backend resolved to and
-    ``probe`` the one-line probe path that picked it (which candidates
-    were skipped and why) — a ``cuda`` point and a ``cpu`` point of the
-    same backend are different series too.  ``cpu_count`` rides along
-    because sharded speedups are only interpretable against the core
-    budget that produced them.
+    or executor kinds are never compared as one series.  ``cpu_count``
+    rides along because sharded speedups are only interpretable against
+    the core budget that produced them.
     """
     import os
 
@@ -77,8 +68,4 @@ def provenance(
         out["backend"] = backend
     if mode is not None:
         out["mode"] = mode
-    if device is not None:
-        out["device"] = device
-    if probe is not None:
-        out["probe"] = probe
     return out

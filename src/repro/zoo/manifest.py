@@ -6,8 +6,10 @@ digest, the seed, the git SHA and timestamp of the training run, the
 per-stage trainer round log, the held-out ROC operating point, and a
 content digest over the cascade's canonical JSON.  The content digest is
 the integrity check (a tampered or truncated ``cascade.json`` fails to
-load) and the ``source`` field distinguishes freshly ``trained`` models
-from ``backfilled`` ones adopted from the pre-zoo flat cache.
+load) and the ``source`` field records how the bytes were made
+(``trained``; ``backfilled`` is the tag the flat cache in
+:mod:`repro.utils.artifacts` gives blobs older than their provenance
+record).
 """
 
 from __future__ import annotations

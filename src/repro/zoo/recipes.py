@@ -149,16 +149,6 @@ RECIPES: dict[str, TrainingRecipe] = {
     ),
 }
 
-#: cache filenames the retired ``zoo.py`` wrote (its final ``_RECIPE``
-#: era), used once to adopt already-trained blobs into the store instead
-#: of forcing minutes of retraining; see ``repro.zoo.training``
-LEGACY_CACHE_NAMES: dict[str, str] = {
-    "quick": "quick-gentle-r4-{seed}",
-    "quick_baseline": "quick-ada-r4-{seed}",
-    "paper": "paper-1446-r4-{seed}",
-    "opencv_like": "opencv-2913-r4-f12-{seed}",
-}
-
 
 def recipe_for(name: str) -> TrainingRecipe:
     """Look up a built-in recipe; raises :class:`ZooError` when unknown."""

@@ -13,11 +13,6 @@ cascade to an uninterrupted run.
 Published versions carry a held-out ROC operating point: faces and
 background windows drawn from evaluation-only seed streams
 (``zoo-eval-faces`` / ``zoo-eval-negatives``) that training never sees.
-
-Already-trained blobs from the retired flat cache (the ``_RECIPE="r4"``
-era) are adopted on first use: the cascade is re-published under its
-deterministic version with a ``source="backfilled"`` manifest rather
-than retrained from scratch.
 """
 
 from __future__ import annotations
@@ -43,11 +38,10 @@ from repro.errors import CascadeFormatError, ZooError
 from repro.haar.cascade import Cascade
 from repro.haar.enumeration import subsampled_feature_pool
 from repro.haar.features import WINDOW
-from repro.utils.artifacts import artifact_dir
 from repro.utils.provenance import git_sha
 from repro.utils.rng import rng_for
 from repro.zoo.manifest import ModelManifest, cascade_digest
-from repro.zoo.recipes import LEGACY_CACHE_NAMES, TrainingRecipe, recipe_for
+from repro.zoo.recipes import TrainingRecipe, recipe_for
 from repro.zoo.store import ModelStore, default_store
 
 __all__ = [
@@ -260,68 +254,17 @@ def train_model(
     return cascade, manifest
 
 
-def _adopt_legacy(
-    recipe: TrainingRecipe, seed: int, store: ModelStore
-) -> tuple[Cascade, ModelManifest] | None:
-    """Adopt a pre-zoo flat-cache blob as a ``backfilled`` version.
-
-    The retired ``zoo.py`` cached bare cascade JSON under recipe-era
-    filenames.  Training was already seeded-deterministic then, so the
-    blob's stages are exactly what retraining would produce — only the
-    embedded name differs.  Rebuilding the cascade under the recipe name
-    makes the adopted bytes identical to a fresh ``source="trained"``
-    run, and the manifest records the adoption instead of silently
-    trusting the blob.
-    """
-    template = LEGACY_CACHE_NAMES.get(recipe.name)
-    if template is None:
-        return None
-    path = artifact_dir() / f"{template.format(seed=seed)}.cascade.json"
-    if not path.is_file():
-        return None
-    try:
-        legacy = Cascade.load(path)
-    except CascadeFormatError:
-        return None
-    if legacy.stage_sizes() != list(recipe.stage_sizes):
-        return None
-    cascade = Cascade(
-        stages=legacy.stages,
-        name=recipe.name,
-        window=legacy.window,
-        meta=dict(legacy.meta),
-    )
-    version = recipe.version(seed)
-    manifest = ModelManifest(
-        model=recipe.name,
-        version=version,
-        recipe=recipe,
-        recipe_digest=recipe.digest(),
-        content_digest=cascade_digest(cascade),
-        seed=seed,
-        source="backfilled",
-        git_sha=git_sha(),
-        rounds=(),
-        evaluation=evaluate_recipe(cascade, recipe, seed),
-    )
-    store.publish(cascade, manifest)
-    return cascade, manifest
-
-
 def load_or_train(
     recipe: TrainingRecipe | str,
     *,
     seed: int = 0,
     store: ModelStore | None = None,
 ) -> tuple[Cascade, ModelManifest]:
-    """Load a published version, adopt a legacy blob, or train."""
+    """Load a published version, or train and publish it."""
     if isinstance(recipe, str):
         recipe = recipe_for(recipe)
     store = store if store is not None else default_store()
     version = recipe.version(seed)
     if store.has(recipe.name, version):
         return store.load(f"{recipe.name}@{version}")
-    adopted = _adopt_legacy(recipe, seed, store)
-    if adopted is not None:
-        return adopted
     return train_model(recipe, seed=seed, store=store)

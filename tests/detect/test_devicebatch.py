@@ -8,8 +8,8 @@ threads, processes), through both ``process_frames`` and
 the ``arrayapi`` backend (``exactness="tolerance"``) is held to the
 detection-level IoU/score gate instead.  Unit tests pin the engine's
 batch-formation rule (``_iter_groups``), the launch-fusion helpers and
-the transfer accounting the ``BENCH_devicebatch.json`` columns are built
-from.
+the transfer accounting (fused crossings + saved == per-frame crossings;
+width 1 fuses and saves nothing).
 """
 
 import numpy as np
@@ -256,8 +256,11 @@ class TestAccounting:
             device_batch=1,
         ) as engine:
             list(engine.process_frames(iter(frames)))
-        unfused = registry2.snapshot()["counters"]["engine.device_transfers"]
-        assert transfers + saved == unfused
+        # width 1 fuses nothing and saves nothing
+        unfused = build_snapshot(registry2)
+        assert unfused["batching"]["fused_batches"] == 0
+        assert unfused["counters"]["engine.device_transfers_saved"] == 0
+        assert transfers + saved == unfused["counters"]["engine.device_transfers"]
 
 
 class TestArrayApiTolerance:

@@ -5,8 +5,8 @@ on bit-equal pixels, so output must be byte-identical to the baseline
 pipeline on every stream shape — cold caches, repeated frames, scene
 cuts — on both compute backends and under every sharding mode.  The
 ``fast`` policy is approximate by design and is tested for its
-*accounting* (carry/prune counters) and for recall on deterministic
-synthetic scenes.
+*accounting* (carry/prune counters) and for recall and precision
+against ``exact`` (>= 0.99 each) on a held synthetic trailer stream.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.detect.engine import DetectionEngine
 from repro.detect.fastpath import (
     ENV_VAR,
     FastpathConfig,
+    FastpathFrameStats,
     FastpathPolicy,
     dirty_window_mask,
     expand_tile_mask,
@@ -26,7 +27,10 @@ from repro.detect.fastpath import (
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.gpusim.scheduler import ExecutionMode
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import build_snapshot
 from repro.utils.rng import rng_for
+from repro.video.stream import trailer_stream
 from repro.video.synthesis import render_scene
 from repro.zoo import quick_cascade
 
@@ -340,6 +344,77 @@ class TestSlimCacheReplayProcesses:
         assert len(results) == len(frames)
         for want, got in zip(reference, results):
             _assert_slim_identical(want, got)
+
+
+def _positions(result):
+    """Detections keyed by (x, y, size): a carried detection keeps its
+    previous margin, so ``fast`` is scored on position and size only."""
+    return {(d.x, d.y, d.size) for d in result.raw_detections}
+
+
+def _merged(results, policy):
+    merged = FastpathFrameStats(policy=policy)
+    for result in results:
+        merged.merge(result.fastpath)
+    return merged
+
+
+class TestFastRecallOnATrailer:
+    """``fast`` against ``exact`` on a held trailer stream, both warm."""
+
+    def test_fast_keeps_exact_detections(self, cascade):
+        lumas = [
+            packet.luma
+            for packet in trailer_stream("50/50", 256, 192, 12, seed=0)
+            for _ in range(2)
+        ]
+        exact_ws = FaceDetectionPipeline(
+            cascade, config=PipelineConfig(backend="vectorized", fastpath="exact")
+        ).make_workspace()
+        fast = FaceDetectionPipeline(
+            cascade, config=PipelineConfig(backend="vectorized", fastpath="fast")
+        )
+        registry = MetricsRegistry()
+        with DetectionEngine(fast, workers=0, metrics=registry) as engine:
+            for _ in range(2):  # the first pass warms the temporal caches
+                exact_results = [exact_ws.process_frame(luma) for luma in lumas]
+                fast_results = list(engine.process_frames(iter(lumas)))
+
+        matched = sum(
+            len(_positions(e) & _positions(f))
+            for e, f in zip(exact_results, fast_results, strict=True)
+        )
+        exact_total = sum(len(_positions(e)) for e in exact_results)
+        fast_total = sum(len(_positions(f)) for f in fast_results)
+        assert exact_total > 0
+        assert matched / exact_total >= 0.99, "recall"
+        assert matched / fast_total >= 0.99, "precision"
+
+        # exact never prunes: every anchor is evaluated or carried from a
+        # bit-identical predecessor
+        exact_stats = _merged(exact_results, "exact")
+        assert exact_stats.anchors_pruned == 0
+        assert (
+            exact_stats.anchors_evaluated + exact_stats.anchors_carried
+            == exact_stats.anchors
+        )
+        assert 0.0 <= exact_stats.proposal_recall <= 1.0
+        # fast prunes (so the floors are not vacuous), carries, and
+        # replays held frames whole
+        fast_stats = _merged(fast_results, "fast")
+        assert fast_stats.anchors_pruned > 0
+        assert fast_stats.anchors_carried > 0
+        assert fast_stats.frames_reused > 0
+        assert (
+            fast_stats.anchors_evaluated
+            + fast_stats.anchors_carried
+            + fast_stats.anchors_pruned
+            <= fast_stats.anchors
+        )
+        snap = build_snapshot(registry)
+        assert snap["counters"]["fastpath.frames"] == 2 * len(lumas)
+        assert snap["counters"]["fastpath.anchors"] > 0
+        assert "fastpath_evaluated_fraction" in snap
 
 
 class TestEnginePlumbing:

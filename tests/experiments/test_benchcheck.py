@@ -18,17 +18,15 @@ _REPO = Path(__file__).resolve().parent.parent.parent
 _BASELINES = _REPO / "benchmarks" / "baselines"
 
 
-def _fastpath_payload() -> dict:
+def _log_overhead_payload() -> dict:
     return {
-        "experiment": "fastpath",
+        "experiment": "log_overhead",
         "schema_version": 1,
-        "provenance": provenance(backend="vectorized", mode="fast"),
-        "policies": {"off": {}, "exact": {}, "fast": {}},
-        "speedup": 1.9,
-        "speedup_vs_exact": 1.0,
-        "recall": 1.0,
-        "identical_exact": True,
-        "exact_stats": {"anchors_pruned": 0},
+        "provenance": provenance(mode="threads"),
+        "workload": {"requests": 24, "concurrency": 4},
+        "runs": {"silent": {"rps": 50.0}, "observed": {"rps": 48.0, "suppressed": 0}},
+        "overhead": 0.04,
+        "accounting": {"exactly_once": True, "identical_detections": True},
     }
 
 
@@ -40,33 +38,33 @@ def _write(tmp_path: Path, name: str, payload) -> Path:
 
 class TestSchemaChecks:
     def test_valid_artifact_passes(self, tmp_path):
-        path = _write(tmp_path, "BENCH_fastpath.json", _fastpath_payload())
+        path = _write(tmp_path, "BENCH_log_overhead.json", _log_overhead_payload())
         report = check_artifact(path)
         assert report.ok, report.failures
-        assert report.experiment == "fastpath"
+        assert report.experiment == "log_overhead"
         assert report.checks_run > 0
 
     def test_missing_provenance_keys_fail(self, tmp_path):
-        payload = _fastpath_payload()
+        payload = _log_overhead_payload()
         del payload["provenance"]["git_sha"]
         report = check_artifact(_write(tmp_path, "a.json", payload))
         assert not report.ok
         assert any("git_sha" in f for f in report.failures)
 
     def test_missing_required_experiment_key_fails(self, tmp_path):
-        payload = _fastpath_payload()
-        del payload["recall"]
+        payload = _log_overhead_payload()
+        del payload["overhead"]
         report = check_artifact(_write(tmp_path, "a.json", payload))
-        assert any("recall" in f for f in report.failures)
+        assert any("overhead" in f for f in report.failures)
 
     def test_unknown_experiment_fails(self, tmp_path):
-        payload = _fastpath_payload()
+        payload = _log_overhead_payload()
         payload["experiment"] = "mystery"
         report = check_artifact(_write(tmp_path, "a.json", payload))
         assert any("unknown experiment" in f for f in report.failures)
 
     def test_bad_schema_version_fails(self, tmp_path):
-        payload = _fastpath_payload()
+        payload = _log_overhead_payload()
         payload["schema_version"] = "one"
         report = check_artifact(_write(tmp_path, "a.json", payload))
         assert any("schema_version" in f for f in report.failures)
@@ -86,82 +84,80 @@ class TestBaselineChecks:
     def _baseline_dir(self, tmp_path: Path, checks: list[dict]) -> Path:
         bdir = tmp_path / "baselines"
         bdir.mkdir()
-        (bdir / "fastpath.json").write_text(
-            json.dumps({"experiment": "fastpath", "checks": checks})
+        (bdir / "log_overhead.json").write_text(
+            json.dumps({"experiment": "log_overhead", "checks": checks})
         )
         return bdir
 
     def test_equals_min_max_pass(self, tmp_path):
-        path = _write(tmp_path, "a.json", _fastpath_payload())
+        path = _write(tmp_path, "a.json", _log_overhead_payload())
         bdir = self._baseline_dir(
             tmp_path,
             [
-                {"path": "identical_exact", "equals": True},
-                {"path": "recall", "min": 0.99},
-                {"path": "exact_stats.anchors_pruned", "max": 0},
+                {"path": "accounting.exactly_once", "equals": True},
+                {"path": "runs.observed.rps", "min": 45.0},
+                {"path": "runs.observed.suppressed", "max": 0},
             ],
         )
         report = check_artifact(path, baselines_dir=bdir)
         assert report.ok, report.failures
 
     def test_min_respects_tolerance(self, tmp_path):
-        payload = _fastpath_payload()
-        payload["recall"] = 0.95
+        payload = _log_overhead_payload()
+        payload["runs"]["observed"]["rps"] = 0.95
         path = _write(tmp_path, "a.json", payload)
-        bdir = self._baseline_dir(tmp_path, [{"path": "recall", "min": 0.99}])
+        bdir = self._baseline_dir(tmp_path, [{"path": "runs.observed.rps", "min": 0.99}])
         strict = check_artifact(path, baselines_dir=bdir, tolerance=0.0)
         assert any("below baseline min" in f for f in strict.failures)
         loose = check_artifact(path, baselines_dir=bdir, tolerance=0.1)
         assert loose.ok, loose.failures
 
     def test_equals_mismatch_fails(self, tmp_path):
-        payload = _fastpath_payload()
-        payload["identical_exact"] = False
+        payload = _log_overhead_payload()
+        payload["accounting"]["exactly_once"] = False
         path = _write(tmp_path, "a.json", payload)
         bdir = self._baseline_dir(
-            tmp_path, [{"path": "identical_exact", "equals": True}]
+            tmp_path, [{"path": "accounting.exactly_once", "equals": True}]
         )
         report = check_artifact(path, baselines_dir=bdir)
         assert any("expected True" in f for f in report.failures)
 
     def test_missing_baseline_path_fails(self, tmp_path):
-        path = _write(tmp_path, "a.json", _fastpath_payload())
+        path = _write(tmp_path, "a.json", _log_overhead_payload())
         bdir = self._baseline_dir(tmp_path, [{"path": "no.such.key", "min": 1}])
         report = check_artifact(path, baselines_dir=bdir)
         assert any("absent from artifact" in f for f in report.failures)
 
     def test_exists_check_passes_on_present_path(self, tmp_path):
-        path = _write(tmp_path, "a.json", _fastpath_payload())
+        path = _write(tmp_path, "a.json", _log_overhead_payload())
         bdir = self._baseline_dir(
-            tmp_path, [{"path": "provenance.backend", "exists": True}]
+            tmp_path, [{"path": "provenance.mode", "exists": True}]
         )
         report = check_artifact(path, baselines_dir=bdir)
         assert report.ok, report.failures
 
     def test_exists_check_fails_on_absent_path(self, tmp_path):
-        path = _write(tmp_path, "a.json", _fastpath_payload())
+        path = _write(tmp_path, "a.json", _log_overhead_payload())
         bdir = self._baseline_dir(
-            tmp_path, [{"path": "provenance.device", "exists": True}]
+            tmp_path, [{"path": "provenance.backend", "exists": True}]
         )
         report = check_artifact(path, baselines_dir=bdir)
         assert any("expected path to be present" in f for f in report.failures)
 
     def test_exists_false_rejects_present_path(self, tmp_path):
-        path = _write(tmp_path, "a.json", _fastpath_payload())
-        bdir = self._baseline_dir(tmp_path, [{"path": "recall", "exists": False}])
+        path = _write(tmp_path, "a.json", _log_overhead_payload())
+        bdir = self._baseline_dir(tmp_path, [{"path": "overhead", "exists": False}])
         report = check_artifact(path, baselines_dir=bdir)
         assert any("expected path to be absent" in f for f in report.failures)
 
     def test_exists_accepts_null_values(self, tmp_path):
         # "exists" is a presence check, not a truthiness check: a field
-        # legitimately published as null (probe path on an unknown host)
+        # legitimately published as null (a loadtest artifact's speedup)
         # must satisfy it
-        payload = _fastpath_payload()
-        payload["provenance"]["probe"] = None
+        payload = _log_overhead_payload()
+        payload["overhead"] = None
         path = _write(tmp_path, "a.json", payload)
-        bdir = self._baseline_dir(
-            tmp_path, [{"path": "provenance.probe", "exists": True}]
-        )
+        bdir = self._baseline_dir(tmp_path, [{"path": "overhead", "exists": True}])
         report = check_artifact(path, baselines_dir=bdir)
         assert report.ok, report.failures
 
@@ -169,7 +165,7 @@ class TestBaselineChecks:
         """The repo's own baselines must parse and target known
         experiments with well-formed checks."""
         names = {p.stem for p in _BASELINES.glob("*.json")}
-        assert {"throughput", "serving", "fastpath", "swap"} <= names
+        assert names == set(REQUIRED_KEYS)
         for path in _BASELINES.glob("*.json"):
             baseline = json.loads(path.read_text())
             assert baseline["experiment"] in REQUIRED_KEYS
@@ -228,14 +224,14 @@ class TestRunBenchCheck:
         assert "no BENCH_*.json" in result.format_report()
 
     def test_missing_baselines_dir_degrades_to_schema_only(self, tmp_path):
-        path = _write(tmp_path, "BENCH_fastpath.json", _fastpath_payload())
+        path = _write(tmp_path, "BENCH_log_overhead.json", _log_overhead_payload())
         result = run_bench_check([path], baselines_dir=tmp_path / "nope")
         assert result.ok
         assert result.baselines_dir is None
 
     def test_aggregates_multiple_files(self, tmp_path):
-        good = _write(tmp_path, "BENCH_a.json", _fastpath_payload())
-        bad_payload = _fastpath_payload()
+        good = _write(tmp_path, "BENCH_a.json", _log_overhead_payload())
+        bad_payload = _log_overhead_payload()
         bad_payload["experiment"] = 7
         bad = _write(tmp_path, "BENCH_b.json", bad_payload)
         result = run_bench_check([good, bad], baselines_dir=None)

@@ -67,19 +67,31 @@ class TestCommands:
     def test_bench_unknown(self, capsys):
         assert main(["bench", "fig99"]) == 2
 
-    def test_bench_flags_equal_to_throughput_defaults_still_apply(self, tmp_path):
-        import json
+    def test_bench_flags_equal_to_throughput_defaults_still_apply(self, monkeypatch):
+        """An explicit flag reaches the runner even when it equals the
+        runner's own default; unset flags are left to the runner."""
+        import inspect
 
-        out_path = tmp_path / "devicebatch.json"
-        code = main(
-            ["bench", "devicebatch", "--frames", "10", "--batch-sizes", "1,2",
-             "--trials", "1", "--warmup", "0", "--output", str(out_path)]
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["frames"] == 10
-        assert payload["batch_sizes"] == [1, 2]
-        assert payload["identical_detections"] is True
+        from repro.experiments import swap
+
+        default = inspect.signature(swap.run_swap).parameters["requests"].default
+        seen = {}
+
+        class _Result:
+            def format_table(self):
+                return "swap"
+
+            def write_json(self, path):
+                return path
+
+        def fake_run_swap(**kwargs):
+            seen.update(kwargs)
+            return _Result()
+
+        monkeypatch.setattr(swap, "run_swap", fake_run_swap)
+        assert main(["bench", "swap", "--requests", str(default)]) == 0
+        assert seen["requests"] == default
+        assert "concurrency" not in seen and "workers" not in seen
 
     def test_trace(self, capsys, tmp_path):
         import json
@@ -191,54 +203,44 @@ class TestZooCommands:
 
 
 class TestDeviceFlags:
-    def test_bench_device_list(self, capsys):
-        assert main(["bench", "throughput", "--device", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "requested device:" in out
-        assert "reference:cpu ok" in out
-        assert "arrayapi:cuda skipped" in out
-
     def test_trace_device_list(self, capsys):
         assert main(["trace", "--device", "list"]) == 0
-        assert "arrayapi:mps" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "requested device:" in out
+        assert "arrayapi:cuda skipped" in out
+        assert "arrayapi:mps" in out
 
     def test_serve_device_list(self, capsys):
         assert main(["serve", "--device", "list"]) == 0
         assert "reference:cpu ok" in capsys.readouterr().out
 
-    def test_bench_throughput_stamps_device_and_probe(self, capsys, tmp_path):
+    @staticmethod
+    def _trace_backend(tmp_path, *flags) -> dict:
+        """``repro trace`` on two small frames; the snapshot's backend block."""
         import json
 
-        out_path = tmp_path / "BENCH_throughput.json"
+        metrics_path = tmp_path / "metrics.json"
         code = main(
-            ["bench", "throughput", "--backend", "arrayapi", "--device", "cpu",
-             "--frames", "2", "--workers", "1", "--trials", "1", "--warmup", "0",
-             "--cascade", "quick", "--width", "120", "--height", "90",
-             "--output", str(out_path)]
+            ["trace", *flags, "--frames", "2", "--workers", "1",
+             "--width", "120", "--height", "90",
+             "--output", str(tmp_path / "trace.json"),
+             "--metrics-output", str(metrics_path)]
         )
         assert code == 0
-        assert "arrayapi backend on cpu" in capsys.readouterr().out
-        payload = json.loads(out_path.read_text())
-        assert payload["backend"] == "arrayapi"
-        assert payload["device"] == "cpu"
-        assert payload["provenance"]["device"] == "cpu"
-        assert payload["provenance"]["probe"].endswith("arrayapi:cpu ok")
+        return json.loads(metrics_path.read_text())["backend"]
 
-    def test_gpu_flag_walks_to_cpu(self, capsys, tmp_path, monkeypatch):
+    def test_trace_stamps_device_and_probe(self, capsys, tmp_path):
+        backend = self._trace_backend(tmp_path, "--backend", "arrayapi", "--device", "cpu")
+        assert "(arrayapi backend, threads sharding)" in capsys.readouterr().out
+        assert backend["active"] == "arrayapi"
+        assert backend["device"] == "cpu"
+        assert backend["probe"]["path"].endswith("arrayapi:cpu ok")
+
+    def test_gpu_flag_walks_to_cpu(self, tmp_path, monkeypatch):
         # no accelerator in CI: --gpu must fall back, recording why.
         # An env override (REPRO_BACKEND=...) legitimately short-circuits
         # the probe walk, so the scenario under test needs it cleared.
-        import json
-
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        out_path = tmp_path / "BENCH_throughput.json"
-        code = main(
-            ["bench", "throughput", "--gpu",
-             "--frames", "2", "--workers", "1", "--trials", "1", "--warmup", "0",
-             "--cascade", "quick", "--width", "120", "--height", "90",
-             "--output", str(out_path)]
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["device"] == "cpu"
-        assert "skipped" in payload["provenance"]["probe"]
+        backend = self._trace_backend(tmp_path, "--gpu")
+        assert backend["device"] == "cpu"
+        assert "skipped" in backend["probe"]["path"]

@@ -13,9 +13,6 @@ import pytest
 
 from repro.detect.detector import FaceDetector
 from repro.errors import ConfigurationError, ZooError
-from repro.experiments.devicebatch import run_devicebatch
-from repro.experiments.fastpath import run_fastpath
-from repro.experiments.throughput import run_throughput
 from repro.obs.capture import run_trace
 from repro.zoo import (
     ModelManifest,
@@ -284,40 +281,6 @@ class TestResolveAndCompat:
         loaded, again = resolve_model("tiny", store=store)
         assert again.version == manifest.version
 
-    def test_legacy_flat_cache_blob_is_adopted_byte_identically(
-        self, trained, tmp_path, monkeypatch
-    ):
-        """Pre-zoo cached cascades publish as backfilled, not retrained."""
-        from repro.haar.cascade import Cascade
-        from repro.zoo import load_or_train
-        from repro.zoo.recipes import LEGACY_CACHE_NAMES
-
-        ref_store, cascade, manifest = trained
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "flat-cache"))
-        monkeypatch.setitem(LEGACY_CACHE_NAMES, "tiny", "tiny-legacy-r4-{seed}")
-        # the legacy blob carries the old cache-key name inside the JSON
-        from repro.utils.artifacts import artifact_dir
-
-        legacy = Cascade(
-            stages=cascade.stages,
-            name=f"tiny-legacy-r4-{SEED}",
-            window=cascade.window,
-            meta=dict(cascade.meta),
-        )
-        legacy.save(artifact_dir() / f"tiny-legacy-r4-{SEED}.cascade.json")
-
-        store = ModelStore(tmp_path / "adopting")
-        adopted, adopted_manifest = load_or_train(TINY, seed=SEED, store=store)
-        assert adopted_manifest.source == "backfilled"
-        assert adopted_manifest.content_digest == manifest.content_digest
-        published = (
-            store.version_dir("tiny", manifest.version) / "cascade.json"
-        ).read_bytes()
-        reference = (
-            ref_store.version_dir("tiny", manifest.version) / "cascade.json"
-        ).read_bytes()
-        assert published == reference
-
     def test_compat_shim_exports_survive(self):
         """`from repro.zoo import paper_cascade` keeps working."""
         from repro.zoo import (  # noqa: F401
@@ -340,9 +303,6 @@ class TestResolveAndCompat:
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda name: run_throughput(cascade=name), id="run_throughput"),
-        pytest.param(lambda name: run_fastpath(cascade=name), id="run_fastpath"),
-        pytest.param(lambda name: run_devicebatch(cascade=name), id="run_devicebatch"),
         pytest.param(lambda name: run_trace(cascade=name), id="run_trace"),
         pytest.param(FaceDetector.pretrained, id="FaceDetector.pretrained"),
     ],
