@@ -7,7 +7,7 @@ Commands
 ``info``      print device model, cascade zoo and profile information
 ``train``     train a cascade: a checkpointed zoo recipe or an ad-hoc profile
 ``zoo``       list / show / garbage-collect the versioned model store
-``bench``     run one experiment driver and print its paper-style table
+``bench``     run one paper experiment driver, or ``bench check`` artifacts
 ``trace``     record a Chrome trace + metrics snapshot of the engine
 ``serve``     run the asyncio detection service (POST /v1/detect)
 ``loadtest``  drive a running service and write BENCH_serving.json
@@ -279,8 +279,6 @@ def _maybe_list_devices(args: argparse.Namespace) -> bool:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.config import active_profile
 
-    if args.experiment == "swap":
-        return _cmd_bench_swap(args)
     if args.experiment == "check":
         return _cmd_bench_check(args)
     profile = active_profile()
@@ -296,7 +294,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.experiment not in drivers:
         print(
             f"unknown experiment {args.experiment!r}; choose from "
-            f"{sorted(drivers) + ['check', 'swap']}"
+            f"{sorted(drivers) + ['check']}"
         )
         return 2
     print(drivers[args.experiment]())
@@ -313,23 +311,6 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     )
     print(result.format_report())
     return 0 if result.ok else 1
-
-
-def _cmd_bench_swap(args: argparse.Namespace) -> int:
-    from repro.experiments.swap import run_swap
-
-    # only the flags that were set: unset ones keep run_swap's own defaults
-    names = "swap_to requests concurrency width height backend workers"
-    kwargs = {n: getattr(args, n) for n in names.split() if getattr(args, n) is not None}
-    if args.cascade is not None:
-        kwargs["model"] = args.cascade
-    result = run_swap(
-        max_batch=args.max_batch, max_delay_s=args.max_delay_ms / 1e3, **kwargs
-    )
-    print(result.format_table())
-    path = result.write_json(args.output or "BENCH_swap.json")
-    print(f"benchmark artifact -> {path}")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -597,46 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="run one experiment driver",
-        description="Run one experiment driver. Experiment flags left unset "
-        "take that experiment's own defaults.",
+        description="Run one paper experiment driver, or validate "
+        "BENCH_*.json artifacts (check).",
     )
-    p.add_argument(
-        "experiment", help="table1|table2|fig5|fig6|fig7|fig8|fig9|swap|check"
-    )
+    p.add_argument("experiment", help="table1|table2|fig5|fig6|fig7|fig8|fig9|check")
     p.add_argument(
         "files",
         nargs="*",
         help="BENCH_*.json artifacts to validate (check; default: glob cwd)",
-    )
-    p.add_argument("--workers", type=int, help="engine workers (swap)")
-    p.add_argument("--width", type=int, help="frame width (swap)")
-    p.add_argument("--height", type=int, help="frame height (swap)")
-    p.add_argument(
-        "--cascade",
-        choices=("quick", "paper", "opencv"),
-        help="cascade profile (swap: the initial model)",
-    )
-    p.add_argument(
-        "--backend",
-        default=None,
-        help="compute backend (reference/vectorized/arrayapi; default: "
-        "$REPRO_BACKEND or reference) (swap)",
-    )
-    p.add_argument(
-        "--output", help="JSON artifact path (default: BENCH_<experiment>.json)"
-    )
-    p.add_argument("--requests", type=int, help="requests (swap)")
-    p.add_argument("--concurrency", type=int, help="closed-loop clients (swap)")
-    p.add_argument("--max-batch", type=int, default=8, help="micro-batch width (swap)")
-    p.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=4.0,
-        help="micro-batch collection window (swap)",
-    )
-    p.add_argument(
-        "--swap-to",
-        help="model reference to hot-swap to mid-load (swap)",
     )
     p.add_argument(
         "--baselines",

@@ -41,6 +41,8 @@ import numpy as np
 from repro.backend.base import BilinearPlan, CascadeMaps, ComputeBackend, ScratchArena
 from repro.detect.display import display_launch
 from repro.detect.fastpath import (
+    DENSE_FALLBACK,
+    TILE,
     FastpathConfig,
     FastpathFrameStats,
     FastpathPolicy,
@@ -501,15 +503,8 @@ def _evaluate(state: _LevelState, iis: np.ndarray, sqiis: np.ndarray) -> list[Ca
     return state.evaluator.evaluate_batch(iis, sqiis)
 
 
-def _n_tiles(mapping: BlockMapping, tile: int) -> int:
-    return (-(-mapping.anchors_y // tile)) * (-(-mapping.anchors_x // tile))
-
-
-def _frame_clean(current: np.ndarray, cached: np.ndarray, fp: FastpathConfig) -> bool:
-    """Whether ``current`` matches the cached frame closely enough to reuse."""
-    if fp.policy is FastpathPolicy.EXACT or fp.diff_eps == 0.0:
-        return bool(np.array_equal(current, cached))
-    return bool(np.all(np.abs(current - cached) <= fp.diff_eps))
+def _n_tiles(mapping: BlockMapping) -> int:
+    return (-(-mapping.anchors_y // TILE)) * (-(-mapping.anchors_x // TILE))
 
 
 def _level_diff(
@@ -522,7 +517,7 @@ def _level_diff(
     """
     if fp.policy is FastpathPolicy.EXACT:
         return bool(np.array_equal(image, cached)), None
-    changed = np.abs(image - cached) > fp.diff_eps
+    changed = image != cached
     if not changed.any():
         return True, None
     dirty = dirty_window_mask(changed, mapping.window, mapping.anchors_y, mapping.anchors_x)
@@ -544,8 +539,8 @@ def _observe_proposal(
     """
     ay, ax = result.depth_map.shape
     with tracer.span("fastpath.screen", cat="fastpath"):
-        keep = tile_reduce_max(result.sigma_map, fp.tile) >= fp.min_sigma
-        textured = expand_tile_mask(keep, fp.tile, ay, ax)
+        keep = tile_reduce_max(result.sigma_map, TILE) >= fp.min_sigma
+        textured = expand_tile_mask(keep, TILE, ay, ax)
         accepted = result.depth_map == n_stages
     stats.anchors_evaluated += ay * ax
     stats.tiles_pruned += int(keep.size - np.count_nonzero(keep))
@@ -570,19 +565,19 @@ def _evaluate_fast(
     evaluator = state.evaluator
     with tracer.span("fastpath.screen", cat="fastpath"):
         sigma = evaluator.window_sigma(ii, sqii)
-        keep_tiles = tile_reduce_max(sigma, fp.tile) >= fp.min_sigma
-        textured = expand_tile_mask(keep_tiles, fp.tile, ay, ax)
+        keep_tiles = tile_reduce_max(sigma, TILE) >= fp.min_sigma
+        textured = expand_tile_mask(keep_tiles, TILE, ay, ax)
 
     if dirty is None:
         active = textured
     else:
         active = np.logical_and(dirty, textured)
         stats.tiles_clean += int(
-            keep_tiles.size - np.count_nonzero(tile_reduce_any(dirty, fp.tile))
+            keep_tiles.size - np.count_nonzero(tile_reduce_any(dirty, TILE))
         )
     active_count = int(np.count_nonzero(active))
 
-    if active_count >= fp.dense_fallback * total:
+    if active_count >= DENSE_FALLBACK * total:
         # too much motion/texture for masked gathers to pay for
         # themselves: full dense refresh, no pruning on this level
         stats.anchors_evaluated += total
@@ -639,7 +634,7 @@ def _execute(
         stats = FastpathFrameStats(policy=fp.policy.value, levels=len(geo.levels))
         if cache is not None and cache.complete:
             with tracer.span("fastpath.diff", cat="fastpath"):
-                frame_hit = _frame_clean(stack[0], cache.frame, fp)
+                frame_hit = bool(np.array_equal(stack[0], cache.frame))
             stats.frames_reused = int(frame_hit)
     # a hit's launch list is content-identical to the cached frame's, so
     # a hit whose every schedule is cached replays the schedules
@@ -673,7 +668,7 @@ def _execute(
             with tracer.span("fastpath.diff", cat="fastpath"):
                 clean, dirty = _level_diff(images[0], level_cache.image, fp, state.mapping)
         if stats is not None:
-            tiles = _n_tiles(state.mapping, fp.tile)
+            tiles = _n_tiles(state.mapping)
             anchors = state.mapping.anchors_y * state.mapping.anchors_x
             stats.tiles += tiles
             stats.anchors += anchors

@@ -56,6 +56,8 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ENV_VAR",
     "DEFAULT_POLICY",
+    "TILE",
+    "DENSE_FALLBACK",
     "FastpathPolicy",
     "FastpathConfig",
     "FastpathFrameStats",
@@ -70,6 +72,14 @@ __all__ = [
 ENV_VAR = "REPRO_FASTPATH"
 
 DEFAULT_POLICY = "off"
+
+#: proposal-tile side length, in anchors
+TILE = 16
+
+#: fall back to the plain dense evaluation when at least this fraction
+#: of a level's anchors is active (masked gathers stop paying for
+#: themselves well before the grid is half alive)
+DENSE_FALLBACK = 0.35
 
 
 class FastpathPolicy(Enum):
@@ -98,32 +108,14 @@ class FastpathConfig:
     """Static fast-path parameters (frozen and picklable, like the spec)."""
 
     policy: FastpathPolicy = FastpathPolicy.OFF
-    #: proposal-tile side length, in anchors
-    tile: int = 16
-    #: per-pixel |delta| above which a pixel counts as changed (``fast``);
-    #: trailer backgrounds are re-rendered bit-identically within a scene,
-    #: so 0.0 already isolates the moving face regions exactly
-    diff_eps: float = 0.0
     #: variance screen: a tile survives when any of its windows has a
     #: pixel std dev >= this (faces are high-contrast; flat sky is not)
     min_sigma: float = 4.0
-    #: fall back to the plain dense evaluation when at least this
-    #: fraction of a level's anchors is active (masked gathers stop
-    #: paying for themselves well before the grid is half alive)
-    dense_fallback: float = 0.35
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", FastpathPolicy.coerce(self.policy))
-        if self.tile <= 0:
-            raise ConfigurationError(f"tile must be positive, got {self.tile}")
-        if self.diff_eps < 0:
-            raise ConfigurationError(f"diff_eps must be >= 0, got {self.diff_eps}")
         if self.min_sigma < 0:
             raise ConfigurationError(f"min_sigma must be >= 0, got {self.min_sigma}")
-        if not 0.0 < self.dense_fallback <= 1.0:
-            raise ConfigurationError(
-                f"dense_fallback must be in (0, 1], got {self.dense_fallback}"
-            )
 
     @property
     def enabled(self) -> bool:

@@ -18,7 +18,6 @@ so measured latency is the service, not the generator.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import math
 import time
@@ -59,14 +58,6 @@ class LoadTestResult:
     #: server's ``x-repro-trace-id`` response header; ``None`` when the
     #: server predates tracing)
     trace_ids: list[str | None] = field(default_factory=list, repr=False)
-    #: per-OK-request completion instants, seconds since the run started,
-    #: parallel to ``latencies_s`` — the timeline the hot-swap benchmark
-    #: uses to classify requests as inside/outside the swap window
-    completions_s: list[float] = field(default_factory=list, repr=False)
-    #: per-OK-request serving model version (the response body's
-    #: ``model_version``), parallel to ``latencies_s``; only populated
-    #: when the run was made with ``capture_versions=True``
-    model_versions: list[str | None] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> int:
@@ -118,14 +109,6 @@ class LoadTestResult:
             for latency_s, trace_id in paired[:k]
         ]
 
-    def versions_served(self) -> dict[str, int]:
-        """OK-request counts per serving model version (captured runs)."""
-        counts: dict[str, int] = {}
-        for version in self.model_versions:
-            if version is not None:
-                counts[version] = counts.get(version, 0) + 1
-        return dict(sorted(counts.items()))
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -139,11 +122,6 @@ class LoadTestResult:
             "errors": self.errors,
             "latency": self.latency_summary(),
             "slowest": self.slowest(),
-            **(
-                {"versions_served": self.versions_served()}
-                if any(v is not None for v in self.model_versions)
-                else {}
-            ),
         }
 
 
@@ -352,19 +330,11 @@ async def run_loadtest(
     rate_rps: float | None = None,
     payloads: list[tuple[bytes, str]] | None = None,
     ready_timeout_s: float = 30.0,
-    capture_versions: bool = False,
-    until: asyncio.Event | None = None,
 ) -> LoadTestResult:
     """Drive the service and measure; closed loop unless ``rate_rps``.
 
     ``payloads`` rotate round-robin across requests (default: a small
     synthetic-frame pool from :func:`build_payloads`).
-    ``capture_versions`` additionally parses each OK response body for
-    its ``model_version`` tag — the hot-swap benchmark's evidence that
-    a version flip landed mid-run.  ``until`` replaces the request count
-    as the closed loop's stop rule (``mode == "window"``): each worker
-    sends at least one request, so even an instant event yields a
-    measurable window, and keeps sending until the event is set.
     """
     if requests < 1:
         raise ConfigurationError(f"requests must be >= 1, got {requests}")
@@ -372,68 +342,43 @@ async def run_loadtest(
         raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
     if rate_rps is not None and rate_rps <= 0:
         raise ConfigurationError(f"rate_rps must be > 0, got {rate_rps}")
-    if rate_rps is not None and until is not None:
-        raise ConfigurationError("until stops a closed loop; drop rate_rps")
     payloads = payloads or build_payloads()
     await _wait_ready(host, port, ready_timeout_s)
 
     status_counts: dict[str, int] = {}
     latencies: list[float] = []
     trace_ids: list[str | None] = []
-    completions: list[float] = []
-    versions: list[str | None] = []
     errors = 0
 
-    def record(
-        status: int,
-        latency_s: float,
-        trace_id: str | None,
-        done_pc: float,
-        version: str | None,
-    ) -> None:
+    def record(status: int, latency_s: float, trace_id: str | None) -> None:
         status_counts[str(status)] = status_counts.get(str(status), 0) + 1
         if status == 200:
             latencies.append(latency_s)
             trace_ids.append(trace_id)
-            completions.append(done_pc - start)
-            versions.append(version)
 
     async def one(conn: _Connection, index: int, scheduled_pc: float) -> None:
         nonlocal errors
         body, content_type = payloads[index % len(payloads)]
         try:
-            status, answer = await conn.request(
-                "POST", "/v1/detect", body, content_type
-            )
+            status, _ = await conn.request("POST", "/v1/detect", body, content_type)
         except (ConnectionError, OSError, ServeError, asyncio.IncompleteReadError):
             errors += 1
             return
-        done_pc = time.perf_counter()
-        version: str | None = None
-        if capture_versions and status == 200:
-            try:
-                version = json.loads(answer).get("model_version")
-            except ValueError:
-                version = None
         record(
             status,
-            done_pc - scheduled_pc,
+            time.perf_counter() - scheduled_pc,
             conn.last_headers.get(TRACE_ID_HEADER),
-            done_pc,
-            version,
         )
 
     start = time.perf_counter()
     if rate_rps is None:
-        counter = iter(range(requests)) if until is None else itertools.count()
+        counter = iter(range(requests))
 
         async def worker() -> None:
             conn = _Connection(host, port)
             try:
                 for index in counter:
                     await one(conn, index, time.perf_counter())
-                    if until is not None and until.is_set():
-                        break
             finally:
                 conn.close()
 
@@ -466,12 +411,8 @@ async def run_loadtest(
             conn.close()
     wall_s = time.perf_counter() - start
 
-    if rate_rps is not None:
-        mode = "open"
-    else:
-        mode = "closed" if until is None else "window"
     return LoadTestResult(
-        mode=mode,
+        mode="closed" if rate_rps is None else "open",
         concurrency=concurrency,
         rate_rps=rate_rps,
         requests=sum(status_counts.values()) + errors,
@@ -480,6 +421,4 @@ async def run_loadtest(
         latencies_s=latencies,
         errors=errors,
         trace_ids=trace_ids,
-        completions_s=completions,
-        model_versions=versions,
     )

@@ -87,11 +87,9 @@ class TestConfigResolution:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            FastpathConfig(tile=0)
+            FastpathConfig(min_sigma=-1.0)
         with pytest.raises(ConfigurationError):
-            FastpathConfig(diff_eps=-1.0)
-        with pytest.raises(ConfigurationError):
-            FastpathConfig(dense_fallback=0.0)
+            FastpathConfig(policy="turbo")
 
     def test_pipeline_config_accepts_policy_string(self, cascade, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)

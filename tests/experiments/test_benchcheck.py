@@ -174,48 +174,6 @@ class TestBaselineChecks:
                 assert {"equals", "min", "max", "exists"} & set(check)
 
 
-class TestSwapArtifact:
-    def _swap_payload(self) -> dict:
-        return {
-            "experiment": "swap",
-            "schema_version": 1,
-            "provenance": provenance(backend="reference", mode="threads"),
-            "workload": {"model": "quick", "swap_to": "quick_baseline"},
-            "phases": {"steady": {}, "window": {}, "after": {}},
-            "swap": {"status": 200, "flip_s": 0.001},
-            "readyz": {"polls": 50, "not_ready": 0, "always_ready": True},
-            "latency": {"steady_p95_s": 0.1, "swap_p95_s": 0.12, "ratio": 1.2},
-            "failed_requests": 0,
-            "versions": {"before": "quick@a", "after": "quick@b", "flipped": True},
-        }
-
-    def test_swap_artifact_passes_the_checked_in_baseline(self, tmp_path):
-        path = _write(tmp_path, "BENCH_swap.json", self._swap_payload())
-        report = check_artifact(path, baselines_dir=_BASELINES)
-        assert report.ok, report.failures
-
-    def test_swap_gates_catch_regressions(self, tmp_path):
-        for mutation, needle in (
-            ({"failed_requests": 3}, "failed_requests"),
-            ({"readyz": {"polls": 5, "not_ready": 2, "always_ready": False}}, "readyz"),
-            (
-                {"latency": {"steady_p95_s": 0.1, "swap_p95_s": 0.3, "ratio": 3.0}},
-                "latency.ratio",
-            ),
-            (
-                {"versions": {"before": "a", "after": "a", "flipped": False}},
-                "versions.flipped",
-            ),
-        ):
-            payload = {**self._swap_payload(), **mutation}
-            report = check_artifact(
-                _write(tmp_path, "BENCH_swap.json", payload),
-                baselines_dir=_BASELINES,
-            )
-            assert not report.ok
-            assert any(needle in f for f in report.failures), (mutation, report.failures)
-
-
 class TestRunBenchCheck:
     def test_empty_artifact_set_is_a_failure(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -14,7 +14,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.serve.loadgen import _Connection, build_payloads, run_loadtest
 from repro.serve.server import DetectionServer, ServerConfig
 from repro.serve.admission import AdmissionConfig
@@ -373,44 +372,6 @@ class TestLoadgen:
         assert 0 < summary["p50_s"] <= summary["p95_s"] <= summary["max_s"]
         assert outcome.rps > 0
         assert outcome.mode == "closed"
-
-    def test_window_loop_runs_until_event(self, payloads):
-        @serve()
-        async def outcome(server, conn):
-            instant = asyncio.Event()
-            instant.set()
-            first = await run_loadtest(
-                "127.0.0.1",
-                server.port,
-                concurrency=3,
-                payloads=payloads,
-                capture_versions=True,
-                until=instant,
-            )
-            later = asyncio.Event()
-            asyncio.get_running_loop().call_later(0.5, later.set)
-            second = await run_loadtest(
-                "127.0.0.1", server.port, concurrency=3, payloads=payloads, until=later
-            )
-            return first, second, later.is_set()
-
-        instant, later, was_set = outcome
-        # an already-set event still gets one request per worker
-        assert instant.mode == "window"
-        assert instant.requests == instant.ok == 3
-        assert sum(instant.versions_served().values()) == 3
-        # otherwise workers keep sending until the event fires
-        assert was_set
-        assert later.requests == later.ok > 3
-        assert later.errors == 0
-
-    def test_window_loop_rejects_open_loop_rate(self, payloads):
-        with pytest.raises(ConfigurationError):
-            asyncio.run(
-                run_loadtest(
-                    "127.0.0.1", 1, rate_rps=10.0, payloads=payloads, until=asyncio.Event()
-                )
-            )
 
     def test_open_loop_against_live_server(self, payloads):
         @serve()

@@ -137,7 +137,6 @@ def test_bench_artifacts_are_checked(workflow):
     for artifact in (
         "BENCH_serving-loadtest.json",
         "BENCH_log_overhead.json",
-        "BENCH_swap.json",
         "BENCH_swap-loadtest.json",
     ):
         assert artifact in check
@@ -245,12 +244,14 @@ def test_serve_smoke_hot_swap(workflow):
     to end against a real ``repro serve`` process: pre-train both zoo
     models (so the swap window is load-warm-flip, never a bootstrap run),
     swap quick -> quick_baseline mid-loadtest via POST /v1/models/swap,
-    verify the flip in /stats, and publish + validate BENCH_swap.json."""
+    verify the flip in /stats, and publish + validate the loadtest's
+    artifact.  The swap-window latency and readiness gates are tier-1
+    (tests/serve/test_swap.py), so no swap bench runs here."""
     job = workflow["jobs"]["serve-smoke"]
     text = _steps_text(job)
     assert "repro train --recipe quick" in text
     assert "repro train --recipe quick_baseline" in text
-    assert "repro bench swap" in text
+    assert re.findall(r"repro bench (\w+)", text) == ["check"]
     script = next(
         str(step.get("run", ""))
         for step in job["steps"]
@@ -267,15 +268,14 @@ def test_serve_smoke_hot_swap(workflow):
     assert "/stats" in script
     assert "quick_baseline@" in script
     assert 'load["errors"] == 0' in script
-    # BENCH_swap.json goes through the same bench-check + upload path as
-    # every other serving artifact
-    assert "BENCH_swap.json" in _steps_text(job)
+    # the swap loadtest's artifact goes through the same bench-check +
+    # upload path as every other serving artifact
     uploads = {
         step["with"]["name"]: step["with"]
         for step in job["steps"]
         if "upload-artifact" in str(step.get("uses", ""))
     }
-    assert "BENCH_swap.json" in str(uploads["BENCH_serving"]["path"])
+    assert "BENCH_swap-loadtest.json" in str(uploads["BENCH_serving"]["path"])
     assert "swap-serve.log" in str(uploads["serve-observability"]["path"])
 
 

@@ -65,33 +65,11 @@ class TestCommands:
         assert "55660" in capsys.readouterr().out
 
     def test_bench_unknown(self, capsys):
-        assert main(["bench", "fig99"]) == 2
-
-    def test_bench_flags_equal_to_throughput_defaults_still_apply(self, monkeypatch):
-        """An explicit flag reaches the runner even when it equals the
-        runner's own default; unset flags are left to the runner."""
-        import inspect
-
-        from repro.experiments import swap
-
-        default = inspect.signature(swap.run_swap).parameters["requests"].default
-        seen = {}
-
-        class _Result:
-            def format_table(self):
-                return "swap"
-
-            def write_json(self, path):
-                return path
-
-        def fake_run_swap(**kwargs):
-            seen.update(kwargs)
-            return _Result()
-
-        monkeypatch.setattr(swap, "run_swap", fake_run_swap)
-        assert main(["bench", "swap", "--requests", str(default)]) == 0
-        assert seen["requests"] == default
-        assert "concurrency" not in seen and "workers" not in seen
+        for experiment in ("fig99", "swap"):
+            assert main(["bench", experiment]) == 2
+            out = capsys.readouterr().out
+            assert f"unknown experiment {experiment!r}" in out
+            assert "swap" not in out.split("choose from")[1]
 
     def test_trace(self, capsys, tmp_path):
         import json
