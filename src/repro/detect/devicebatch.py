@@ -63,7 +63,13 @@ from repro.detect.pipeline import (
 )
 from repro.detect.windows import BlockMapping
 from repro.errors import ConfigurationError
-from repro.gpusim.kernel import BlockCohort, BlockWork, KernelLaunch, LaunchConfig
+from repro.gpusim.kernel import (
+    WORK_FIELDS,
+    BlockCohort,
+    BlockWork,
+    KernelLaunch,
+    LaunchConfig,
+)
 from repro.gpusim.scheduler import ExecutionMode
 from repro.image.filtering import filtering_launch
 from repro.image.integral import integral_launches
@@ -141,16 +147,6 @@ class BatchExecution:
 # ---------------------------------------------------------------------------
 # launch fusion: one KernelLaunch per kernel site covering all N frames
 
-_WORK_FIELDS = (
-    "warp_instructions",
-    "dram_bytes_read",
-    "dram_bytes_written",
-    "branches",
-    "divergent_branches",
-    "shared_bytes",
-    "constant_requests",
-)
-
 
 def _scaled_config(config: LaunchConfig, grid_blocks: int) -> LaunchConfig:
     return LaunchConfig(
@@ -165,30 +161,30 @@ def fuse_uniform_launch(launch: KernelLaunch, n: int) -> KernelLaunch:
     """Fuse a frame-independent launch across ``n`` frames.
 
     The grid grows ``n``-fold, per-block work arrays are tiled (every
-    frame's blocks do the same work), and precomputed cost cohorts scale
-    their counts — per-block base cost is unchanged, so the fused launch
-    occupies the device exactly like ``n`` back-to-back copies while
-    costing the scheduler one event stream.  ``n == 1`` returns
-    ``launch`` itself.
+    frame's blocks do the same work), and the template's cost cohorts
+    (its plan's, once prepared) scale their counts — per-block base cost
+    is unchanged, so the fused launch occupies the device exactly like
+    ``n`` back-to-back copies while costing the scheduler one event
+    stream.  ``n == 1`` returns ``launch`` itself.
     """
     if n == 1:
         return launch
     work = BlockWork(
-        **{f: np.tile(getattr(launch.work, f), n) for f in _WORK_FIELDS}
+        **{f: np.tile(getattr(launch.work, f), n) for f in WORK_FIELDS}
     )
-    fused = KernelLaunch(
+    if launch.plan is not None:
+        cohorts = launch.plan.cohorts
+    else:
+        cohorts = [(c.count, c.base_seconds) for c in launch.cohorts]
+    return KernelLaunch(
         name=launch.name,
         config=_scaled_config(launch.config, launch.config.grid_blocks * n),
         work=work,
         stream=launch.stream,
         tag=launch.tag,
         wait_streams=launch.wait_streams,
+        cohorts=tuple(BlockCohort(count=c * n, base_seconds=b) for c, b in cohorts),
     )
-    fused.cohorts = [
-        BlockCohort(count=c.count * n, base_seconds=c.base_seconds)
-        for c in launch.cohorts
-    ]
-    return fused
 
 
 def concat_launches(launches: list[KernelLaunch]) -> KernelLaunch:
@@ -207,7 +203,7 @@ def concat_launches(launches: list[KernelLaunch]) -> KernelLaunch:
     work = BlockWork(
         **{
             f: np.concatenate([getattr(l.work, f) for l in launches])
-            for f in _WORK_FIELDS
+            for f in WORK_FIELDS
         }
     )
     grid = sum(l.config.grid_blocks for l in launches)
@@ -250,15 +246,9 @@ class _LevelState:
         )
         stream = index + 1
 
-        cost_model = pipeline.scheduler.cost_model
-
-        def template(launch: KernelLaunch) -> KernelLaunch:
-            # Precompute the cost cohorts the scheduler would otherwise
-            # derive per frame; cohorts are deterministic in the launch, so
-            # schedules are unchanged.
-            launch.cohorts = cost_model.build_cohorts(launch)
-            return launch
-
+        # Validate, price and freeze the frame-independent launches once:
+        # the scheduler replays their plans every frame.
+        template = pipeline.scheduler.prepare
         self.pre_launches: tuple[KernelLaunch, ...]
         if index > 0:
             self.pre_launches = (
@@ -370,21 +360,24 @@ class _Geometry:
         #: one per octave resample, one per level>0 bilinear resample, one
         #: per level integral scan, one per level cascade evaluation
         self.transfer_sites = len(self.octave_plans) + 3 * len(self.levels) - 1
+        self._prepare = pipeline.scheduler.prepare
         self._static: dict[int, list[tuple]] = {}
 
     def static_launches(self, n: int) -> list[tuple]:
         """Per-level ``(pre, integral)`` launches for ``n`` lanes.
 
         Filtering/scaling/integral launches depend only on level geometry,
-        so their ``n``-fold fusion is built once per lane count and
-        replayed every batch (one lane replays the templates themselves).
+        so their ``n``-fold fusion is built and prepared once per lane
+        count and replayed every batch (one lane replays the templates
+        themselves).
         """
         cached = self._static.get(n)
         if cached is None:
+            prepare = self._prepare
             cached = [
                 (
-                    tuple(fuse_uniform_launch(launch, n) for launch in state.pre_launches),
-                    tuple(fuse_uniform_launch(launch, n) for launch in state.integral_launches),
+                    tuple(prepare(fuse_uniform_launch(x, n)) for x in state.pre_launches),
+                    tuple(prepare(fuse_uniform_launch(x, n)) for x in state.integral_launches),
                 )
                 for state in self.levels
             ]
@@ -397,19 +390,20 @@ class _Geometry:
 
 
 class _FastpathLevelCache:
-    """Previous frame's pixels, detections and cascade result for one level.
+    """Previous frame's pixels, detections, cascade result and launch for one level.
 
     ``result`` keeps only what a later frame reads (:func:`_cache_entry`);
     a clean level takes its detections from ``raw`` instead of grouping
-    its maps again.
+    its maps again, and schedules ``launch``, already prepared.
     """
 
-    __slots__ = ("image", "raw", "result")
+    __slots__ = ("image", "raw", "result", "launch")
 
     def __init__(self) -> None:
         self.image: np.ndarray | None = None
         self.raw: list | None = None
         self.result: CascadeKernelResult | None = None
+        self.launch: KernelLaunch | None = None
 
 
 def _cache_entry(
@@ -621,6 +615,7 @@ def _execute(
     """
     n = len(frames)
     backend = pipeline.backend
+    prepare = pipeline.scheduler.prepare
     n_stages = pipeline.cascade.num_stages
     window = pipeline.config.pyramid.window
     if n == 1:
@@ -678,6 +673,7 @@ def _execute(
                 stats.tiles_clean += tiles
         if clean:
             results = [level_cache.result]
+            cascade_launch = level_cache.launch
         else:
             with tracer.span("integral"):
                 iis, sqiis = _integrals(state, images)
@@ -689,12 +685,16 @@ def _execute(
                     ]
                 else:
                     maps = _evaluate(state, iis, sqiis)
-                results = [state.result(m, n_stages) for m in maps]
+                with tracer.span("launch.build"):
+                    results = [state.result(m, n_stages) for m in maps]
+                    cascade_launch = prepare(
+                        concat_launches([result.launch for result in results])
+                    )
                 if fp.policy is FastpathPolicy.EXACT:
                     _observe_proposal(tracer, fp, results[0], stats, n_stages)
             del iis, sqiis, maps
         launches.extend(integral)
-        launches.append(concat_launches([result.launch for result in results]))
+        launches.append(cascade_launch)
         # grouping is deterministic in (level, kernel result): a clean
         # level's detections are its cached ones
         if clean:
@@ -714,6 +714,7 @@ def _execute(
             level_cache.image = np.array(images[0]) if state.index == 0 else images[0]
             level_cache.raw = level_raws[0]
             level_cache.result = _cache_entry(results[0], fp, keep_maps)
+            level_cache.launch = cascade_launch
         for i, result in enumerate(results):
             if keep_maps:
                 levels[i].append(replace(state.geometry, image=images[i]))
@@ -727,8 +728,8 @@ def _execute(
     if replay:
         schedules = {mode: cache.schedules[mode] for mode in modes}
     else:
-        launches.append(
-            display_launch(
+        with tracer.span("launch.build"):
+            display = display_launch(
                 stack.shape[2],
                 stack.shape[1],
                 sum(len(raw) for raw in raws),
@@ -737,7 +738,7 @@ def _execute(
                 # waits on all per-scale streams (stream-event dependency)
                 wait_streams=geo.display_waits,
             )
-        )
+            launches.append(prepare(display))
         schedules = {}
         for mode in modes:
             with tracer.span("schedule"):

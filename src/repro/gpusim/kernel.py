@@ -8,11 +8,19 @@ those records onto simulated SMs.
 Blocks with identical cost are grouped into *cohorts* so that a launch with
 tens of thousands of uniform blocks costs the scheduler a handful of events
 instead of one per block.
+
+A :class:`KernelLaunch` is immutable.  Launches that are replayed frame after
+frame (the engine's per-level templates) are handed once to
+:meth:`~repro.gpusim.scheduler.DeviceScheduler.prepare`, which validates
+them, prices their cohorts, sizes their residency and totals their counters
+into a :class:`~repro.gpusim.scheduler.LaunchPlan`, and freezes their work
+arrays so the plan can never go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,7 +28,21 @@ from repro.errors import LaunchError
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import DeviceSpec
 
-__all__ = ["LaunchConfig", "BlockWork", "BlockCohort", "KernelLaunch"]
+if TYPE_CHECKING:
+    from repro.gpusim.scheduler import LaunchPlan
+
+__all__ = ["LaunchConfig", "BlockWork", "BlockCohort", "KernelLaunch", "WORK_FIELDS"]
+
+#: the per-block arrays of a :class:`BlockWork`
+WORK_FIELDS = (
+    "warp_instructions",
+    "dram_bytes_read",
+    "dram_bytes_written",
+    "branches",
+    "divergent_branches",
+    "shared_bytes",
+    "constant_requests",
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +90,8 @@ class BlockWork:
     Every array has length ``grid_blocks`` (scalars are broadcast by
     :meth:`from_uniform`).  Units: warp instructions are warp-level dynamic
     instruction counts; DRAM fields are bytes after the coalescing model has
-    been applied by the functional layer.
+    been applied by the functional layer.  :meth:`freeze` makes the record
+    read-only: its arrays and its fields.
     """
 
     warp_instructions: np.ndarray
@@ -110,17 +133,21 @@ class BlockWork:
     def __len__(self) -> int:
         return int(self.warp_instructions.shape[0])
 
+    def __setattr__(self, name: str, value) -> None:
+        if self.__dict__.get("_frozen"):
+            raise FrozenInstanceError(f"cannot assign to field {name!r} of a frozen BlockWork")
+        object.__setattr__(self, name, value)
+
+    def freeze(self) -> "BlockWork":
+        """Make the arrays and fields read-only (idempotent); returns ``self``."""
+        for name in WORK_FIELDS:
+            getattr(self, name).flags.writeable = False
+        self.__dict__["_frozen"] = True
+        return self
+
     def validate(self, grid_blocks: int) -> None:
         """Check array lengths and non-negativity."""
-        for name in (
-            "warp_instructions",
-            "dram_bytes_read",
-            "dram_bytes_written",
-            "branches",
-            "divergent_branches",
-            "shared_bytes",
-            "constant_requests",
-        ):
+        for name in WORK_FIELDS:
             arr = getattr(self, name)
             if arr.shape != (grid_blocks,):
                 raise LaunchError(
@@ -154,7 +181,7 @@ class BlockCohort:
     base_seconds: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelLaunch:
     """One kernel launch: geometry, per-block work and stream placement.
 
@@ -162,6 +189,10 @@ class KernelLaunch:
     the tail of each listed stream at issue time: the launch cannot start
     until every launch issued *before it* into those streams has completed
     (the display kernel waits on all per-scale cascade streams this way).
+
+    ``cohorts`` are precomputed cost cohorts (empty: the scheduler's cost
+    model derives them); ``plan`` is set only by
+    :meth:`~repro.gpusim.scheduler.DeviceScheduler.prepare`.
     """
 
     name: str
@@ -170,7 +201,12 @@ class KernelLaunch:
     stream: int = 0
     tag: str = ""
     wait_streams: tuple[int, ...] = ()
-    cohorts: list[BlockCohort] = field(default_factory=list, repr=False)
+    cohorts: tuple[BlockCohort, ...] = field(default=(), repr=False)
+    plan: LaunchPlan | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.cohorts, tuple):
+            object.__setattr__(self, "cohorts", tuple(self.cohorts))
 
     def validate(self, device: DeviceSpec) -> None:
         """Validate geometry against the device and work-array shapes."""

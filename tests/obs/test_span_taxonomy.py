@@ -123,6 +123,7 @@ def test_stage_set_matches_design():
         "integral",
         "cascade",
         "grouping",
+        "launch.build",
         "schedule",
     }
 
@@ -143,3 +144,13 @@ def test_fastpath_diff_has_one_parent_on_frame_and_level_checks(cascade, frames)
     assert len(miss_diffs) > 1 and len(hit_diffs) == 1
     parents = {_parent(s, miss) for s in miss_diffs} | {_parent(s, hit) for s in hit_diffs}
     assert parents == {"frame"}
+
+
+@pytest.mark.parametrize("path", ["workspace N=1", "fused N=4"])
+def test_launch_build_prices_every_cascade_launch_and_the_display(path, cascade, frames):
+    spans = _traced(PATHS[path][0], cascade, frames)
+    parents = [_parent(s, spans) for s in spans if s.name == "launch.build"]
+    levels = sum(1 for s in spans if s.name == "cascade")
+    # one per level inside its cascade span, then the display launch's
+    assert parents.count("cascade") == levels > 0
+    assert parents.count("frame") == 1 and len(parents) == levels + 1

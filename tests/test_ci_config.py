@@ -70,6 +70,37 @@ def test_test_job_matrix_and_command(workflow):
     assert "PYTHONPATH=src python -m pytest -x -q" in _steps_text(job)
 
 
+_PYPROJECT = _WORKFLOW.parents[2] / "pyproject.toml"
+_TIER1_JOBS = ("test", "test-vectorized", "test-arrayapi", "test-fastpath")
+
+
+def _quiet_flags(args: str) -> int:
+    """How many levels of ``-q`` a pytest argument string asks for."""
+    return sum(
+        token.count("q") if re.fullmatch(r"-q+", token) else int(token == "--quiet")
+        for token in args.split()
+    )
+
+
+def test_tier1_runs_quiet_once_so_the_summary_line_prints(workflow):
+    """``addopts`` plus a tier-1 step's own flags give ``-q`` at most once:
+    at ``-qq`` pytest prints no "N passed" summary."""
+    addopts = re.search(
+        r'^addopts\s*=\s*"([^"]*)"', _PYPROJECT.read_text(), flags=re.MULTILINE
+    )
+    from_addopts = _quiet_flags(addopts.group(1)) if addopts else 0
+    for name in _TIER1_JOBS:
+        steps = [
+            line
+            for line in _steps_text(workflow["jobs"][name]).splitlines()
+            if "python -m pytest -x" in line
+        ]
+        assert steps, f"{name}: no tier-1 pytest step"
+        for step in steps:
+            args = step.split("python -m pytest", 1)[1]
+            assert from_addopts + _quiet_flags(args) <= 1, (name, step)
+
+
 def test_vectorized_backend_job(workflow):
     """The tier-1 suite must also run once under REPRO_BACKEND=vectorized."""
     text = _steps_text(workflow["jobs"]["test-vectorized"])
