@@ -16,6 +16,9 @@ When a namespace/device cannot come up the constructor raises
 registry's capability probe records it and moves on to the next
 candidate (CUDA -> MPS -> CPU), so resolution is total.
 
+Each plan has one body, over a frame stack: one upload per stack, and
+a single frame is the stack of one.
+
 Numerically, every method replays the reference kernels' elementwise
 order (``((A - B) - C) + D`` corner combination, float32 lerp weights,
 axis-0-then-axis-1 cumulative sums), so on the NumPy namespace the
@@ -35,6 +38,8 @@ Results cross the seam back to the caller as NumPy arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -143,25 +148,23 @@ class ArrayApiBilinearPlan(BilinearPlan):
         self._fy = xp.asarray(fy[:, np.newaxis])
         self._omfy = xp.asarray((1.0 - fy).astype(np.float32)[:, np.newaxis])
 
-    def apply_batch(self, srcs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Fused resample of an ``(n, src_h, src_w)`` stack — one upload.
+    def apply(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Resample a ``(..., src_h, src_w)`` stack — one upload.
 
         The stack crosses the host->device boundary in a single
         ``asarray`` and every corner is gathered through one flat
-        ``take`` with per-frame plane offsets, so the transfer and
-        dispatch cost is paid once per batch instead of once per frame.
+        ``take`` with per-lane plane offsets, so the transfer and
+        dispatch cost is paid once per stack, not once per frame.
         """
         b = self._b
         xp = b._xp
         dh, dw = self._shape
-        srcs = np.asarray(srcs)
-        n = srcs.shape[0]
-        plane = srcs.shape[1] * srcs.shape[2]
-        stack = b._astype(xp.asarray(srcs), xp.float32)
-        flat = xp.reshape(stack, (-1,))
-        bases = xp.reshape(
-            b._astype(xp.arange(n), self._i00.dtype) * plane, (n, 1)
-        )
+        src = np.asarray(src)
+        lanes = src.shape[:-2]
+        n = math.prod(lanes)
+        plane = src.shape[-2] * src.shape[-1]
+        flat = xp.reshape(b._astype(xp.asarray(src), xp.float32), (-1,))
+        bases = xp.reshape(b._astype(xp.arange(n), self._i00.dtype) * plane, (n, 1))
 
         def gather(idx):
             full = xp.reshape(idx, (1, -1)) + bases
@@ -171,27 +174,10 @@ class ArrayApiBilinearPlan(BilinearPlan):
         g01 = gather(self._i01)
         g10 = gather(self._i10)
         g11 = gather(self._i11)
-        top = g00 * self._omfx + g01 * self._fx
-        bottom = g10 * self._omfx + g11 * self._fx
-        result = b._to_host(top * self._omfy + bottom * self._fy)
-        if out is None:
-            return result
-        out[...] = result
-        return out
-
-    def apply(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        b = self._b
-        xp = b._xp
-        dh, dw = self._shape
-        flat = xp.reshape(b._astype(xp.asarray(src), xp.float32), (-1,))
-        g00 = xp.reshape(xp.take(flat, self._i00), (dh, dw))
-        g01 = xp.reshape(xp.take(flat, self._i01), (dh, dw))
-        g10 = xp.reshape(xp.take(flat, self._i10), (dh, dw))
-        g11 = xp.reshape(xp.take(flat, self._i11), (dh, dw))
         # top = d[y0, x0] * (1 - fx) + d[y0, x1] * fx  (float32, as tex2D)
         top = g00 * self._omfx + g01 * self._fx
         bottom = g10 * self._omfx + g11 * self._fx
-        result = b._to_host(top * self._omfy + bottom * self._fy)
+        result = b._to_host(top * self._omfy + bottom * self._fy).reshape(lanes + (dh, dw))
         if out is None:
             return result
         out[...] = result
@@ -223,48 +209,33 @@ class ArrayApiIntegralPlan(IntegralPlan):
         self._arena = arena if arena is not None else ScratchArena()
 
     def compute(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integrals of a ``(..., h, w)`` stack — one upload, one scan per
+        axis; cumulative sums run lane by lane along the stacked axes."""
         b = self._b
         xp = b._xp
-        shape = (self.height + 1, self.width + 1)
+        image = np.asarray(image)
+        shape = image.shape[:-2] + (self.height + 1, self.width + 1)
         ii = self._arena.take("integral.ii", shape, np.float64)
         sqii = self._arena.take("integral.sqii", shape, np.float64)
         # the buffers are shared across level shapes: re-zero the border
         for padded in (ii, sqii):
-            padded[0, :] = 0.0
-            padded[1:, 0] = 0.0
+            padded[..., 0, :] = 0.0
+            padded[..., 1:, 0] = 0.0
         img = b._astype(xp.asarray(image), xp.float64)
-        ii[1:, 1:] = b._to_host(b._cumsum(b._cumsum(img, 0), 1))
+        ii[..., 1:, 1:] = b._to_host(b._cumsum(b._cumsum(img, -2), -1))
         sq = img * img
-        sqii[1:, 1:] = b._to_host(b._cumsum(b._cumsum(sq, 0), 1))
+        sqii[..., 1:, 1:] = b._to_host(b._cumsum(b._cumsum(sq, -2), -1))
         return ii, sqii
-
-    def compute_batch(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fused integrals of an ``(n, h, w)`` stack — one upload, one scan.
-
-        Cumulative sums run lane-independently along the stacked axes,
-        so each lane matches :meth:`compute`; the stacks come back in
-        freshly allocated host arrays (they outlive the next call).
-        """
-        b = self._b
-        xp = b._xp
-        images = np.asarray(images)
-        n = images.shape[0]
-        iis = np.zeros((n, self.height + 1, self.width + 1), dtype=np.float64)
-        sqiis = np.zeros_like(iis)
-        img = b._astype(xp.asarray(images), xp.float64)
-        iis[:, 1:, 1:] = b._to_host(b._cumsum(b._cumsum(img, 1), 2))
-        sq = img * img
-        sqiis[:, 1:, 1:] = b._to_host(b._cumsum(b._cumsum(sq, 1), 2))
-        return iis, sqiis
 
 
 class ArrayApiCascadeEvaluator(CascadeEvaluator):
-    """Dense/sparse cascade walk in array-API ops, no in-place kernels.
+    """Dense/sparse cascade walk over a frame stack in array-API ops.
 
-    Functional style (``where`` instead of masked stores) with the same
-    per-rectangle ``((A - B) - C) + D`` combination and the same
-    dense->sparse switch rule as the reference evaluator, so the
-    depth/margin/sigma maps agree elementwise.
+    Functional style (``where`` instead of masked stores, so no scratch)
+    with the same per-rectangle ``((A - B) - C) + D`` combination and the
+    same dense->sparse switch rule as the reference evaluator, so the
+    depth/margin/sigma maps agree elementwise.  The walk always runs over
+    an ``(n, h+1, w+1)`` stack: one frame is the n=1 case.
     """
 
     def __init__(self, backend, cascade, mapping, *, sparse_threshold=None) -> None:
@@ -278,7 +249,7 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         self._ay, self._ax = mapping.anchors_y, mapping.anchors_x
         self._window = mapping.window
         self._stride = mapping.level_width + 1
-        self._plane = (mapping.level_height + 1) * self._stride
+        self._ii_shape = (mapping.level_height + 1, self._stride)
 
     def _bind_offsets(self):
         """This level's ``(R, 4)`` flat corner offsets in the namespace,
@@ -292,8 +263,10 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         xp = b._xp
         w = self._window
         area = WINDOW_AREA
-        wsum = ((ii[w:, w:] - ii[:-w, w:]) - ii[w:, :-w]) + ii[:-w, :-w]
-        wsq = ((sqii[w:, w:] - sqii[:-w, w:]) - sqii[w:, :-w]) + sqii[:-w, :-w]
+        wsum = ((ii[..., w:, w:] - ii[..., :-w, w:]) - ii[..., w:, :-w]) + ii[..., :-w, :-w]
+        wsq = (
+            (sqii[..., w:, w:] - sqii[..., :-w, w:]) - sqii[..., w:, :-w]
+        ) + sqii[..., :-w, :-w]
         mean = wsum / area
         ga = wsq / area - mean * mean
         return xp.sqrt(b._clamp_min(ga, 1.0))
@@ -304,17 +277,30 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         return b._to_host(self._sigma_device(xp.asarray(ii), xp.asarray(sqii)))
 
     def evaluate(self, ii: np.ndarray, sqii: np.ndarray) -> CascadeMaps:
+        """Cascade walk over a ``(..., h+1, w+1)`` stack — one upload each.
+
+        The stacked integrals cross the host->device boundary once; dense
+        stages run elementwise over the ``(n, ay, ax)`` stack and sparse
+        stages gather every lane's survivors through one flattened view
+        with per-lane plane offsets.  The dense->sparse switch is taken
+        once for the whole stack (the switch point is bit-neutral by the
+        seam contract, so each lane still agrees with that frame walked
+        alone to within this backend's tolerance envelope — exactly, on
+        the NumPy namespace).
+        """
         b = self._b
         xp = b._xp
-        ay, ax = self._ay, self._ax
-        ii_d = xp.asarray(ii)
-        sigma = self._sigma_device(ii_d, xp.asarray(sqii))
+        shape = np.shape(ii)[:-2] + (self._ay, self._ax)
+        ii_d = xp.reshape(xp.asarray(ii), (-1,) + self._ii_shape)
+        sqii_d = xp.reshape(xp.asarray(sqii), (-1,) + self._ii_shape)
+        sigma = self._sigma_device(ii_d, sqii_d)
+        grids = tuple(sigma.shape)
 
-        depth = xp.zeros((ay, ax), dtype=xp.int32)
-        margin = xp.zeros((ay, ax), dtype=xp.float64)
-        alive = xp.ones((ay, ax), dtype=b._bool)
+        depth = xp.zeros(grids, dtype=xp.int32)
+        margin = xp.zeros(grids, dtype=xp.float64)
+        alive = xp.ones(grids, dtype=b._bool)
         sparse = None
-        total = ay * ax
+        total = math.prod(grids)
         flat = xp.reshape(ii_d, (-1,))
         offsets = self._bind_offsets()
 
@@ -337,90 +323,20 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
                 )
 
         return CascadeMaps(
-            depth_map=b._astype_host(depth, np.int32),
-            margin_map=b._astype_host(margin, np.float64),
-            sigma_map=b._astype_host(sigma, np.float64),
+            depth_map=b._astype_host(depth, np.int32).reshape(shape),
+            margin_map=b._astype_host(margin, np.float64).reshape(shape),
+            sigma_map=b._astype_host(sigma, np.float64).reshape(shape),
         )
 
-    def evaluate_batch(self, iis: np.ndarray, sqiis: np.ndarray) -> list[CascadeMaps]:
-        """Fused cascade walk over N same-geometry frames — one upload each.
-
-        The stacked integrals cross the host->device boundary once; dense
-        stages run elementwise over the ``(n, ay, ax)`` stack and sparse
-        stages gather every frame's survivors through one flattened view
-        with per-frame plane offsets.  The dense->sparse switch is taken
-        once for the whole batch (the switch point is bit-neutral by the
-        seam contract, so per-frame results still agree with solo
-        :meth:`evaluate` to within this backend's tolerance envelope —
-        exactly, on the NumPy namespace).
-        """
-        b = self._b
-        xp = b._xp
-        iis = np.ascontiguousarray(iis)
-        n = iis.shape[0]
-        if n == 1:
-            return [self.evaluate(iis[0], sqiis[0])]
-        ay, ax = self._ay, self._ax
-        ii_d = xp.asarray(iis)
-        sqii_d = xp.asarray(np.asarray(sqiis))
-        w = self._window
-        area = WINDOW_AREA
-        wsum = ((ii_d[:, w:, w:] - ii_d[:, :-w, w:]) - ii_d[:, w:, :-w]) + ii_d[:, :-w, :-w]
-        wsq = (
-            (sqii_d[:, w:, w:] - sqii_d[:, :-w, w:]) - sqii_d[:, w:, :-w]
-        ) + sqii_d[:, :-w, :-w]
-        mean = wsum / area
-        ga = wsq / area - mean * mean
-        sigma = xp.sqrt(b._clamp_min(ga, 1.0))
-
-        depth = xp.zeros((n, ay, ax), dtype=xp.int32)
-        margin = xp.zeros((n, ay, ax), dtype=xp.float64)
-        alive = xp.ones((n, ay, ax), dtype=b._bool)
-        sparse = None
-        total = n * ay * ax
-        flat = xp.reshape(ii_d, (-1,))
-        offsets = self._bind_offsets()
-
-        for stage in self._plan:
-            if sparse is None:
-                live = int(xp.count_nonzero(alive))
-                if live == 0:
-                    break
-                if live < max(64, self._sparse_threshold * total):
-                    sparse = b._nonzero(alive)
-            if sparse is not None:
-                sparse, depth, margin = self._sparse_stage(
-                    stage, flat, offsets, sigma, depth, margin, sparse
-                )
-                if sparse is None:
-                    break
-            else:
-                depth, margin, alive = self._dense_stage_batch(
-                    stage, ii_d, sigma, depth, margin, alive
-                )
-
-        depth_h = b._astype_host(depth, np.int32)
-        margin_h = b._astype_host(margin, np.float64)
-        sigma_h = b._astype_host(sigma, np.float64)
-        return [
-            CascadeMaps(
-                depth_map=depth_h[i], margin_map=margin_h[i], sigma_map=sigma_h[i]
-            )
-            for i in range(n)
-        ]
-
-    def _dense_stage_batch(self, stage, ii, sigma, depth, margin, alive):
+    def _dense_stage(self, stage, ii, sigma, depth, margin, alive):
         xp = self._b._xp
         ay, ax = self._ay, self._ax
-        n = int(ii.shape[0])
-        sums = xp.zeros((n, ay, ax), dtype=xp.float64)
+        sums = xp.zeros(tuple(depth.shape), dtype=xp.float64)
         for cl in stage.classifiers:
-            vals = xp.zeros((n, ay, ax), dtype=xp.float64)
+            vals = xp.zeros(tuple(depth.shape), dtype=xp.float64)
             for x0, y0, x1, y1, wt in cl.rects:
-                t = (
-                    ii[:, y1 : y1 + ay, x1 : x1 + ax]
-                    - ii[:, y0 : y0 + ay, x1 : x1 + ax]
-                )
+                # wt * (((A - B) - C) + D), replayed in the reference order
+                t = ii[:, y1 : y1 + ay, x1 : x1 + ax] - ii[:, y0 : y0 + ay, x1 : x1 + ax]
                 t = t - ii[:, y1 : y1 + ay, x0 : x0 + ax]
                 t = t + ii[:, y0 : y0 + ay, x0 : x0 + ax]
                 vals = vals + t * wt
@@ -431,39 +347,16 @@ class ArrayApiCascadeEvaluator(CascadeEvaluator):
         depth = xp.where(passed, depth + 1, depth)
         return depth, margin, passed
 
-    def _dense_stage(self, stage, ii, sigma, depth, margin, alive):
-        xp = self._b._xp
-        ay, ax = self._ay, self._ax
-        sums = xp.zeros((ay, ax), dtype=xp.float64)
-        for cl in stage.classifiers:
-            vals = xp.zeros((ay, ax), dtype=xp.float64)
-            for x0, y0, x1, y1, wt in cl.rects:
-                # wt * (((A - B) - C) + D), replayed in the reference order
-                t = ii[y1 : y1 + ay, x1 : x1 + ax] - ii[y0 : y0 + ay, x1 : x1 + ax]
-                t = t - ii[y1 : y1 + ay, x0 : x0 + ax]
-                t = t + ii[y0 : y0 + ay, x0 : x0 + ax]
-                vals = vals + t * wt
-            mask = vals <= sigma * cl.threshold
-            sums = sums + xp.where(mask, cl.left, cl.right)
-        margin = xp.where(alive, sums - stage.threshold, margin)
-        passed = xp.logical_and(alive, sums >= stage.threshold)
-        depth = xp.where(passed, depth + 1, depth)
-        return depth, margin, passed
-
     def _sparse_stage(self, stage, flat, offsets, sigma, depth, margin, sparse):
-        """One stage over the survivors ``sparse``: ``(ys, xs)`` of one
-        anchor grid, or ``(fs, ys, xs)`` of a frame stack whose integrals
-        ``flat`` flattens plane after plane."""
+        """One stage over the survivors ``sparse``, ``(fs, ys, xs)`` of a
+        stack whose integrals ``flat`` flattens plane after plane."""
         b = self._b
         xp = b._xp
-        *frame, ys, xs = sparse
+        fs, ys, xs = sparse
         if int(ys.shape[0]) == 0:
             return None, depth, margin
-        anchor = ys * self._ax + xs
-        base = ys * self._stride + xs
-        if frame:
-            anchor = anchor + frame[0] * (self._ay * self._ax)
-            base = base + frame[0] * self._plane
+        anchor = (fs * self._ay + ys) * self._ax + xs
+        base = (fs * self._ii_shape[0] + ys) * self._stride + xs
         sig = xp.take(xp.reshape(sigma, (-1,)), anchor)
         n = int(ys.shape[0])
         sums = xp.zeros(n, dtype=xp.float64)

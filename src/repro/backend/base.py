@@ -1,4 +1,4 @@
-"""The compute-backend seam: every per-frame numeric kernel behind one ABC.
+"""The compute-backend seam: every Fig. 1 numeric kernel behind one ABC.
 
 The Fig. 1 pipeline is a fixed chain of compute steps — anti-alias
 filtering, pyramid scaling, integral images, cascade evaluation.  A
@@ -26,7 +26,13 @@ backend method                   Fig. 1 stage
 
 Plans (``make_*_plan`` / ``make_cascade_evaluator``) are the reusable
 form of each kernel: the throughput engine builds them once per geometry
-and replays them every frame.  Their scratch lives in a
+and replays them every frame.  Each plan has one entry point, and it
+takes frame stacks: a ``(..., h, w)`` input gives an output with the
+same leading shape, so one frame is a 2-D array or a stack of one, and
+a fused device batch is a stack of N.  Every lane must match that frame
+run alone, bit for bit on bitexact backends.  ``reference``, the
+oracle, loops its per-frame bodies over the lanes; every other backend
+has one body, over the whole stack.  Their scratch lives in a
 :class:`ScratchArena` the caller passes in — one per workspace, shared by
 every plan of every level and sized to the largest level it has seen —
 or in a private arena when none is given.  Plans are **not** thread-safe
@@ -154,32 +160,16 @@ class BilinearPlan(ABC):
 
     @abstractmethod
     def apply(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Resample ``src`` into a fresh (or provided) destination grid."""
-
-    def apply_batch(
-        self, srcs: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Resample a ``(n, src_h, src_w)`` stack into ``(n, dst_h, dst_w)``.
-
-        Every lane must match :meth:`apply` bit-for-bit — bilinear lerps
-        are per-pixel, so fusing lanes cannot change a byte.  The default
-        loops :meth:`apply` per lane (the per-frame oracle); fused
-        backends override with one stacked gather.
-        """
-        srcs = np.asarray(srcs)
-        planes = [self.apply(srcs[i]) for i in range(srcs.shape[0])]
-        stacked = np.stack(planes) if planes else srcs[:0]
-        if out is not None:
-            np.copyto(out, stacked)
-            return out
-        return stacked
+        """Resample a ``(..., src_h, src_w)`` stack into a fresh (or
+        provided) ``(..., dst_h, dst_w)`` one.  Bilinear lerps are
+        per-pixel, so stacking lanes cannot change a byte."""
 
 
 class IntegralPlan(ABC):
     """Reusable integral + squared-integral computation for one geometry.
 
-    The returned arrays are padded ``(h+1, w+1)`` float64 with zero first
-    row/column and live in the plan's :class:`ScratchArena` — they are
+    The returned arrays are padded ``(..., h+1, w+1)`` float64 with zero
+    first row/column and live in the plan's :class:`ScratchArena` — they are
     overwritten by the next :meth:`compute` of any plan sharing that
     arena, exactly like device-resident buffers.
     """
@@ -194,36 +184,19 @@ class IntegralPlan(ABC):
 
     @abstractmethod
     def compute(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(ii, sqii)`` padded integral images of ``image``."""
-
-    def compute_batch(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(iis, sqiis)`` stacked padded integrals of ``(n, h, w)`` images.
-
-        Returned arrays are ``(n, h+1, w+1)`` float64 and — unlike the
-        plan-owned single-frame buffers — freshly allocated, so lanes
-        survive the next call.  Cumulative sums run independently per
-        lane, so each lane matches :meth:`compute` bit-for-bit.  The
-        default loops :meth:`compute` and copies each lane out; fused
-        backends override with one stacked scan.
-        """
-        images = np.asarray(images)
-        n = images.shape[0]
-        iis = np.zeros((n, self.height + 1, self.width + 1), dtype=np.float64)
-        sqiis = np.zeros_like(iis)
-        for i in range(n):
-            ii, sqii = self.compute(images[i])
-            iis[i] = ii
-            sqiis[i] = sqii
-        return iis, sqiis
+        """``(ii, sqii)`` padded integrals of a ``(..., h, w)`` stack,
+        ``(..., h+1, w+1)`` each.  Cumulative sums run lane by lane, so
+        stacking lanes cannot change a byte."""
 
 
 @dataclass
 class CascadeMaps:
-    """Functional output of one cascade evaluation over an anchor grid."""
+    """Functional output of one cascade evaluation over an anchor grid
+    (or a stack of them: every map then has the same leading shape)."""
 
-    depth_map: np.ndarray  # (ay, ax) int32: stages passed per anchor
-    margin_map: np.ndarray  # (ay, ax) float64: last evaluated stage margin
-    sigma_map: np.ndarray  # (ay, ax) float64: per-window pixel std devs
+    depth_map: np.ndarray  # (..., ay, ax) int32: stages passed per anchor
+    margin_map: np.ndarray  # (..., ay, ax) float64: last evaluated stage margin
+    sigma_map: np.ndarray  # (..., ay, ax) float64: per-window pixel std devs
 
 
 class CascadeEvaluator(ABC):
@@ -237,23 +210,14 @@ class CascadeEvaluator(ABC):
 
     @abstractmethod
     def evaluate(self, ii: np.ndarray, sqii: np.ndarray) -> CascadeMaps:
-        """Walk every anchor through the cascade (padded integrals in)."""
+        """Walk every anchor through the cascade.
 
-    def evaluate_batch(
-        self, iis: np.ndarray, sqiis: np.ndarray
-    ) -> list[CascadeMaps]:
-        """Evaluate N same-geometry frames; one :class:`CascadeMaps` each.
-
-        Per-frame results must match :meth:`evaluate` bit-for-bit.  The
-        dense->sparse switch point is an execution-strategy knob (see
-        :meth:`ComputeBackend.make_cascade_evaluator`): fused backends
-        may take one batch-level switch decision without changing a
-        byte.  The default loops :meth:`evaluate` per frame — the
-        per-frame oracle the fused paths are validated against.
+        ``(..., h+1, w+1)`` padded integrals in, maps of ``(..., ay, ax)``
+        out.  The dense->sparse switch point is an execution-strategy
+        knob (see :meth:`ComputeBackend.make_cascade_evaluator`): a stack
+        may take one switch decision for all its lanes without changing
+        a byte.
         """
-        return [
-            self.evaluate(iis[i], sqiis[i]) for i in range(np.asarray(iis).shape[0])
-        ]
 
     def window_sigma(self, ii: np.ndarray, sqii: np.ndarray) -> np.ndarray:
         """Per-anchor window pixel std dev — the :meth:`evaluate` preamble
@@ -290,7 +254,7 @@ class CascadeEvaluator(ABC):
 
 
 class ComputeBackend(ABC):
-    """One implementation of every per-frame numeric kernel (see module doc)."""
+    """One implementation of every Fig. 1 numeric kernel (see module doc)."""
 
     #: registry name; also recorded in bench/trace provenance
     name: ClassVar[str] = "abstract"

@@ -5,7 +5,10 @@ the pyramid/filtering/integral primitives delegate to :mod:`repro.image`,
 and the cascade evaluator is the dense/sparse stage code that previously
 lived as private copies inside :mod:`repro.detect.engine`.  This backend
 is the byte-identity oracle every other backend is differenced against
-(:mod:`repro.backend.oracle`).
+(:mod:`repro.backend.oracle`), so it stays per-frame by construction:
+each plan's body works on one 2-D frame, and its public method loops
+that body over the lanes of a ``(..., h, w)`` stack, writing each lane
+into the stacked output.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ __all__ = [
     "ReferenceCascadeEvaluator",
     "ReferenceBackend",
 ]
+
+
+def _lanes(array: np.ndarray) -> np.ndarray:
+    """``array`` as a stack of 2-D lanes, a view of it (one lane for a
+    2-D array)."""
+    return array.reshape((-1,) + array.shape[-2:])
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +91,17 @@ class ReferenceBilinearPlan(BilinearPlan):
         self._grid = (dst_h, dst_w)
 
     def apply(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Resample ``src`` into a fresh (or provided) ``(dst_h, dst_w)`` grid."""
+        """Resample a ``(..., src_h, src_w)`` stack into a fresh (or
+        provided) ``(..., dst_h, dst_w)`` one, lane by lane."""
+        src = np.asarray(src)
+        if out is None:
+            out = np.empty(src.shape[:-2] + self._grid, dtype=np.float32)
+        for lane, dst in zip(_lanes(src), _lanes(out)):
+            self._resample(lane, dst)
+        return out
+
+    def _resample(self, src: np.ndarray, out: np.ndarray) -> None:
+        """The per-frame body: one ``(src_h, src_w)`` frame into ``out``."""
         # scratch: one row-gather panel, refilled for the second source
         # row, and three grids: the top lerp, the bottom lerp, and each
         # row's right-hand corner (dead once its row lerp has run)
@@ -108,10 +127,7 @@ class ReferenceBilinearPlan(BilinearPlan):
         # result = top * (1 - fy) + bottom * fy
         np.multiply(top, self.omfy, out=top)
         np.multiply(bottom, self.fy, out=bottom)
-        if out is None:
-            return np.add(top, bottom)
         np.add(top, bottom, out=out)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +147,19 @@ class ReferenceIntegralPlan(IntegralPlan):
         self._arena = arena if arena is not None else ScratchArena()
 
     def compute(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h, w = self.height, self.width
+        """Integrals of a ``(..., h, w)`` stack into ``(..., h+1, w+1)``
+        arena buffers, lane by lane."""
+        image = np.asarray(image)
+        shape = image.shape[:-2] + (self.height + 1, self.width + 1)
         take = self._arena.take
-        ii = take("integral.ii", (h + 1, w + 1), np.float64)
-        sqii = take("integral.sqii", (h + 1, w + 1), np.float64)
+        ii = take("integral.ii", shape, np.float64)
+        sqii = take("integral.sqii", shape, np.float64)
+        for lane, lane_ii, lane_sqii in zip(_lanes(image), _lanes(ii), _lanes(sqii)):
+            self._integrate(lane, lane_ii, lane_sqii)
+        return ii, sqii
+
+    def _integrate(self, image: np.ndarray, ii: np.ndarray, sqii: np.ndarray) -> None:
+        """The per-frame body: one ``(h, w)`` frame's padded integrals."""
         # the buffers are shared across level shapes, so the zero border
         # of this shape may hold another level's sums: clear it every call
         for padded in (ii, sqii):
@@ -149,7 +174,6 @@ class ReferenceIntegralPlan(IntegralPlan):
         np.multiply(image, image, dtype=np.float64, out=sqbody)
         np.cumsum(sqbody, axis=0, out=sqbody)
         np.cumsum(sqbody, axis=1, out=sqbody)
-        return ii, sqii
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +258,19 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         """The sparse stages' survivor set of an ``alive`` grid."""
         return np.nonzero(alive)
 
-    def _grid(self, name: str, dtype=np.float64) -> np.ndarray:
-        return self._arena.take(f"cascade.{name}", (self._ay, self._ax), dtype)
+    def _grid(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """Arena buffer ``cascade.<name>`` as ``shape``: one anchor grid, or
+        a stack of them."""
+        return self._arena.take(f"cascade.{name}", shape, dtype)
 
-    def _dense_scratch(self) -> _DenseScratch:
+    def _dense_scratch(self, shape) -> _DenseScratch:
         grid = self._grid
         return _DenseScratch(
-            tmp=grid("tmp"),
-            vals=grid("vals"),
-            ts=grid("ts"),
-            sums=grid("sums"),
-            mask=grid("mask", bool),
+            tmp=grid("tmp", shape),
+            vals=grid("vals", shape),
+            ts=grid("ts", shape),
+            sums=grid("sums", shape),
+            mask=grid("mask", shape, bool),
         )
 
     def _ensure_sparse_capacity(self, n: int) -> _SparseScratch:
@@ -269,15 +295,21 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         """Window sums and variance normalisation (identical op order).
 
         This is the :meth:`evaluate` preamble verbatim — the fast path's
-        variance screen calls it on its own, and :meth:`evaluate` calls
-        it too, so both read bit-identical sigma grids.  It works in two
-        of the dense grids, in place: window sum -> mean in ``tmp``,
-        window square sum -> variance in ``vals``.
+        variance screen calls it on its own, and :meth:`evaluate` runs
+        the same body per lane, so both read bit-identical sigma grids.
         """
-        ay, ax = self._ay, self._ax
+        sigma = np.empty((self._ay, self._ax), dtype=np.float64)
+        self._window_sigma(ii, sqii, sigma)
+        return sigma
+
+    def _window_sigma(self, ii: np.ndarray, sqii: np.ndarray, sigma: np.ndarray) -> None:
+        """The per-frame preamble into ``sigma``.  It works in two of the
+        dense grids, in place: window sum -> mean in ``tmp``, window
+        square sum -> variance in ``vals``."""
         w = self._window
         area = WINDOW_AREA
-        mean, ga = self._grid("tmp"), self._grid("vals")
+        grid = (self._ay, self._ax)
+        mean, ga = self._grid("tmp", grid), self._grid("vals", grid)
         np.subtract(ii[w:, w:], ii[:-w, w:], out=mean)
         np.subtract(mean, ii[w:, :-w], out=mean)
         np.add(mean, ii[:-w, :-w], out=mean)
@@ -285,26 +317,37 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         np.subtract(ga, sqii[w:, :-w], out=ga)
         np.add(ga, sqii[:-w, :-w], out=ga)
         np.divide(mean, area, out=mean)
-        sigma = np.empty((ay, ax), dtype=np.float64)
         np.divide(ga, area, out=ga)
         np.multiply(mean, mean, out=mean)
         np.subtract(ga, mean, out=ga)
         np.maximum(ga, 1.0, out=ga)
         np.sqrt(ga, out=sigma)
-        return sigma
 
     def evaluate(self, ii: np.ndarray, sqii: np.ndarray) -> CascadeMaps:
-        ay, ax = self._ay, self._ax
-        sigma = self.window_sigma(ii, sqii)
+        """Walk a ``(..., h+1, w+1)`` integral stack through the cascade,
+        lane by lane, into freshly allocated ``(..., ay, ax)`` maps."""
+        ii, sqii = np.asarray(ii), np.asarray(sqii)
+        shape = ii.shape[:-2] + (self._ay, self._ax)
+        depth = np.zeros(shape, dtype=np.int32)
+        margin = np.zeros(shape, dtype=np.float64)
+        sigma = np.empty(shape, dtype=np.float64)
+        for lane in zip(*map(_lanes, (ii, sqii, depth, margin, sigma))):
+            lane_ii, lane_sqii, lane_depth, lane_margin, lane_sigma = lane
+            self._window_sigma(lane_ii, lane_sqii, lane_sigma)
+            self._walk(lane_ii, lane_sigma, lane_depth, lane_margin)
+        return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
 
-        depth = np.zeros((ay, ax), dtype=np.int32)
-        margin = np.zeros((ay, ax), dtype=np.float64)
-        dense = self._dense_scratch()
-        alive = self._grid("alive", bool)
+    def _walk(self, ii, sigma, depth, margin) -> None:
+        """The stage walk over ``depth``'s anchors: dense stages over the
+        whole grid (or stack of grids) while many anchors live, then
+        sparse gathers of the survivors."""
+        shape = depth.shape
+        dense = self._dense_scratch(shape)
+        alive = self._grid("alive", shape, bool)
         alive.fill(True)
-        passed = self._grid("passed", bool)
+        passed = self._grid("passed", shape, bool)
         sparse = None
-        total = ay * ax
+        total = depth.size
         flat = ii.reshape(-1)
         offsets = self._bind_offsets()
 
@@ -324,8 +367,6 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
             else:
                 self._dense_stage(stage, ii, sigma, depth, margin, alive, passed, dense)
                 alive, passed = passed, alive
-
-        return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
 
     def evaluate_masked(
         self,

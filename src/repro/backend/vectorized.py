@@ -1,7 +1,12 @@
-"""The ``vectorized`` backend: batched cascade evaluation, identical bits.
+"""The ``vectorized`` backend: stacked kernels, identical bits.
 
-Two execution-strategy changes over :class:`~repro.backend.reference.
-ReferenceBackend`, neither of which may move a single output bit:
+Each plan has one body, and it runs over a whole ``(..., h, w)`` frame
+stack: a single frame is a stack of one, and a fused device batch of N
+frames runs every kernel once, in arena scratch sized to the stack.  The
+reference backend, the oracle, runs its per-frame bodies lane by lane
+instead.  Two execution-strategy changes over :class:`~repro.backend.
+reference.ReferenceBackend`, neither of which may move a single output
+bit:
 
 * the dense->sparse switch happens much earlier (25% of anchors alive
   instead of 4%), so mid-cascade stages run on gathered survivors instead
@@ -57,64 +62,88 @@ _GROUP_ELEMS = 1 << 16
 
 
 class VectorizedBilinearPlan(ReferenceBilinearPlan):
-    """Reference bilinear gather, plus a fused multi-frame batch path.
+    """The reference gather over a whole ``(..., src_h, src_w)`` stack.
 
-    ``apply_batch`` resamples all N frames with one stacked gather per
-    corner: the lerp is per-pixel, so every lane is bit-identical to
-    :meth:`apply` on that frame alone.
+    One stacked row gather and two column gathers per source row, in
+    arena scratch sized to the stack: the lerp is per-pixel and keeps
+    the reference op order, so every lane is bit-identical to the
+    reference resampling that frame alone.
     """
 
-    def apply_batch(self, srcs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        srcs = np.asarray(srcs, dtype=np.float32)
-        rows0 = np.take(srcs, self.y0, axis=1)
-        rows1 = np.take(srcs, self.y1, axis=1)
-        g00 = np.take(rows0, self.x0, axis=2)
-        g01 = np.take(rows0, self.x1, axis=2)
-        g10 = np.take(rows1, self.x0, axis=2)
-        g11 = np.take(rows1, self.x1, axis=2)
-        # same op order as apply(): top/bottom lerps then the row lerp
-        np.multiply(g00, self.omfx, out=g00)
-        np.multiply(g01, self.fx, out=g01)
-        np.add(g00, g01, out=g00)
-        np.multiply(g10, self.omfx, out=g10)
-        np.multiply(g11, self.fx, out=g11)
-        np.add(g10, g11, out=g10)
-        np.multiply(g00, self.omfy, out=g00)
-        np.multiply(g10, self.fy, out=g10)
+    def apply(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        src = np.asarray(src)
+        lanes = src.shape[:-2]
+        take = self._arena.take
+        rows = take("bilinear.rows", lanes + self._panel, np.float32)
+        top, bottom, right = (
+            take(f"bilinear.g{i}", lanes + self._grid, np.float32) for i in range(3)
+        )
+        # top = d[y0, x0] * (1 - fx) + d[y0, x1] * fx  (float32, as tex2D)
+        np.take(src, self.y0, axis=-2, out=rows)
+        np.take(rows, self.x0, axis=-1, out=top)
+        np.take(rows, self.x1, axis=-1, out=right)
+        np.multiply(top, self.omfx, out=top)
+        np.multiply(right, self.fx, out=right)
+        np.add(top, right, out=top)
+        # bottom = d[y1, x0] * (1 - fx) + d[y1, x1] * fx
+        np.take(src, self.y1, axis=-2, out=rows)
+        np.take(rows, self.x0, axis=-1, out=bottom)
+        np.take(rows, self.x1, axis=-1, out=right)
+        np.multiply(bottom, self.omfx, out=bottom)
+        np.multiply(right, self.fx, out=right)
+        np.add(bottom, right, out=bottom)
+        # result = top * (1 - fy) + bottom * fy
+        np.multiply(top, self.omfy, out=top)
+        np.multiply(bottom, self.fy, out=bottom)
         if out is None:
-            return np.add(g00, g10)
-        np.add(g00, g10, out=out)
+            return np.add(top, bottom)
+        np.add(top, bottom, out=out)
         return out
 
 
 class VectorizedIntegralPlan(ReferenceIntegralPlan):
-    """Reference integrals, plus one fused scan over an (n, h, w) stack.
+    """One scan per axis over a whole ``(..., h, w)`` stack.
 
-    ``cumsum`` runs independently along each lane of the stacked axis,
-    so every lane equals the per-frame :meth:`compute` bit-for-bit.  The
-    returned stacks are freshly allocated (they outlive the next call),
-    unlike the arena-backed single-frame buffers.
+    ``cumsum`` runs independently along each lane, so every lane equals
+    the reference integrals of that frame bit for bit.  The stacks live
+    in the arena, like the reference's, overwritten by the next call.
     """
 
-    def compute_batch(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        images = np.asarray(images)
-        n = images.shape[0]
-        iis = np.zeros((n, self.height + 1, self.width + 1), dtype=np.float64)
-        sqiis = np.zeros_like(iis)
-        # as compute(): cast and square straight into the padded interiors,
-        # then scan them in place, with no float64 staging stacks
-        body, sqbody = iis[:, 1:, 1:], sqiis[:, 1:, 1:]
-        body[...] = images
-        np.cumsum(body, axis=1, out=body)
-        np.cumsum(body, axis=2, out=body)
-        np.multiply(images, images, dtype=np.float64, out=sqbody)
-        np.cumsum(sqbody, axis=1, out=sqbody)
-        np.cumsum(sqbody, axis=2, out=sqbody)
-        return iis, sqiis
+    def compute(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        image = np.asarray(image)
+        shape = image.shape[:-2] + (self.height + 1, self.width + 1)
+        take = self._arena.take
+        ii = take("integral.ii", shape, np.float64)
+        sqii = take("integral.sqii", shape, np.float64)
+        # the buffers are shared across level shapes: re-zero the border
+        for padded in (ii, sqii):
+            padded[..., 0, :] = 0.0
+            padded[..., 1:, 0] = 0.0
+        # cast and square straight into the padded interiors, then scan
+        # them in place, with no float64 staging stacks
+        body, sqbody = ii[..., 1:, 1:], sqii[..., 1:, 1:]
+        body[...] = image
+        np.cumsum(body, axis=-2, out=body)
+        np.cumsum(body, axis=-1, out=body)
+        np.multiply(image, image, dtype=np.float64, out=sqbody)
+        np.cumsum(sqbody, axis=-2, out=sqbody)
+        np.cumsum(sqbody, axis=-1, out=sqbody)
+        return ii, sqii
 
 
 class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
-    """Reference evaluation with batched sparse gathers (see module doc)."""
+    """One cascade walk over a whole integral stack (see module doc).
+
+    Dense stages are elementwise over the ``(..., ay, ax)`` grids, sparse
+    stages gather the survivors of every lane through one flattened view
+    of the stacked integrals, and all the scratch is the arena's, sized
+    to the stack.  The only coupling between lanes is the dense->sparse
+    switch decision, taken once for the stack — and the switch point is
+    bit-neutral by contract, so every lane matches the reference walk of
+    that frame alone.  The sigma preamble and the dense stage are this
+    backend's own (they differ from the reference's only in taking
+    stacks), so the per-frame oracle checks them at every lane count.
+    """
 
     def __init__(
         self, cascade, mapping, *, sparse_threshold: float | None = None, arena=None
@@ -169,92 +198,49 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
             kept += alive.size
         return sparse[:kept]
 
-    # -- fused multi-frame evaluation ---------------------------------------
-    #
-    # One walk over the cascade for N same-geometry frames: dense stages
-    # are elementwise over the (n, ay, ax) stack, sparse stages gather
-    # survivors of every frame through one flattened view of the stacked
-    # integrals.  The only cross-frame coupling is the dense->sparse
-    # switch decision, which is taken once for the whole batch — and the
-    # switch point is bit-neutral by contract, so every lane still
-    # matches a solo :meth:`evaluate` bit-for-bit.
+    def evaluate(self, ii: np.ndarray, sqii: np.ndarray) -> CascadeMaps:
+        ii = np.ascontiguousarray(ii)
+        sigma = self.window_sigma(ii, sqii)
+        depth = np.zeros(sigma.shape, dtype=np.int32)
+        margin = np.zeros(sigma.shape, dtype=np.float64)
+        self._walk(ii, sigma, depth, margin)
+        return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
 
-    def evaluate_batch(self, iis: np.ndarray, sqiis: np.ndarray) -> list[CascadeMaps]:
-        iis = np.ascontiguousarray(iis)
-        sqiis = np.asarray(sqiis)
-        n = iis.shape[0]
-        if n == 1:
-            maps = self.evaluate(iis[0], sqiis[0])
-            return [maps]
-        ay, ax = self._ay, self._ax
-        sigma = self._window_sigma_batch(iis, sqiis)
-
-        depth = np.zeros((n, ay, ax), dtype=np.int32)
-        margin = np.zeros((n, ay, ax), dtype=np.float64)
-        alive = np.ones((n, ay, ax), dtype=bool)
-        passed = np.empty((n, ay, ax), dtype=bool)
-        sparse = None
-        total = n * ay * ax
-        flat = iis.reshape(-1)
-        offsets = self._bind_offsets()
-
-        for stage_idx, stage in enumerate(self._plan):
-            if sparse is None:
-                live = int(alive.sum())
-                if live == 0:
-                    break
-                if live < max(64, self._sparse_threshold * total):
-                    sparse = self._survivors(alive)
-            if sparse is not None:
-                sparse = self._sparse_stage(
-                    stage_idx, stage, flat, offsets, sigma, depth, margin, sparse
-                )
-                if sparse is None:
-                    break
-            else:
-                self._dense_stage_batch(stage, iis, sigma, depth, margin, alive, passed)
-                alive, passed = passed, alive
-
-        return [
-            CascadeMaps(depth_map=depth[i], margin_map=margin[i], sigma_map=sigma[i])
-            for i in range(n)
-        ]
-
-    def _window_sigma_batch(self, iis: np.ndarray, sqiis: np.ndarray) -> np.ndarray:
-        """:meth:`window_sigma` over a frame stack, same op order per lane."""
+    def window_sigma(self, ii: np.ndarray, sqii: np.ndarray) -> np.ndarray:
+        """The reference preamble over a stack, same op order per lane, in
+        the ``tmp`` and ``vals`` grids."""
         w = self._window
         area = WINDOW_AREA
-        wsum = np.subtract(iis[:, w:, w:], iis[:, :-w, w:])
-        np.subtract(wsum, iis[:, w:, :-w], out=wsum)
-        np.add(wsum, iis[:, :-w, :-w], out=wsum)
-        wsq = np.subtract(sqiis[:, w:, w:], sqiis[:, :-w, w:])
-        np.subtract(wsq, sqiis[:, w:, :-w], out=wsq)
-        np.add(wsq, sqiis[:, :-w, :-w], out=wsq)
-        mean = np.divide(wsum, area)
-        ga = np.divide(wsq, area)
+        shape = ii.shape[:-2] + (self._ay, self._ax)
+        mean, ga = self._grid("tmp", shape), self._grid("vals", shape)
+        np.subtract(ii[..., w:, w:], ii[..., :-w, w:], out=mean)
+        np.subtract(mean, ii[..., w:, :-w], out=mean)
+        np.add(mean, ii[..., :-w, :-w], out=mean)
+        np.subtract(sqii[..., w:, w:], sqii[..., :-w, w:], out=ga)
+        np.subtract(ga, sqii[..., w:, :-w], out=ga)
+        np.add(ga, sqii[..., :-w, :-w], out=ga)
+        np.divide(mean, area, out=mean)
+        np.divide(ga, area, out=ga)
         np.multiply(mean, mean, out=mean)
         np.subtract(ga, mean, out=ga)
         np.maximum(ga, 1.0, out=ga)
         return np.sqrt(ga)
 
-    def _dense_stage_batch(self, stage, iis, sigma, depth, margin, alive, passed) -> None:
+    def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed, scratch) -> None:
+        """The reference dense stage over a stack of anchor grids."""
         ay, ax = self._ay, self._ax
-        n = iis.shape[0]
-        sums = np.zeros((n, ay, ax), dtype=np.float64)
-        vals = np.empty((n, ay, ax), dtype=np.float64)
-        tmp = np.empty((n, ay, ax), dtype=np.float64)
-        ts = np.empty((n, ay, ax), dtype=np.float64)
-        mask = np.empty((n, ay, ax), dtype=bool)
+        tmp, vals, ts, sums, mask = scratch
+        sums.fill(0.0)
         for cl in stage.classifiers:
             vals.fill(0.0)
             for x0, y0, x1, y1, wt in cl.rects:
                 np.subtract(
-                    iis[:, y1 : y1 + ay, x1 : x1 + ax],
-                    iis[:, y0 : y0 + ay, x1 : x1 + ax],
+                    ii[..., y1 : y1 + ay, x1 : x1 + ax],
+                    ii[..., y0 : y0 + ay, x1 : x1 + ax],
                     out=tmp,
                 )
-                np.subtract(tmp, iis[:, y1 : y1 + ay, x0 : x0 + ax], out=tmp)
-                np.add(tmp, iis[:, y0 : y0 + ay, x0 : x0 + ax], out=tmp)
+                np.subtract(tmp, ii[..., y1 : y1 + ay, x0 : x0 + ax], out=tmp)
+                np.add(tmp, ii[..., y0 : y0 + ay, x0 : x0 + ax], out=tmp)
                 np.multiply(tmp, wt, out=tmp)
                 np.add(vals, tmp, out=vals)
             np.multiply(sigma, cl.threshold, out=ts)
@@ -312,7 +298,7 @@ def _stage_sums(group, flat, stage_offsets, base, sig) -> np.ndarray:
 
 
 class VectorizedBackend(ReferenceBackend):
-    """Same pyramid/integral primitives, batched cascade evaluation."""
+    """Same one-shot primitives, stacked plans and cascade evaluation."""
 
     name = "vectorized"
 

@@ -3,17 +3,17 @@
 The paper's Fig. 1 is one pipeline (pyramid -> integral -> cascade ->
 display) and its Fig. 5 runs the per-scale kernels as concurrent
 streams.  This module writes that sequence once, over N same-shaped
-frames treated as N lanes of the same per-level streams:
+frames treated as N lanes of the same per-level streams.  The frames
+are stacked into ``(n, h, w)`` arrays and every kernel site runs once
+over the stack, through the backend plans' one stack-in method each
+(``apply`` / ``compute`` / ``evaluate``):
 
-* a single frame is a batch of N=1.  It runs the per-frame kernels
-  (``apply`` / ``compute`` / ``evaluate``), pays its own simulated
-  schedule and reports unfused :class:`TransferStats`;
-* a fused device batch is N>1.  The frames are stacked into ``(n, h, w)``
-  arrays and every kernel site runs once over the stack (``apply_batch``
-  / ``compute_batch`` / ``evaluate_batch``).  Frame-independent launches
-  tile their grid n-fold, cascade launches concatenate per level, and
-  the whole batch pays *one* schedule: the Fig. 5 overlap picture with
-  frames, not just scales, feeding the streams;
+* a single frame is a batch of N=1: a stack of one.  It pays its own
+  simulated schedule and reports unfused :class:`TransferStats`;
+* a fused device batch is N>1.  Frame-independent launches tile their
+  grid n-fold, cascade launches concatenate per level, and the whole
+  batch pays *one* schedule: the Fig. 5 overlap picture with frames, not
+  just scales, feeding the streams;
 * the two-tier fast path (:mod:`repro.detect.fastpath`) is a per-level
   reuse decision inside the same level loop.  A bit-equal level reuses
   its cached detections and (slimmed)
@@ -28,8 +28,8 @@ which runs one pyramid level at a time;
 :meth:`~repro.detect.pipeline.FaceDetectionPipeline.process_frame` runs
 the same executor once over fresh geometry with the fast path off.
 Functional outputs do not depend on N: every lane of every fused kernel
-is bit-identical to the per-frame kernels on bitexact backends (the
-goldens assert it).
+is bit-identical to the reference backend's per-frame bodies on
+bitexact backends (the goldens assert it).
 """
 
 from __future__ import annotations
@@ -331,14 +331,13 @@ class _Geometry:
         while max(octave_shapes[-1]) // 2 >= config.min_image_side:
             ph, pw = octave_shapes[-1]
             octave_shapes.append((max(ph // 2, 1), max(pw // 2, 1)))
-        self.octave_plans: list[tuple[BilinearPlan, np.ndarray]] = []
-        for (ph, pw), (oh, ow) in zip(octave_shapes, octave_shapes[1:]):
-            self.octave_plans.append(
-                (
-                    backend.make_bilinear_plan(ph, pw, oh, ow, arena=arena),
-                    np.empty((oh, ow), dtype=np.float32),
-                )
-            )
+        self.octave_plans = [
+            (backend.make_bilinear_plan(ph, pw, oh, ow, arena=arena), (oh, ow))
+            for (ph, pw), (oh, ow) in zip(octave_shapes, octave_shapes[1:])
+        ]
+        #: the octave chain's lane stacks, kept from frame to frame and
+        #: grown to the most lanes run (octave 0 is the frame stack itself)
+        self.octaves = ScratchArena()
         n_octaves = len(octave_shapes)
 
         self.levels: list[_LevelState] = []
@@ -460,11 +459,12 @@ class _FastpathState:
 # the executor
 
 
-def _resample(plan: BilinearPlan, lanes, out: np.ndarray | None = None) -> np.ndarray:
-    """One bilinear kernel site over ``lanes``, as an ``(n, h, w)`` stack."""
+def _stack(lanes: list[np.ndarray]) -> np.ndarray:
+    """Same-shaped float32 lanes as one ``(n, h, w)`` stack (a view of a
+    lone float32 lane, so one frame is never copied)."""
     if len(lanes) == 1:
-        return plan.apply(lanes[0], out=out)[None]
-    return plan.apply_batch(np.asarray(lanes))
+        return np.asarray(lanes[0], dtype=np.float32)[None]
+    return np.stack([np.asarray(lane, dtype=np.float32) for lane in lanes])
 
 
 def _build_octaves(
@@ -476,25 +476,18 @@ def _build_octaves(
     for the whole pass and each level is built when the loop reaches it.
     """
     octaves = [stack]
-    for plan, buf in geo.octave_plans:
+    for k, (plan, shape) in enumerate(geo.octave_plans):
         with tracer.span("pyramid.antialias"):
-            filtered = [backend.antialias(lane, 2.0) for lane in octaves[-1]]
+            filtered = _stack([backend.antialias(lane, 2.0) for lane in octaves[-1]])
         with tracer.span("pyramid.scale"):
-            octaves.append(_resample(plan, filtered, out=buf))
+            out = geo.octaves.take(f"octave{k}", (len(stack),) + shape, np.float32)
+            octaves.append(plan.apply(filtered, out=out))
     return octaves
 
 
-def _integrals(state: _LevelState, images: np.ndarray):
-    if len(images) == 1:
-        ii, sqii = state.integral_plan.compute(images[0])
-        return ii[None], sqii[None]
-    return state.integral_plan.compute_batch(images)
-
-
-def _evaluate(state: _LevelState, iis: np.ndarray, sqiis: np.ndarray) -> list[CascadeMaps]:
-    if len(iis) == 1:
-        return [state.evaluator.evaluate(iis[0], sqiis[0])]
-    return state.evaluator.evaluate_batch(iis, sqiis)
+def _lane_maps(maps: CascadeMaps) -> list[CascadeMaps]:
+    """Stacked ``(n, ay, ax)`` maps as one :class:`CascadeMaps` per lane."""
+    return [CascadeMaps(*lane) for lane in zip(maps.depth_map, maps.margin_map, maps.sigma_map)]
 
 
 def _n_tiles(mapping: BlockMapping) -> int:
@@ -618,10 +611,7 @@ def _execute(
     prepare = pipeline.scheduler.prepare
     n_stages = pipeline.cascade.num_stages
     window = pipeline.config.pyramid.window
-    if n == 1:
-        stack = np.asarray(frames[0], dtype=np.float32)[None]
-    else:
-        stack = np.stack([np.asarray(frame, dtype=np.float32) for frame in frames])
+    stack = _stack(frames)
 
     stats: FastpathFrameStats | None = None
     frame_hit = False
@@ -657,7 +647,7 @@ def _execute(
             images = stack
         else:
             with tracer.span("pyramid.scale"):
-                images = _resample(state.bilinear, octaves[state.octave])
+                images = state.bilinear.apply(octaves[state.octave])
         clean, dirty = frame_hit, None
         if not clean and level_cache is not None and level_cache.result is not None:
             with tracer.span("fastpath.diff", cat="fastpath"):
@@ -676,7 +666,7 @@ def _execute(
             cascade_launch = level_cache.launch
         else:
             with tracer.span("integral"):
-                iis, sqiis = _integrals(state, images)
+                iis, sqiis = state.integral_plan.compute(images)
             with tracer.span("cascade"):
                 if fp.policy is FastpathPolicy.FAST:
                     cached = level_cache.result if level_cache is not None else None
@@ -684,7 +674,7 @@ def _execute(
                         _evaluate_fast(tracer, fp, state, iis[0], sqiis[0], dirty, cached, stats)
                     ]
                 else:
-                    maps = _evaluate(state, iis, sqiis)
+                    maps = _lane_maps(state.evaluator.evaluate(iis, sqiis))
                 with tracer.span("launch.build"):
                     results = [state.result(m, n_stages) for m in maps]
                     cascade_launch = prepare(

@@ -25,7 +25,6 @@ __all__ = [
     "pyramid_scales",
     "downscale",
     "build_pyramid",
-    "build_pyramid_batch",
 ]
 
 
@@ -153,62 +152,6 @@ def build_pyramid(
             PyramidLevel(index=index, scale=scale, width=w, height=h, image=current)
         )
     return levels
-
-
-def build_pyramid_batch(
-    frames,
-    config: PyramidConfig | None = None,
-    *,
-    backend=None,
-) -> list[list[PyramidLevel]]:
-    """Build the pyramids of N same-shaped frames with fused batch kernels.
-
-    Same level geometry and — on bitexact backends — the same bits as
-    calling :func:`build_pyramid` per frame, but every level of every
-    frame is resampled by one stacked
-    :meth:`~repro.backend.base.BilinearPlan.apply_batch` gather instead
-    of N separate ones, so the per-frame dispatch (and, on device
-    backends, transfer) cost is amortised across the batch.  Returns one
-    level list per input frame, in order.
-    """
-    from repro.backend import get_backend  # local: image.* is imported by backends
-
-    stack = np.stack([np.asarray(f, dtype=np.float32) for f in frames])
-    if stack.ndim != 3:
-        raise ConfigurationError(f"expected a stack of 2-D frames, got ndim={stack.ndim}")
-    resolved = get_backend(backend)
-    config = config or PyramidConfig()
-    n, height, width = stack.shape
-    scales = pyramid_scales(width, height, config)
-
-    octaves = [stack]
-    while max(octaves[-1].shape[1:]) // 2 >= config.min_image_side:
-        prev = octaves[-1]
-        filtered = np.stack([resolved.antialias(prev[i], 2.0) for i in range(n)])
-        plan = resolved.make_bilinear_plan(
-            prev.shape[1],
-            prev.shape[2],
-            max(prev.shape[1] // 2, 1),
-            max(prev.shape[2] // 2, 1),
-        )
-        octaves.append(plan.apply_batch(filtered))
-
-    per_frame: list[list[PyramidLevel]] = [[] for _ in range(n)]
-    for index, scale in enumerate(scales):
-        w = int(width / scale)
-        h = int(height / scale)
-        if index == 0:
-            current = stack
-        else:
-            octave = min(int(np.floor(np.log2(scale))), len(octaves) - 1)
-            src = octaves[octave]
-            plan = resolved.make_bilinear_plan(src.shape[1], src.shape[2], h, w)
-            current = plan.apply_batch(src)
-        for i in range(n):
-            per_frame[i].append(
-                PyramidLevel(index=index, scale=scale, width=w, height=h, image=current[i])
-            )
-    return per_frame
 
 
 def scaling_launch(

@@ -22,6 +22,7 @@ import pytest
 
 import repro.backend.vectorized as vectorized
 from repro.backend import get_backend
+from repro.backend.base import CascadeMaps
 from repro.backend.vectorized import VectorizedCascadeEvaluator
 from repro.detect.windows import BlockMapping
 from repro.haar.features import feature_rects
@@ -62,6 +63,11 @@ def _assert_same(got, want):
     assert got.depth_map.tobytes() == want.depth_map.tobytes()
     assert got.margin_map.tobytes() == want.margin_map.tobytes()
     assert got.sigma_map.tobytes() == want.sigma_map.tobytes()
+
+
+def _lanes(maps):
+    """Stacked maps as one :class:`CascadeMaps` per lane."""
+    return [CascadeMaps(*lane) for lane in zip(maps.depth_map, maps.margin_map, maps.sigma_map)]
 
 
 def _both(cascade, image):
@@ -121,7 +127,7 @@ def test_chunk_boundaries(cascade, scenes, monkeypatch, elems):
     cases = {
         "frame": lambda ev: [ev.evaluate(ii, sqii)],
         "masked": lambda ev: [ev.evaluate_masked(ii, sqii, active)],
-        "fused": lambda ev: ev.evaluate_batch(iis, sqiis),
+        "fused": lambda ev: _lanes(ev.evaluate(iis, sqiis)),
     }
     for name, run in cases.items():
         walks.clear()
@@ -179,7 +185,7 @@ def test_masked_walk_seeded_past_nmax(cascade, scenes):
 def test_fused_batch_of_three(cascade, scenes):
     iis = np.stack([integral_image(image) for image in scenes])
     sqiis = np.stack([squared_integral_image(image) for image in scenes])
-    lanes = _evaluator("vectorized", cascade, scenes[0]).evaluate_batch(iis, sqiis)
+    lanes = _lanes(_evaluator("vectorized", cascade, scenes[0]).evaluate(iis, sqiis))
     reference = _evaluator("reference", cascade, scenes[0])
     assert len(lanes) == 3
     for lane, ii, sqii in zip(lanes, iis, sqiis):

@@ -10,7 +10,9 @@ noisy process RSS), five of them on 480x270 frames:
 * the arena holds exactly the buffers DESIGN §7 lists: four float64
   anchor grids, two padded integrals, one bilinear panel and three
   grids, two launch pads, three flag grids and the cascade's corner
-  offsets (plus the reference backend's sparse survivor vectors);
+  offsets (plus the reference backend's sparse survivor vectors); a
+  fused N=3 batch stacks them, to at most three times those bytes, and
+  allocates no level stack outside them;
 * one frame's transient peak stays below the cascade maps of all its
   levels, because the executor runs one level at a time and drops each
   level's maps before building the next;
@@ -220,8 +222,14 @@ def test_arena_holds_the_documented_buffers(cascade, frames, backend):
     sparse = {name for name in documented if name.startswith("cascade.s_")}
     expected = documented if backend == "reference" else documented - sparse
     assert set(arena._buffers) == expected
+    assert arena.nbytes <= _arena_bound(pipeline, backend), arena.nbytes
 
-    # every bound from the frame shape: no level, panel or grid is larger
+
+def _arena_bound(pipeline, backend: str) -> int:
+    """Bytes of the DESIGN §7 buffers for one 480x270 lane.
+
+    Every bound is from the frame shape: no level, panel or grid is larger.
+    """
     height, width = SHAPE
     config = pipeline.config
     m = BlockMapping(
@@ -239,13 +247,48 @@ def test_arena_holds_the_documented_buffers(cascade, frames, backend):
         + (1 + 3) * height * width * f32  # the row panel and three corner grids
         + 2 * (m.blocks_y * m.block_h) * (m.blocks_x * m.block_w) * i32  # launch pads
         + 3 * anchors  # mask, alive, passed
-        + compile_cascade(cascade).num_rects * 4 * i64  # offsets
+        + compile_cascade(pipeline.cascade).num_rects * 4 * i64  # offsets
     )
     if backend == "reference":
         # five 8-byte vectors and one flag vector, sized by the switch point
         nmax = int(max(64, SPARSE_THRESHOLD * anchors)) + 1
         bound += nmax * (5 * f64 + 1)
-    assert arena.nbytes <= bound, (arena.nbytes, bound)
+    return bound
+
+
+def test_fused_batch_stacks_live_in_the_arena(cascade):
+    """A fused N=3 batch takes its level stacks from the arena.
+
+    The stacked bilinear, integral and cascade scratch are arena buffers
+    sized to three lanes, so after batches of every serving shape the
+    arena holds at most three single-lane sets.  Nothing else of a level
+    is stacked: one batch of the largest shape peaks below the three
+    lanes' cascade maps of all its levels, the N=3 form of
+    :func:`test_frame_peak_stays_below_all_levels_maps`.
+    """
+    lanes = 3
+    pipeline = _pipeline(cascade, "vectorized", "off")
+    workspace = pipeline.make_workspace()
+    for seed, (height, width) in enumerate(MIXED_SHAPES):
+        batch = [
+            packet.luma.astype(np.float32)
+            for packet in synthetic_stream(width, height, lanes, faces=2, seed=seed)
+        ]
+        assert workspace.process_batch(batch).fused
+    assert workspace._arena.nbytes <= lanes * _arena_bound(pipeline, "vectorized")
+
+    height, width = SHAPE
+    batch = [
+        packet.luma.astype(np.float32)
+        for packet in synthetic_stream(width, height, lanes, faces=2, seed=lanes)
+    ]
+    all_maps = sum(
+        kr.depth_map.nbytes + kr.margin_map.nbytes + kr.sigma_map.nbytes
+        for frame in batch
+        for kr in pipeline.process_frame(frame).kernel_results
+    )
+    _, peak, _ = _traced(lambda: workspace.process_batch(batch))
+    assert peak < all_maps, (peak, all_maps)
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])

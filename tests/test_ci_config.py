@@ -109,10 +109,14 @@ def test_vectorized_backend_job(workflow):
 
 
 def test_arrayapi_backend_job(workflow):
-    """The tier-1 suite must also run once under REPRO_BACKEND=arrayapi."""
+    """The tier-1 suite must also run once under REPRO_BACKEND=arrayapi,
+    and only that: the device-batch tolerance golden pins
+    ``backend="arrayapi"`` itself, so the ``test`` matrix already runs it."""
     text = _steps_text(workflow["jobs"]["test-arrayapi"])
     assert "REPRO_BACKEND=arrayapi" in text
     assert "PYTHONPATH=src python -m pytest -x -q" in text
+    steps = [line for line in text.splitlines() if "python -m pytest" in line]
+    assert steps == ["REPRO_BACKEND=arrayapi PYTHONPATH=src python -m pytest -x -q"]
 
 
 def test_process_sharding_job(workflow):
