@@ -58,6 +58,7 @@ __all__ = [
     "WINDOW_AREA",
     "DEVICE_ORDER",
     "BackendCapabilities",
+    "BORROWED_SLOTS",
     "ScratchArena",
     "BilinearPlan",
     "IntegralPlan",
@@ -113,41 +114,64 @@ class BackendCapabilities:
         return self.device != "cpu"
 
 
+#: scratch names that borrow an owner name's arena slot, each because its
+#: live range never overlaps the owner's within one level
+BORROWED_SLOTS = {
+    # the octave chain and a level's resample finish before that level's
+    # integrals are computed, and the resample's output is a fresh array
+    "bilinear.rows": "integral.ii",
+    "bilinear.g0": "integral.sqii",
+    "bilinear.g1": "cascade.tmp",
+    "bilinear.g2": "cascade.vals",
+    # CascadeLaunchTemplate.build runs after the cascade walk has returned
+    "launch.pad_lo": "cascade.tmp",
+    "launch.pad_hi": "cascade.vals",
+}
+
+
 class ScratchArena:
     """Named scratch buffers shared by the plans of one workspace.
 
-    :meth:`take` returns a view of the buffer called ``name``, regrown
-    when a request outgrows it, so each buffer ends up sized to the
-    largest level that asked for it — one scratch set, not one per
-    level.  A view's contents are undefined on return and the next
-    ``take`` of the same name overwrites them.  That is safe only while
+    :meth:`take` returns a view of the arena slot behind ``name``,
+    regrown when a request outgrows it, so each slot ends up sized to
+    the largest level that asked for it — one scratch set, not one per
+    level.  A name owns its slot unless :data:`BORROWED_SLOTS` lends it
+    another name's, so the arena holds one slot per live range.  A
+    view's contents are undefined on return and the next ``take`` of
+    any name on the same slot overwrites them.  That is safe only while
     the plans sharing an arena run one at a time, which is the
     workspace contract: single-worker, one level at a time.
     """
 
     def __init__(self) -> None:
+        #: one buffer per slot, keyed by the owner name
         self._buffers: dict[str, np.ndarray] = {}
         #: the last view handed out per name: a repeat request for the
         #: same shape and dtype gets the same array object back
         self._views: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape, dtype) -> np.ndarray:
-        """A ``shape``/``dtype`` view of scratch buffer ``name``."""
+        """A ``shape``/``dtype`` view of the slot behind scratch name ``name``."""
         shape = tuple(shape) if isinstance(shape, tuple) else (int(shape),)
         dtype = np.dtype(dtype)
         view = self._views.get(name)
         if view is not None and view.shape == shape and view.dtype == dtype:
             return view
         size = math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(name)
+        slot = BORROWED_SLOTS.get(name, name)
+        buf = self._buffers.get(slot)
         if buf is None or buf.nbytes < size:
-            buf = self._buffers[name] = np.empty(size, dtype=np.uint8)
+            buf = self._buffers[slot] = np.empty(size, dtype=np.uint8)
+            # every view of the outgrown buffer goes with it, so no
+            # cached view keeps it alive or hands it out again
+            for other in [n for n in self._views if BORROWED_SLOTS.get(n, n) == slot]:
+                del self._views[other]
         view = self._views[name] = buf[:size].view(dtype).reshape(shape)
         return view
 
     @property
     def nbytes(self) -> int:
-        """Bytes the arena holds across all of its buffers."""
+        """Bytes the arena holds across all of its slots."""
         return sum(buf.nbytes for buf in self._buffers.values())
 
 

@@ -183,20 +183,19 @@ class ReferenceIntegralPlan(IntegralPlan):
 class _DenseScratch(NamedTuple):
     """Arena grids of the dense stages, bound once per :meth:`evaluate`.
 
-    ``ts`` doubles as the classifier vote buffer: the threshold grid is
-    dead once the ``less_equal`` has read it.
+    ``tmp`` holds each rectangle's value, then the classifier's
+    threshold and vote: it is dead once the rectangles are summed.
     """
 
     tmp: np.ndarray
     vals: np.ndarray
-    ts: np.ndarray
     sums: np.ndarray
     mask: np.ndarray
 
 
 class _SparseScratch(NamedTuple):
     """Arena vectors of the sparse stages, sliced to the survivor count
-    (``ts`` doubles as the vote buffer, as in :class:`_DenseScratch`)."""
+    (``ts`` holds the sigma-scaled threshold, then the vote)."""
 
     base: np.ndarray
     t1: np.ndarray
@@ -268,7 +267,6 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
         return _DenseScratch(
             tmp=grid("tmp", shape),
             vals=grid("vals", shape),
-            ts=grid("ts", shape),
             sums=grid("sums", shape),
             mask=grid("mask", shape, bool),
         )
@@ -403,7 +401,7 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
 
     def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed, scratch) -> None:
         ay, ax = self._ay, self._ax
-        tmp, vals, ts, sums, mask = scratch
+        tmp, vals, sums, mask = scratch
         sums.fill(0.0)
         for cl in stage.classifiers:
             vals.fill(0.0)
@@ -418,11 +416,12 @@ class ReferenceCascadeEvaluator(CascadeEvaluator):
                 np.add(tmp, ii[y0 : y0 + ay, x0 : x0 + ax], out=tmp)
                 np.multiply(tmp, wt, out=tmp)
                 np.add(vals, tmp, out=vals)
-            np.multiply(sigma, cl.threshold, out=ts)
-            np.less_equal(vals, ts, out=mask)
-            np.copyto(ts, cl.right)
-            np.copyto(ts, cl.left, where=mask)
-            np.add(sums, ts, out=sums)
+            # threshold and vote in ``tmp``, dead once the rectangles are summed
+            np.multiply(sigma, cl.threshold, out=tmp)
+            np.less_equal(vals, tmp, out=mask)
+            np.copyto(tmp, cl.right)
+            np.copyto(tmp, cl.left, where=mask)
+            np.add(sums, tmp, out=sums)
         np.subtract(sums, stage.threshold, out=tmp)
         margin[alive] = tmp[alive]
         np.greater_equal(sums, stage.threshold, out=mask)

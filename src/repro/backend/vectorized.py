@@ -229,7 +229,7 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
     def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed, scratch) -> None:
         """The reference dense stage over a stack of anchor grids."""
         ay, ax = self._ay, self._ax
-        tmp, vals, ts, sums, mask = scratch
+        tmp, vals, sums, mask = scratch
         sums.fill(0.0)
         for cl in stage.classifiers:
             vals.fill(0.0)
@@ -243,11 +243,12 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
                 np.add(tmp, ii[..., y0 : y0 + ay, x0 : x0 + ax], out=tmp)
                 np.multiply(tmp, wt, out=tmp)
                 np.add(vals, tmp, out=vals)
-            np.multiply(sigma, cl.threshold, out=ts)
-            np.less_equal(vals, ts, out=mask)
-            np.copyto(ts, cl.right)
-            np.copyto(ts, cl.left, where=mask)
-            np.add(sums, ts, out=sums)
+            # threshold and vote in ``tmp``, dead once the rectangles are summed
+            np.multiply(sigma, cl.threshold, out=tmp)
+            np.less_equal(vals, tmp, out=mask)
+            np.copyto(tmp, cl.right)
+            np.copyto(tmp, cl.left, where=mask)
+            np.add(sums, tmp, out=sums)
         np.subtract(sums, stage.threshold, out=tmp)
         margin[alive] = tmp[alive]
         np.greater_equal(sums, stage.threshold, out=mask)

@@ -498,15 +498,27 @@ def _fmt(name: str, profile) -> str:
     return run_fig9(profile).format_table()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro import __version__
+class _VersionAction(argparse.Action):
+    """``--version`` that reads ``repro.__version__`` only when asked, so
+    building the parser leaves importlib.metadata unimported."""
 
+    def __init__(self, option_strings, dest, **kwargs) -> None:
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        from repro import __version__
+
+        print(f"{parser.prog} {__version__}")
+        parser.exit()
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Face detection reproduction (Oro et al., ICPP 2012)",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
+        "--version", action=_VersionAction, help="show program's version number and exit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

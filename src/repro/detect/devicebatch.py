@@ -712,6 +712,8 @@ def _execute(
             else:
                 levels[i].append(state.geometry)
                 kernels[i].append(state.summary(result))
+        # the level's pixels and maps go before the next level is built
+        del images, results, result
     if refill:
         cache.frame = level_caches[0].image
 

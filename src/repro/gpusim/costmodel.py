@@ -91,12 +91,17 @@ class CostModel:
         buckets = np.round(
             np.log(np.maximum(base, floor)) / np.log(self.COHORT_QUANTUM)
         ).astype(np.int64)
-        cohorts: list[BlockCohort] = []
-        for bucket in np.unique(buckets):
-            mask = buckets == bucket
-            count = int(mask.sum())
-            mean = float(base[mask].mean())
-            cohorts.append(BlockCohort(count=count, base_seconds=mean))
+        # one stable sort by bucket: each bucket is a contiguous slice
+        # holding its blocks in launch order, so its mean sums the same
+        # values in the same order as a mask over the whole grid would
+        order = np.argsort(buckets, kind="stable")
+        ordered = base[order]
+        edges = np.flatnonzero(np.diff(buckets[order])) + 1
+        bounds = [0, *edges.tolist(), base.size]
+        cohorts = [
+            BlockCohort(count=hi - lo, base_seconds=float(ordered[lo:hi].mean()))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
         # Long blocks first: LPT ordering tightens the schedule tail, which
         # is also what the hardware's greedy block scheduler approximates.
         cohorts.sort(key=lambda c: -c.base_seconds)

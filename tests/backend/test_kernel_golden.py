@@ -9,6 +9,12 @@ resamples (octaves and levels), the padded integral pairs and the
 depth/margin/sigma maps.  The sha256 of each lane's call sequence per
 kernel is compared with the committed ``kernel_golden.json``.
 
+The ``fast`` policy's masked walk, ``evaluate_masked``, has its own
+golden, ``masked_golden.json``: on both backends, every corpus frame
+is resampled, integrated and walked from seeded active sets of three
+densities, with every plan sharing one scratch arena as in a workspace,
+and the depth/margin/sigma maps of each lane's walks are hashed.
+
 The recorder wraps whatever the executor calls on a plan, so the golden
 pins the kernels' bytes, not the names or signatures of the seam's
 methods.  Any change that moves one pixel, one integral or one map entry
@@ -30,19 +36,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend.base import CascadeMaps
+from repro.backend import get_backend
+from repro.backend.base import CascadeMaps, ScratchArena
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
+from repro.detect.windows import BlockMapping
 from repro.utils.rng import rng_for
 from repro.video.synthesis import render_scene
 from repro.zoo import quick_cascade
 
 GOLDEN = Path(__file__).with_name("kernel_golden.json")
+MASKED_GOLDEN = Path(__file__).with_name("masked_golden.json")
 BACKENDS = ("reference", "vectorized")
 LANES = (1, 3)
 #: (height, width): prime by prime, odd by odd, the 24x24 minimum frame
 #: (one level, one anchor) and the shape of the constant frames
 SHAPES = ((61, 97), (45, 75), (24, 24), (48, 64))
 CONSTANT = (48, 64)
+#: active-anchor fractions of the masked walks: a few seeds, about the
+#: dense fallback, and more than any dense->sparse switch keeps
+DENSITIES = (0.05, 0.35, 0.9)
 
 
 def corpus() -> dict[str, list[np.ndarray]]:
@@ -148,6 +160,42 @@ def digests(monkeypatch, cascade) -> dict[str, str]:
     return table
 
 
+def masked_digests(cascade) -> dict[str, str]:
+    """``{backend/HxW/laneI/masked: sha256}`` of ``evaluate_masked``.
+
+    Each frame is resampled to its own shape (a bilinear pass whose
+    scratch shares the arena), integrated, screened with
+    ``window_sigma`` and walked once per density; every other walk is
+    handed the screen's sigma grid, as the fast path does.
+    """
+    table = {}
+    for backend_name in BACKENDS:
+        backend = get_backend(backend_name)
+        for shape, frames in corpus().items():
+            height, width = frames[0].shape
+            arena = ScratchArena()
+            resample = backend.make_bilinear_plan(height, width, height, width, arena=arena)
+            integrals = backend.make_integral_plan(height, width, arena=arena)
+            mapping = BlockMapping(level_width=width, level_height=height)
+            evaluator = backend.make_cascade_evaluator(cascade, mapping, arena=arena)
+            for lane, frame in enumerate(frames):
+                digest = hashlib.sha256()
+                for k, density in enumerate(DENSITIES):
+                    image = resample.apply(frame.astype(np.float32))
+                    ii, sqii = integrals.compute(image)
+                    sigma = evaluator.window_sigma(ii, sqii)
+                    rng = rng_for(0, "masked-golden", shape, lane, density)
+                    active = rng.random(sigma.shape) < density
+                    maps = evaluator.evaluate_masked(
+                        ii, sqii, active, sigma=sigma if k % 2 == 0 else None
+                    )
+                    for array in (maps.depth_map, maps.margin_map, maps.sigma_map):
+                        digest.update(f"{array.dtype.str}{array.shape}".encode())
+                        digest.update(np.ascontiguousarray(array).tobytes())
+                table[f"{backend_name}/{shape}/lane{lane}/masked"] = digest.hexdigest()
+    return table
+
+
 @pytest.fixture(scope="module")
 def cascade():
     return quick_cascade(seed=0)
@@ -172,6 +220,20 @@ def test_golden_is_one_set_of_bytes_per_lane():
     assert all(len(digests) == 1 for digests in by_lane.values())
 
 
+def test_masked_walks_match_the_golden(cascade):
+    got = masked_digests(cascade)
+    want = json.loads(MASKED_GOLDEN.read_text())
+    assert sorted(got) == sorted(want)
+    moved = sorted(key for key in want if got[key] != want[key])
+    assert not moved, moved[:10]
+    # the masked walk is bitexact too: one set of bytes per frame
+    by_frame = defaultdict(set)
+    for key, digest in want.items():
+        by_frame[key.split("/", 1)[1]].add(digest)
+    assert len(by_frame) == len(SHAPES) * 3
+    assert all(len(digests) == 1 for digests in by_frame.values())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(__doc__)
@@ -179,3 +241,6 @@ if __name__ == "__main__":
         table = digests(patch, quick_cascade(seed=0))
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {GOLDEN}")
+    masked = masked_digests(quick_cascade(seed=0))
+    MASKED_GOLDEN.write_text(json.dumps(masked, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(masked)} digests to {MASKED_GOLDEN}")

@@ -9,7 +9,10 @@ keeps its per-classifier loop.  The cases reach the kernel's edges:
 chunks of one survivor and a last chunk shorter than the rest, a single
 survivor (where a reordered sum would show), survivors that all die
 mid-cascade, a masked walk seeded with more survivors than the
-dense->sparse switch ever keeps, and a fused three-frame batch.
+dense->sparse switch ever keeps, and a fused three-frame batch.  One
+more case feeds integrals whose corner sums round, so the corner order
+``((A - B) - C) + D`` itself is checked in the dense and the sparse
+stages.
 
 ``quick_cascade(seed=0)`` mixes 2-, 3- and 4-rectangle features, so
 every group has classifiers of several rectangle counts.
@@ -190,3 +193,47 @@ def test_fused_batch_of_three(cascade, scenes):
     assert len(lanes) == 3
     for lane, ii, sqii in zip(lanes, iis, sqiis):
         _assert_same(lane, reference.evaluate(ii, sqii))
+
+
+def _inexact_integrals(scenes):
+    """Integral stacks of ``scenes`` whose corner sums round.
+
+    Integrals of 8-bit pixels are exact float64 sums, so every corner
+    order gives the same bits on them.  Here each lane gets ``f(y) +
+    g(x)`` added: random values of either sign spread over a dozen
+    binades up to 2**56.  The offsets cancel in every exact corner
+    combination, but the float64 one rounds, and another corner order
+    rounds differently, often enough to flip classifier votes.
+    """
+    rng = rng_for(0, "kernel-identity-inexact")
+    lanes, h, w = scenes.shape
+
+    def offsets(shape):
+        return rng.uniform(-1, 1, shape) * 2.0 ** rng.integers(44, 57, shape)
+
+    ii = np.stack([integral_image(image) for image in scenes])
+    sqii = np.stack([squared_integral_image(image) for image in scenes])
+    return ii + offsets((lanes, h + 1, 1)) + offsets((lanes, 1, w + 1)), sqii
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 2.0], ids=["dense", "sparse"])
+def test_corner_order_on_inexact_integrals(cascade, scenes, threshold):
+    """``-1.0`` walks dense until fewer than 64 anchors live, ``2.0``
+    walks sparse from stage 0; both backends in both, fused and per
+    frame, against the reference per frame."""
+    ii, sqii = _inexact_integrals(np.stack(scenes))
+    # the window sums in two corner orders: the inputs can tell them apart
+    w = cascade.window
+    a, b, c, d = ii[:, w:, w:], ii[:, :-w, w:], ii[:, w:, :-w], ii[:, :-w, :-w]
+    assert not np.array_equal(((a - b) - c) + d, ((a - b) + d) - c)
+    mapping = BlockMapping(level_width=ii.shape[-1] - 1, level_height=ii.shape[-2] - 1)
+    reference, evaluator = (
+        get_backend(name).make_cascade_evaluator(cascade, mapping, sparse_threshold=threshold)
+        for name in ("reference", "vectorized")
+    )
+    fused = _lanes(evaluator.evaluate(ii, sqii))
+    for lane, lane_ii, lane_sqii in zip(fused, ii, sqii):
+        want = reference.evaluate(lane_ii, lane_sqii)
+        assert want.depth_map.max() > 1
+        _assert_same(lane, want)
+        _assert_same(evaluator.evaluate(lane_ii, lane_sqii), want)

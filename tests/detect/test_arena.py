@@ -62,6 +62,21 @@ class TestScratchArena:
         arena.take("b", 16, np.int32)
         assert arena.nbytes == 20 * 10 * 8 + 16 * 4
 
+    def test_borrowers_share_their_owners_slot(self):
+        """A borrowing name takes its owner's slot, and a borrower that
+        outgrows the slot takes the owner's cached view with the old
+        buffer."""
+        arena = ScratchArena()
+        owner = arena.take("cascade.tmp", (4, 4), np.float64)
+        pad = arena.take("launch.pad_lo", (4, 4), np.int32)
+        assert np.shares_memory(owner, pad)
+        assert set(arena._buffers) == {"cascade.tmp"}
+        assert arena.nbytes == 4 * 4 * 8
+        grown = arena.take("bilinear.g1", (16, 16), np.float32)
+        assert arena.nbytes == 16 * 16 * 4
+        again = arena.take("cascade.tmp", (4, 4), np.float64)
+        assert again is not owner and np.shares_memory(again, grown)
+
 
 def _frames():
     """One frame per shape; the last repeats the first with a changed band.

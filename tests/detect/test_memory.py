@@ -1,21 +1,25 @@
 """Deterministic memory guards for the executor and its results.
 
-Six bounds, measured with ``tracemalloc`` (allocation counts, not the
-noisy process RSS), five of them on 480x270 frames:
+Seven bounds, measured with ``tracemalloc`` (allocation counts, not the
+noisy process RSS), six of them on 480x270 frames:
 
 * a workspace holds one largest-level scratch set (its one arena), the
-  fast path's temporal cache and its frame-independent plans — not one
-  scratch set per pyramid level — and the cache keeps per level only
-  what its policy reads again;
-* the arena holds exactly the buffers DESIGN §7 lists: four float64
-  anchor grids, two padded integrals, one bilinear panel and three
-  grids, two launch pads, three flag grids and the cascade's corner
-  offsets (plus the reference backend's sparse survivor vectors); a
-  fused N=3 batch stacks them, to at most three times those bytes, and
-  allocates no level stack outside them;
+  fast path's temporal cache, its frame-independent plans and its
+  octave chain's stacks — not one scratch set per pyramid level — and
+  the cache keeps per level only what its policy reads again;
+* the arena holds exactly the owner slots DESIGN §7 lists, one per
+  live range: three float64 anchor grids, two padded integrals, three
+  flag grids and the cascade's corner offsets (plus the reference
+  backend's sparse survivor vectors).  The bilinear scratch and the
+  launch pads borrow the integral and anchor-grid slots, as
+  :data:`~repro.backend.base.BORROWED_SLOTS` and the table say; a
+  fused N=3 batch stacks the slots, to at most three times those
+  bytes, and allocates no level stack outside them;
 * one frame's transient peak stays below the cascade maps of all its
   levels, because the executor runs one level at a time and drops each
-  level's maps before building the next;
+  level's pixels and maps before building the next: above what the
+  workspace retains, it is at most one level-0 map set, one level
+  image and one 1 MiB kernel transient;
 * a masked walk over every anchor of a level (the ``fast`` policy after
   a scene cut) peaks at its maps plus one survivor chunk's corner
   gather and index, not at a gather sized by the survivor count;
@@ -39,7 +43,7 @@ import pytest
 
 import repro.backend.vectorized as vectorized
 from repro.backend import get_backend
-from repro.backend.base import SPARSE_THRESHOLD, ScratchArena
+from repro.backend.base import BORROWED_SLOTS, SPARSE_THRESHOLD, ScratchArena
 from repro.backend.compiled import GroupLayout, compile_cascade
 from repro.detect.devicebatch import _Geometry
 from repro.detect.engine import DetectionEngine
@@ -104,17 +108,17 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def _one_level_scratch(pipeline) -> int:
+def _one_level_scratch(pipeline, image) -> int:
     """Bytes of one largest-level scratch set.
 
-    Every kernel that takes scratch runs once over a full-frame level on
-    a fresh arena; no pyramid level is larger than the frame.
+    Every kernel that takes scratch runs once over a full-frame level
+    (``image``, textured, so the reference's sparse stages run too) on a
+    fresh arena; no pyramid level is larger than the frame.
     """
     height, width = SHAPE
     config = pipeline.config
     backend = pipeline.backend
     arena = ScratchArena()
-    image = np.zeros(SHAPE, dtype=np.float32)
     backend.make_bilinear_plan(height, width, height, width, arena=arena).apply(image)
     ii, sqii = backend.make_integral_plan(height, width, arena=arena).compute(image)
     mapping = BlockMapping(
@@ -138,7 +142,7 @@ def test_workspace_holds_one_scratch_set_plus_the_fastpath_cache(
     cascade, frames, backend
 ):
     pipeline = _pipeline(cascade, backend, "exact")
-    scratch = _one_level_scratch(pipeline)
+    scratch = _one_level_scratch(pipeline, frames[0])
     # warm the per-cascade caches every geometry shares, then price the
     # frame-independent plans of one 480x270 geometry on their own
     _Geometry(pipeline, pipeline.backend, SHAPE, ScratchArena())
@@ -159,10 +163,13 @@ def test_workspace_holds_one_scratch_set_plus_the_fastpath_cache(
         for level in caches
     )
     assert all(_cached_maps(level) == set() for level in caches)
-    # plans stay well below one scratch set of four anchor grids
+    # the octave chain's lane stacks, kept from frame to frame
+    octaves = workspace._geometries[SHAPE].octaves.nbytes
+    # plans stay well below one scratch set of three anchor grids
     assert plans <= scratch // 5
     assert workspace._arena.nbytes <= scratch
-    assert live <= scratch + cache + plans + REPLAY_BUDGET, (live, scratch, cache, plans)
+    bound = scratch + cache + plans + octaves + REPLAY_BUDGET
+    assert live <= bound, (live, scratch, cache, plans, octaves)
 
 
 def _raw_bytes(raw) -> int:
@@ -205,10 +212,15 @@ def test_fastpath_cache_keeps_what_its_policy_reads(
         assert level.result.launch is not None and level.raw is not None
 
 
-def _documented_arena_buffers() -> set[str]:
-    """Buffer names of the DESIGN §7 arena table."""
+def _documented_arena_slots() -> dict[str, set[str]]:
+    """``{owner slot: borrowing names}`` of the DESIGN §7 arena table."""
     section = _DESIGN.read_text().split("## 7.", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"^\| `([a-z_0-9.]+)` \|", section, flags=re.MULTILINE))
+    rows = re.findall(r"^\| `([a-z_0-9.]+)` \|(.*)$", section, flags=re.MULTILINE)
+    # the borrowers are the backticked scratch names of the row's last cell
+    return {
+        slot: set(re.findall(r"`([a-z_0-9]+\.[a-z_0-9]+)`", row.rsplit("|", 2)[-2]))
+        for slot, row in rows
+    }
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
@@ -218,7 +230,9 @@ def test_arena_holds_the_documented_buffers(cascade, frames, backend):
     for frame in frames:
         workspace.process_frame(frame)
     arena = workspace._arena
-    documented = _documented_arena_buffers()
+    slots = _documented_arena_slots()
+    assert {name: owner for owner, names in slots.items() for name in names} == BORROWED_SLOTS
+    documented = set(slots)
     sparse = {name for name in documented if name.startswith("cascade.s_")}
     expected = documented if backend == "reference" else documented - sparse
     assert set(arena._buffers) == expected
@@ -226,9 +240,10 @@ def test_arena_holds_the_documented_buffers(cascade, frames, backend):
 
 
 def _arena_bound(pipeline, backend: str) -> int:
-    """Bytes of the DESIGN §7 buffers for one 480x270 lane.
+    """Bytes of the DESIGN §7 owner slots for one 480x270 lane.
 
-    Every bound is from the frame shape: no level, panel or grid is larger.
+    Every bound is from the frame shape: no level, panel or grid is
+    larger.  A slot is as large as the largest name on it.
     """
     height, width = SHAPE
     config = pipeline.config
@@ -241,11 +256,13 @@ def _arena_bound(pipeline, backend: str) -> int:
     )
     anchors = m.anchors_y * m.anchors_x
     f64, f32, i32, i64 = 8, 4, 4, 8
+    pad = (m.blocks_y * m.block_h) * (m.blocks_x * m.block_w) * i32
     bound = (
-        4 * anchors * f64  # tmp, vals, ts, sums
-        + 2 * (height + 1) * (width + 1) * f64  # ii, sqii
-        + (1 + 3) * height * width * f32  # the row panel and three corner grids
-        + 2 * (m.blocks_y * m.block_h) * (m.blocks_x * m.block_w) * i32  # launch pads
+        # tmp and vals, each also a bilinear grid and a launch pad
+        2 * max(anchors * f64, height * width * f32, pad)
+        + anchors * f64  # sums
+        # ii and sqii, also the bilinear row panel and top lerp
+        + 2 * max((height + 1) * (width + 1) * f64, height * width * f32)
         + 3 * anchors  # mask, alive, passed
         + compile_cascade(pipeline.cascade).num_rects * 4 * i64  # offsets
     )
@@ -304,6 +321,24 @@ def test_frame_peak_stays_below_all_levels_maps(cascade, frames, backend):
     workspace.process_frame(frames[0])  # plans and arena in place
     _, peak, _ = _traced(lambda: workspace.process_frame(frames[1]))
     assert peak < all_maps, (peak, all_maps)
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_frame_peak_is_one_level(cascade, frames, backend):
+    """Above what the workspace retains, one frame peaks at one level:
+    level 0's depth/margin/sigma maps, one level image and one 1 MiB
+    kernel transient (a survivor chunk's gather and index, or the launch
+    build's warp regrouping of the level's depths).  A level whose
+    pixels or maps outlive it into the next level's kernels breaks it."""
+    pipeline = _pipeline(cascade, backend, "off")
+    level0 = pipeline.process_frame(frames[1]).kernel_results[0]
+    maps = level0.depth_map.nbytes + level0.margin_map.nbytes + level0.sigma_map.nbytes
+    del level0
+    workspace = pipeline.make_workspace()
+    workspace.process_frame(frames[0])  # plans and arena in place
+    _, peak, _ = _traced(lambda: workspace.process_frame(frames[1]))
+    bound = maps + frames[1].nbytes + 2 * vectorized._GROUP_ELEMS * 8
+    assert peak <= bound, (peak, bound)
 
 
 class TestSlimResults:

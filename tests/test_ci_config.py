@@ -140,10 +140,16 @@ def test_process_sharding_job(workflow):
 
 def test_fastpath_job(workflow):
     """The full tier-1 suite must run under the exact fast path (the
-    byte-identity oracle mode); its recall/precision floors for ``fast``
-    are tier-1 tests, so the job runs no bench driver."""
+    byte-identity oracle mode), on the default backend and again on
+    ``vectorized``, the benchmark's pinned stream configuration; its
+    recall/precision floors for ``fast`` are tier-1 tests, so the job
+    runs nothing from ``benchmarks/``."""
     text = _steps_text(workflow["jobs"]["test-fastpath"])
-    assert "REPRO_FASTPATH=exact PYTHONPATH=src python -m pytest -x -q" in text
+    steps = [line for line in text.splitlines() if "python -m pytest" in line]
+    assert steps == [
+        "REPRO_FASTPATH=exact PYTHONPATH=src python -m pytest -x -q",
+        "REPRO_BACKEND=vectorized REPRO_FASTPATH=exact PYTHONPATH=src python -m pytest -x -q",
+    ]
     assert "benchmarks/" not in text
 
 
