@@ -48,7 +48,7 @@ from repro.backend.registry import (
     resolve_backend,
 )
 from repro.backend.vectorized import VectorizedBackend
-from repro.backend.warps import tile_warps
+from repro.backend.warps import warp_extremes
 
 __all__ = [
     "SPARSE_THRESHOLD",
@@ -74,7 +74,7 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "probe_all",
-    "tile_warps",
+    "warp_extremes",
 ]
 
 # idempotent (replace=True): surviving importlib.reload matters more here

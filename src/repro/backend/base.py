@@ -126,6 +126,11 @@ BORROWED_SLOTS = {
     # CascadeLaunchTemplate.build runs after the cascade walk has returned
     "launch.pad_lo": "cascade.tmp",
     "launch.pad_hi": "cascade.vals",
+    # a sparse stage runs after the walk's last dense stage (a masked walk
+    # has none), so a survivor chunk's corner gather and its index take
+    # the dense chunk slots
+    "cascade.gather": "cascade.tmp",
+    "cascade.index": "cascade.vals",
 }
 
 

@@ -16,21 +16,31 @@ bit:
   fixed number of array ops per chunk of survivors, whatever its
   classifier count: one corner gather, the corner combine, at most three
   slot adds, one threshold multiply, compare and select, and one
-  accumulate.  Chunks are sized so a gather and its index stay inside
-  ``_GROUP_ELEMS`` however many survivors are alive, and the corner
-  offsets are bound into one arena buffer per kernel call, so the
-  kernel's memory follows the work in flight, not the level count.
+  accumulate.
+
+One element budget, ``_GROUP_ELEMS``, sizes every grid-shaped scratch
+buffer of a kernel call.  The sigma preamble and the dense stages walk
+the whole lane stack in anchor-row chunks of at most that many anchors,
+writing margins, passes and depths in place; a survivor chunk's corner
+gather and its index stay inside it and live in the dense chunk slots,
+dead once the walk turns sparse; and the corner offsets are bound into
+one arena buffer per kernel call.  So the kernel's scratch follows the
+budget, not the level size, the lane count or the level count.
 
 Bit-identity holds because every elementwise operation keeps the
 reference order — ``((A - B) - C) + D``, then ``* weight``, then a
 sequential per-rectangle sum, then a sequential per-classifier stage sum
 (``np.add.accumulate``; ``reduce`` and ``reduceat`` may pair the terms
-differently) — and the switch point itself is bit-neutral (dense slices
-and sparse gathers read the same float64 values).  The cross-backend
+differently) — the switch point itself is bit-neutral (dense slices and
+sparse gathers read the same float64 values), and so is chunking: every
+anchor goes through the same operations in the same order, whichever
+chunk it falls in.  The cross-backend
 oracle tests and ``tests/backend/test_kernel_identity.py`` pin this.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,10 +65,11 @@ __all__ = [
 #: here, so most of the cascade runs on survivors only
 VEC_SPARSE_THRESHOLD = 0.25
 
-#: per-gather element budget of one survivor chunk's ``(4, R_s, m)`` corner
-#: block: the gather and its int64 index take ``2 * 8 * _GROUP_ELEMS`` bytes,
-#: 1 MiB, which still fits a core's L2 (the sweep is in DESIGN.md §9)
-_GROUP_ELEMS = 1 << 16
+#: element budget of every grid-shaped scratch buffer of a kernel call: a
+#: dense anchor-row chunk over all lanes, or one survivor chunk's
+#: ``(4, R_s, m)`` corner gather and its int64 index, which take
+#: ``2 * 8 * _GROUP_ELEMS`` bytes, 512 KiB (the sweep is in DESIGN.md §9)
+_GROUP_ELEMS = 1 << 15
 
 
 class VectorizedBilinearPlan(ReferenceBilinearPlan):
@@ -134,15 +145,16 @@ class VectorizedIntegralPlan(ReferenceIntegralPlan):
 class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
     """One cascade walk over a whole integral stack (see module doc).
 
-    Dense stages are elementwise over the ``(..., ay, ax)`` grids, sparse
-    stages gather the survivors of every lane through one flattened view
-    of the stacked integrals, and all the scratch is the arena's, sized
-    to the stack.  The only coupling between lanes is the dense->sparse
-    switch decision, taken once for the stack — and the switch point is
-    bit-neutral by contract, so every lane matches the reference walk of
-    that frame alone.  The sigma preamble and the dense stage are this
-    backend's own (they differ from the reference's only in taking
-    stacks), so the per-frame oracle checks them at every lane count.
+    Dense stages are elementwise over anchor-row chunks of the
+    ``(..., ay, ax)`` grids, sparse stages gather the survivors of every
+    lane through one flattened view of the stacked integrals, and all
+    the scratch is the arena's, sized by ``_GROUP_ELEMS``.  The only
+    coupling between lanes is the dense->sparse switch decision, taken
+    once for the stack — and the switch point is bit-neutral by
+    contract, so every lane matches the reference walk of that frame
+    alone.  The sigma preamble and the dense stage are this backend's
+    own (they differ from the reference's in taking stacks and walking
+    chunks), so the per-frame oracle checks them at every lane count.
     """
 
     def __init__(
@@ -162,6 +174,26 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         # flat anchor indices: one int64 per survivor, compacted in place
         return np.flatnonzero(alive)
 
+    def _row_chunks(self, shape) -> tuple[list[tuple[int, int]], int]:
+        """``(first row, rows)`` of every anchor-row chunk of a ``shape``
+        stack of anchor grids, and the elements of one chunk slot.
+
+        A chunk is as many whole anchor rows of every lane as fit
+        ``_GROUP_ELEMS`` (one row at least), so a slot holds the budget,
+        or the whole stack when that is smaller, or one row of every
+        lane when that is larger.
+        """
+        lanes = math.prod(shape[:-2])
+        ay, ax = self._ay, self._ax
+        rows = max(1, _GROUP_ELEMS // (lanes * ax))
+        size = max(min(_GROUP_ELEMS, lanes * ay * ax), lanes * ax)
+        return [(y, min(rows, ay - y)) for y in range(0, ay, rows)], size
+
+    def _dense_scratch(self, shape):
+        """The dense stages' four slots, flat and one chunk in size."""
+        _, size = self._row_chunks(shape)
+        return super()._dense_scratch(size)
+
     def _sparse_stage(self, stage_idx, stage, flat, offsets, sigma, depth, margin, sparse):
         """One stage over the survivors ``sparse``, a fixed number of array
         ops per chunk of them, whatever the stage's classifier count.
@@ -169,27 +201,39 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         ``sparse`` holds flat indices into ``depth`` — one anchor grid, or
         a stack of them over the flattened stacked integrals ``flat``.
         The survivors are walked in chunks whose ``(4, R_s, m)`` corner
-        gather (and its index) stays inside ``_GROUP_ELEMS``; the
-        arithmetic is per survivor, so chunking moves no bit.  Survivors
-        of the stage are compacted into the front of ``sparse``, which
-        is returned shortened.
+        gather (and its index) stays inside ``_GROUP_ELEMS``; both live
+        in dense slots, dead once the walk is sparse.  The arithmetic is
+        per survivor, so chunking moves no bit.  Survivors of the stage
+        are compacted into the front of ``sparse``, which is returned
+        shortened.
         """
         n = sparse.size
         if n == 0:
             return None
         group = self._compiled.layout.stages[stage_idx]
+        rects = group.end - group.start
         # (4, R_s, 1): every corner offset of the stage, corner-major
         stage_offsets = offsets[group.start : group.end].T[:, :, np.newaxis]
         shape = depth.shape
         ii_shape = shape[:-2] + self._ii_shape
         depth, margin, sigma = depth.reshape(-1), margin.reshape(-1), sigma.reshape(-1)
-        chunk = max(1, _GROUP_ELEMS // (4 * (group.end - group.start)))
+        chunk = max(1, _GROUP_ELEMS // (4 * rects))
+        size = 4 * rects * min(chunk, n)
+        index = self._grid("index", size, np.int64)
+        gather = self._grid("gather", size)
         kept = 0
         for i in range(0, n, chunk):
             anchors = sparse[i : i + chunk]
+            block = (4, rects, anchors.size)
             # flat index of each survivor's window origin in the integral(s)
             base = np.ravel_multi_index(np.unravel_index(anchors, shape), ii_shape)
-            sums = _stage_sums(group, flat, stage_offsets, base, sigma[anchors])
+            idx = index[: math.prod(block)].reshape(block)
+            np.add(stage_offsets, base, out=idx)
+            # one gather of every corner of the stage; "clip" (every index
+            # is in range) keeps take() from buffering its output
+            corners = gather[: idx.size].reshape(block)
+            flat.take(idx, out=corners, mode="clip")
+            sums = _stage_sums(group, corners, sigma[anchors])
             margin[anchors] = sums - stage.threshold
             alive = anchors[sums >= stage.threshold]
             depth[alive] += 1
@@ -207,66 +251,88 @@ class VectorizedCascadeEvaluator(ReferenceCascadeEvaluator):
         return CascadeMaps(depth_map=depth, margin_map=margin, sigma_map=sigma)
 
     def window_sigma(self, ii: np.ndarray, sqii: np.ndarray) -> np.ndarray:
-        """The reference preamble over a stack, same op order per lane, in
-        the ``tmp`` and ``vals`` grids."""
+        """The reference preamble over a stack, same op order per lane,
+        chunk by chunk in the ``tmp`` and ``vals`` slots."""
         w = self._window
         area = WINDOW_AREA
         shape = ii.shape[:-2] + (self._ay, self._ax)
-        mean, ga = self._grid("tmp", shape), self._grid("vals", shape)
-        np.subtract(ii[..., w:, w:], ii[..., :-w, w:], out=mean)
-        np.subtract(mean, ii[..., w:, :-w], out=mean)
-        np.add(mean, ii[..., :-w, :-w], out=mean)
-        np.subtract(sqii[..., w:, w:], sqii[..., :-w, w:], out=ga)
-        np.subtract(ga, sqii[..., w:, :-w], out=ga)
-        np.add(ga, sqii[..., :-w, :-w], out=ga)
-        np.divide(mean, area, out=mean)
-        np.divide(ga, area, out=ga)
-        np.multiply(mean, mean, out=mean)
-        np.subtract(ga, mean, out=ga)
-        np.maximum(ga, 1.0, out=ga)
-        return np.sqrt(ga)
+        chunks, size = self._row_chunks(shape)
+        tmp, vals = self._grid("tmp", size), self._grid("vals", size)
+        sigma = np.empty(shape, dtype=np.float64)
+        for y, r in chunks:
+            # window rows y..y+r: their top corners in rows ``top``, their
+            # bottom corners ``w`` rows further down
+            top, bottom = slice(y, y + r), slice(y + w, y + w + r)
+            mean, ga = _head(tmp, shape, r), _head(vals, shape, r)
+            np.subtract(ii[..., bottom, w:], ii[..., top, w:], out=mean)
+            np.subtract(mean, ii[..., bottom, :-w], out=mean)
+            np.add(mean, ii[..., top, :-w], out=mean)
+            np.subtract(sqii[..., bottom, w:], sqii[..., top, w:], out=ga)
+            np.subtract(ga, sqii[..., bottom, :-w], out=ga)
+            np.add(ga, sqii[..., top, :-w], out=ga)
+            np.divide(mean, area, out=mean)
+            np.divide(ga, area, out=ga)
+            np.multiply(mean, mean, out=mean)
+            np.subtract(ga, mean, out=ga)
+            np.maximum(ga, 1.0, out=ga)
+            np.sqrt(ga, out=sigma[..., top, :])
+        return sigma
 
     def _dense_stage(self, stage, ii, sigma, depth, margin, alive, passed, scratch) -> None:
-        """The reference dense stage over a stack of anchor grids."""
-        ay, ax = self._ay, self._ax
-        tmp, vals, sums, mask = scratch
-        sums.fill(0.0)
-        for cl in stage.classifiers:
-            vals.fill(0.0)
-            for x0, y0, x1, y1, wt in cl.rects:
-                np.subtract(
-                    ii[..., y1 : y1 + ay, x1 : x1 + ax],
-                    ii[..., y0 : y0 + ay, x1 : x1 + ax],
-                    out=tmp,
-                )
-                np.subtract(tmp, ii[..., y1 : y1 + ay, x0 : x0 + ax], out=tmp)
-                np.add(tmp, ii[..., y0 : y0 + ay, x0 : x0 + ax], out=tmp)
-                np.multiply(tmp, wt, out=tmp)
-                np.add(vals, tmp, out=vals)
-            # threshold and vote in ``tmp``, dead once the rectangles are summed
-            np.multiply(sigma, cl.threshold, out=tmp)
-            np.less_equal(vals, tmp, out=mask)
-            np.copyto(tmp, cl.right)
-            np.copyto(tmp, cl.left, where=mask)
-            np.add(sums, tmp, out=sums)
-        np.subtract(sums, stage.threshold, out=tmp)
-        margin[alive] = tmp[alive]
-        np.greater_equal(sums, stage.threshold, out=mask)
-        np.logical_and(alive, mask, out=passed)
-        depth[passed] += 1
+        """The reference dense stage over a stack of anchor grids, one
+        anchor-row chunk at a time in the flat ``scratch`` slots.
+
+        Margins, passes and depths are written in place, with no
+        boolean-index gathers.
+        """
+        ax = self._ax
+        shape = depth.shape
+        chunks, _ = self._row_chunks(shape)
+        for y, r in chunks:
+            tmp, vals, sums, mask = (_head(buf, shape, r) for buf in scratch)
+            rows = (..., slice(y, y + r), slice(None))
+            sums.fill(0.0)
+            for cl in stage.classifiers:
+                vals.fill(0.0)
+                for x0, y0, x1, y1, wt in cl.rects:
+                    a, b = y + y1, y + y0
+                    np.subtract(
+                        ii[..., a : a + r, x1 : x1 + ax],
+                        ii[..., b : b + r, x1 : x1 + ax],
+                        out=tmp,
+                    )
+                    np.subtract(tmp, ii[..., a : a + r, x0 : x0 + ax], out=tmp)
+                    np.add(tmp, ii[..., b : b + r, x0 : x0 + ax], out=tmp)
+                    np.multiply(tmp, wt, out=tmp)
+                    np.add(vals, tmp, out=vals)
+                # threshold and vote in ``tmp``, dead once the rectangles are summed
+                np.multiply(sigma[rows], cl.threshold, out=tmp)
+                np.less_equal(vals, tmp, out=mask)
+                np.copyto(tmp, cl.right)
+                np.copyto(tmp, cl.left, where=mask)
+                np.add(sums, tmp, out=sums)
+            np.subtract(sums, stage.threshold, out=tmp)
+            np.copyto(margin[rows], tmp, where=alive[rows])
+            np.greater_equal(sums, stage.threshold, out=mask)
+            np.logical_and(alive[rows], mask, out=passed[rows])
+            np.add(depth[rows], passed[rows], out=depth[rows])
 
 
-def _stage_sums(group, flat, stage_offsets, base, sig) -> np.ndarray:
-    """Stage sums of one survivor chunk: ``base`` window origins in
-    ``flat``, ``sig`` their sigmas.
+def _head(buf: np.ndarray, shape, rows: int) -> np.ndarray:
+    """Flat slot ``buf`` as one ``(..., rows, ax)`` chunk of a ``shape``
+    stack of anchor grids (a view of its first elements)."""
+    chunk = shape[:-2] + (rows, shape[-1])
+    return buf[: math.prod(chunk)].reshape(chunk)
 
-    Its corner gather and every temporary die on return, so one chunk's
-    ``(4, R_s, m)`` block is never alive next to the next one's.
+
+def _stage_sums(group, corners, sig) -> np.ndarray:
+    """Stage sums of one survivor chunk from its ``(4, R_s, m)`` corner
+    gather ``corners`` and ``sig``, the survivors' sigmas.
+
+    Every temporary lives in the gather's dead rows, and so do the
+    returned sums: they are read before the next chunk's gather.
     """
-    c, m = group.n, base.size
-    # one gather of every corner of the stage: (4, R_s, m); the index is
-    # built C-ordered, or take() would copy it once more
-    corners = flat.take(np.add(stage_offsets, base, order="C"))
+    c, m = group.n, sig.size
     # rv[r] = (((A - B) - C) + D) * weight, the reference op order
     rv = corners[0]
     np.subtract(rv, corners[1], out=rv)
@@ -295,7 +361,7 @@ def _stage_sums(group, flat, stage_offsets, base, sig) -> np.ndarray:
     acc[0] = 0.0
     np.take(wv, group.inverse, axis=0, out=acc[1:], mode="clip")
     np.add.accumulate(acc, axis=0, out=acc)
-    return acc[c].copy()
+    return acc[c]
 
 
 class VectorizedBackend(ReferenceBackend):

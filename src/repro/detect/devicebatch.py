@@ -53,8 +53,10 @@ from repro.detect.fastpath import (
 )
 from repro.detect.kernels import (
     CascadeKernelResult,
+    CascadeLaunchCosts,
     CascadeLaunchTemplate,
     cascade_launch_costs,
+    rejection_histogram,
 )
 from repro.detect.pipeline import (
     FaceDetectionPipeline,
@@ -229,6 +231,7 @@ class _LevelState:
         pipeline: FaceDetectionPipeline,
         backend: ComputeBackend,
         arena: ScratchArena,
+        costs: CascadeLaunchCosts,
         index: int,
         scale: float,
         width: int,
@@ -279,7 +282,7 @@ class _LevelState:
         self.bilinear: BilinearPlan | None = None  # set by _Geometry
 
         self.launch_template = CascadeLaunchTemplate(
-            cascade_launch_costs(pipeline.cascade),
+            costs,
             self.mapping,
             stream,
             name=f"cascade_s{index}",
@@ -294,9 +297,7 @@ class _LevelState:
             sigma_map=maps.sigma_map,
             launch=self.launch_template.build(maps.depth_map),
             mapping=self.mapping,
-            rejections_by_depth=np.bincount(
-                maps.depth_map.ravel(), minlength=n_stages + 1
-            ),
+            rejections_by_depth=rejection_histogram(maps.depth_map, n_stages),
         )
 
     def summary(self, result: CascadeKernelResult) -> CascadeKernelResult:
@@ -340,6 +341,9 @@ class _Geometry:
         self.octaves = ScratchArena()
         n_octaves = len(octave_shapes)
 
+        # one cost lookup per geometry: a cache hit hashes and compares
+        # the whole cascade
+        costs = cascade_launch_costs(pipeline.cascade)
         self.levels: list[_LevelState] = []
         for index, scale in enumerate(scales):
             w = int(width / scale)
@@ -347,7 +351,7 @@ class _Geometry:
             octave = 0
             if index > 0:
                 octave = min(int(np.floor(np.log2(scale))), n_octaves - 1)
-            state = _LevelState(pipeline, backend, arena, index, scale, w, h, octave)
+            state = _LevelState(pipeline, backend, arena, costs, index, scale, w, h, octave)
             if index > 0:
                 oh, ow = octave_shapes[octave]
                 state.bilinear = backend.make_bilinear_plan(oh, ow, h, w, arena=arena)
@@ -524,15 +528,15 @@ def _observe_proposal(
     known and the screen's recall can be *measured* instead of
     trusted — the number the ``fast`` policy's pruning rides on.
     """
-    ay, ax = result.depth_map.shape
     with tracer.span("fastpath.screen", cat="fastpath"):
         keep = tile_reduce_max(result.sigma_map, TILE) >= fp.min_sigma
-        textured = expand_tile_mask(keep, TILE, ay, ax)
-        accepted = result.depth_map == n_stages
-    stats.anchors_evaluated += ay * ax
+        # the accepted anchors, and whether the screen keeps their tiles
+        ys, xs = np.nonzero(result.depth_map == n_stages)
+        kept = keep[ys // TILE, xs // TILE]
+    stats.anchors_evaluated += result.depth_map.size
     stats.tiles_pruned += int(keep.size - np.count_nonzero(keep))
-    stats.proposal_total += int(np.count_nonzero(accepted))
-    stats.proposal_kept += int(np.count_nonzero(np.logical_and(accepted, textured)))
+    stats.proposal_total += int(ys.size)
+    stats.proposal_kept += int(np.count_nonzero(kept))
 
 
 def _evaluate_fast(
@@ -699,8 +703,11 @@ def _execute(
             raw.extend(level_raw)
         if refill:
             # level 0 aliases the caller's frame buffer (a shared-memory
-            # ring slot under process sharding), so the cache copies it;
-            # deeper levels are fresh arrays from the bilinear plans
+            # ring slot under process sharding), so the cache copies it,
+            # once the stale copy is let go (the level's maps are still
+            # alive here); deeper levels are fresh arrays from the
+            # bilinear plans
+            level_cache.image = None
             level_cache.image = np.array(images[0]) if state.index == 0 else images[0]
             level_cache.raw = level_raws[0]
             level_cache.result = _cache_entry(results[0], fp, keep_maps)

@@ -207,25 +207,23 @@ def dirty_window_mask(
     return in_window[:anchors_y, :anchors_x] > 0
 
 
-def _tiled(arr: np.ndarray, tile: int, fill) -> np.ndarray:
-    """Pad ``arr`` to a tile multiple and reshape to (ty, tile, tx, tile)."""
-    ay, ax = arr.shape
-    ty = -(-ay // tile)
-    tx = -(-ax // tile)
-    padded = np.full((ty * tile, tx * tile), fill, dtype=arr.dtype)
-    padded[:ay, :ax] = arr
-    return padded.reshape(ty, tile, tx, tile)
+def _tile_reduce(arr: np.ndarray, tile: int, fold: np.ufunc) -> np.ndarray:
+    """Per-tile ``fold`` of an anchor grid, ``(ty, tx)``: ``reduceat``
+    down the rows, then across the columns, so no padded copy of the
+    grid is made; a partial edge tile folds the anchors it has."""
+    rows = np.arange(0, arr.shape[0], tile)
+    cols = np.arange(0, arr.shape[1], tile)
+    return fold.reduceat(fold.reduceat(arr, rows, axis=0), cols, axis=1)
 
 
 def tile_reduce_max(values: np.ndarray, tile: int) -> np.ndarray:
-    """Per-tile max of an anchor-grid float array (partial edge tiles pad
-    with ``-inf`` so they never win on padding)."""
-    return _tiled(values, tile, -np.inf).max(axis=(1, 3))
+    """Per-tile max of an anchor-grid float array."""
+    return _tile_reduce(values, tile, np.maximum)
 
 
 def tile_reduce_any(mask: np.ndarray, tile: int) -> np.ndarray:
     """Per-tile any() of an anchor-grid bool array."""
-    return _tiled(mask, tile, False).any(axis=(1, 3))
+    return _tile_reduce(mask, tile, np.logical_or)
 
 
 def expand_tile_mask(

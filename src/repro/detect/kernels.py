@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.backend.base import ScratchArena
-from repro.backend.warps import tile_warps
+from repro.backend.warps import warp_extremes
 from repro.errors import ConfigurationError
 from repro.detect.windows import BlockMapping
 from repro.gpusim.kernel import BlockWork, KernelLaunch, LaunchConfig
@@ -49,6 +49,7 @@ __all__ = [
     "CascadeLaunchCosts",
     "cascade_launch_costs",
     "CascadeLaunchTemplate",
+    "rejection_histogram",
 ]
 
 # -- calibration constants (see DESIGN.md section 6) -------------------------
@@ -71,6 +72,8 @@ CONST_REQUESTS_PER_CLASSIFIER = 5.0
 #: tile (Eqs. 1-4), so almost all staging traffic is absorbed by the cache.
 #: This is why the paper measures only 9.57-532 MB/s of DRAM reads.
 L2_HIT_RATE = 0.985
+#: anchors per ``np.bincount`` call of :func:`rejection_histogram`
+_HISTOGRAM_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=64)
@@ -186,16 +189,14 @@ class CascadeLaunchTemplate:
         pad_hi = self._arena.take("launch.pad_hi", self._pad_shape, np.int32)
         pad_hi.fill(n_stages)
         pad_hi[: depth.shape[0], : depth.shape[1]] = depth
-        warps_lo = tile_warps(pad_lo, m.blocks_y, m.block_h, m.blocks_x, m.block_w)
-        warps_hi = tile_warps(pad_hi, m.blocks_y, m.block_h, m.blocks_x, m.block_w)
+        lo_max, hi_min = warp_extremes(pad_lo, pad_hi, m.block_h, m.block_w)
         # a warp executes stage k while any lane is alive: stages executed =
         # min(deepest lane depth + 1, S)
-        lo_max = warps_lo.max(axis=2)
         warp_exec = np.minimum(lo_max + 1, n_stages)
-        warp_min = np.minimum(np.minimum(warps_hi.min(axis=2), lo_max) + 1, n_stages)
+        warp_min = np.minimum(np.minimum(hi_min, lo_max) + 1, n_stages)
 
         gathered_instr = costs.cum_instr[warp_exec]
-        instr = gathered_instr.sum(axis=1) + self._staging * warps_lo.shape[1]
+        instr = gathered_instr.sum(axis=1) + self._staging * lo_max.shape[1]
         shared = costs.cum_shared[warp_exec].sum(axis=1) + m.shared_tile_bytes
         const = costs.cum_const[warp_exec].sum(axis=1)
         # branch accounting: one exit branch per executed stage, divergent
@@ -262,6 +263,20 @@ class CascadeKernelResult:
         return _detection_scores(self.depth_map[ys, xs], self.margin_map[ys, xs])
 
 
+def rejection_histogram(depth: np.ndarray, n_stages: int) -> np.ndarray:
+    """``(S+1,)`` anchor counts per depth of a depth map (Fig. 7).
+
+    ``np.bincount`` casts its int32 input to int64, so it runs over
+    chunks of the map: a whole-level call would copy the map at twice
+    its size.
+    """
+    flat = depth.reshape(-1)
+    counts = np.zeros(n_stages + 1, dtype=np.intp)
+    for i in range(0, flat.size, _HISTOGRAM_CHUNK):
+        counts += np.bincount(flat[i : i + _HISTOGRAM_CHUNK], minlength=n_stages + 1)
+    return counts
+
+
 def _detection_scores(depth: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """Depth plus the squashed margin, elementwise (the Fig. 9 scalar)."""
     return depth + 1.0 / (1.0 + np.exp(-np.clip(margin, -30, 30)))
@@ -306,7 +321,7 @@ def cascade_eval_kernel(
     maps = evaluator.evaluate(ii, sq)
 
     n_stages = cascade.num_stages
-    rejections = np.bincount(maps.depth_map.ravel(), minlength=n_stages + 1)
+    rejections = rejection_histogram(maps.depth_map, n_stages)
     template = CascadeLaunchTemplate(cascade_launch_costs(cascade), mapping, stream, name)
     return CascadeKernelResult(
         depth_map=maps.depth_map,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.warps import tile_warps
+from repro.backend.warps import warp_extremes
 from repro.boosting.soft_cascade import SoftCascade
 from repro.detect.kernels import (
     INSTR_PER_CLASSIFIER,
@@ -174,8 +174,8 @@ def _build_launch(
     pad_hi = np.full((by * bh, bx * bw), soft.length, dtype=np.int64)
     pad_hi[: exit_map.shape[0], : exit_map.shape[1]] = exit_map
 
-    warp_exec = tile_warps(pad_lo, by, bh, bx, bw).max(axis=2)
-    warp_min = np.minimum(tile_warps(pad_hi, by, bh, bx, bw).min(axis=2), warp_exec)
+    warp_exec, hi_min = warp_extremes(pad_lo, pad_hi, bh, bw)
+    warp_min = np.minimum(hi_min, warp_exec)
 
     staging = INSTR_STAGING_PER_THREAD * mapping.threads_per_block / 32.0
     instr = cum_instr[warp_exec].sum(axis=1) + staging * warp_exec.shape[1]

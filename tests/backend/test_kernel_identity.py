@@ -237,3 +237,74 @@ def test_corner_order_on_inexact_integrals(cascade, scenes, threshold):
         assert want.depth_map.max() > 1
         _assert_same(lane, want)
         _assert_same(evaluator.evaluate(lane_ii, lane_sqii), want)
+
+
+def _stacked_integrals(images):
+    return (
+        np.stack([integral_image(image) for image in images]),
+        np.stack([squared_integral_image(image) for image in images]),
+    )
+
+
+def _three_walks(cascade, iis, sqiis, threshold):
+    """The dense walk, ``window_sigma`` and a masked walk of both backends
+    over one stack, checked lane by lane against ``reference``.
+
+    The vectorized walks share one evaluator and arena, in that order, so
+    the masked walk's survivor gathers land in dense slots the other two
+    walks left dirty.
+    """
+    mapping = BlockMapping(level_width=iis.shape[-1] - 1, level_height=iis.shape[-2] - 1)
+    reference, evaluator = (
+        get_backend(name).make_cascade_evaluator(cascade, mapping, sparse_threshold=threshold)
+        for name in ("reference", "vectorized")
+    )
+    lanes = _lanes(evaluator.evaluate(iis, sqiis))
+    sigmas = evaluator.window_sigma(iis, sqiis)
+    for lane, sigma, ii, sqii in zip(lanes, sigmas, iis, sqiis):
+        _assert_same(lane, reference.evaluate(ii, sqii))
+        assert sigma.tobytes() == reference.window_sigma(ii, sqii).tobytes()
+    active = _masked_active(evaluator, iis[-1], sqiis[-1])
+    _assert_same(
+        evaluator.evaluate_masked(iis[-1], sqiis[-1], active),
+        reference.evaluate_masked(iis[-1], sqiis[-1], active),
+    )
+
+
+def _row_chunking(lanes, ay, ax) -> tuple[int, int]:
+    """``(chunks, rows of the last one)`` of the vectorized anchor-row
+    walk over ``lanes`` stacked ``(ay, ax)`` grids."""
+    rows = max(1, vectorized._GROUP_ELEMS // (lanes * ax))
+    return -(-ay // rows), ay - (ay - 1) // rows * rows
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_row_chunks_at_the_budget(cascade, lanes):
+    """A 480x270 level 0 at the real element budget: four anchor-row
+    chunks at N=1 and eleven at N=3, the last one partial each time.
+    The walk stays dense until fewer than 64 anchors live, so every
+    stage but the last few crosses every chunk boundary."""
+    images = [
+        packet.luma.astype(np.float64)
+        for packet in synthetic_stream(480, 270, lanes, faces=2, seed=5)
+    ]
+    ay, ax = 270 - 23, 480 - 23
+    chunks, last = _row_chunking(lanes, ay, ax)
+    assert chunks == (4 if lanes == 1 else 11)
+    assert last < ay // chunks
+    _three_walks(cascade, *_stacked_integrals(images), threshold=-1.0)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.25], ids=["dense", "switching"])
+def test_row_chunks_on_inexact_integrals(cascade, scenes, monkeypatch, threshold):
+    """The inexact-integral stacks, whose corner sums round, walked in
+    ragged anchor-row chunks (13 of the 49 rows at N=1, four at N=3) by
+    a walk that stays dense and by one that switches to survivor
+    gathers at the backend's own switch point."""
+    monkeypatch.setattr(vectorized, "_GROUP_ELEMS", 997)
+    iis, sqiis = _inexact_integrals(np.stack(scenes))
+    ay, ax = iis.shape[-2] - 24, iis.shape[-1] - 24
+    for n in (1, 3):
+        chunks, last = _row_chunking(n, ay, ax)
+        assert chunks > 2 and last < ay // chunks
+        _three_walks(cascade, iis[:n], sqiis[:n], threshold)

@@ -5,6 +5,8 @@ Geometry: the executor derives every pyramid level from a cached
 ``reference`` backend its levels must byte-equal ``build_pyramid`` and
 each level's maps must byte-equal the one-shot ``cascade_eval_kernel``,
 on odd and small frame sizes too, for a single lane and a fused batch.
+Building a geometry resolves the cascade's launch costs once, not once
+per level.
 
 Harness contract: the benchmark harness patches ``process_batch`` on the
 workspace class and tags the caller's frame arrays by identity, so the
@@ -17,9 +19,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.detect.devicebatch import BatchFrameWorkspace, FrameWorkspace
+from repro.backend.base import ScratchArena
+from repro.detect.devicebatch import BatchFrameWorkspace, FrameWorkspace, _Geometry
 from repro.detect.engine import DetectionEngine
-from repro.detect.kernels import cascade_eval_kernel
+from repro.detect.kernels import cascade_eval_kernel, cascade_launch_costs
 from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.image.pyramid import build_pyramid
@@ -97,6 +100,16 @@ def test_frame_below_the_window_is_rejected_like_build_pyramid(reference):
         reference.process_frame(frame)
     with pytest.raises(ConfigurationError):
         reference.make_workspace().process_batch([frame, frame.copy()])
+
+
+def test_geometry_resolves_launch_costs_once(reference):
+    """Each ``cascade_launch_costs`` lookup, cache hits too, hashes and
+    compares the whole cascade, so a geometry's levels share one."""
+    before = cascade_launch_costs.cache_info()
+    geometry = _Geometry(reference, reference.backend, (270, 480), ScratchArena())
+    after = cascade_launch_costs.cache_info()
+    assert len(geometry.levels) > 1
+    assert (after.hits + after.misses) - (before.hits + before.misses) <= 1
 
 
 class TestHarnessContract:

@@ -140,6 +140,24 @@ class TestGridHelpers:
         assert expanded.shape == (20, 18)
         assert expanded[19, 17] and not expanded[0, 0]
 
+    @pytest.mark.parametrize("shape", [(247, 457), (16, 16), (17, 33), (5, 40), (1, 1)])
+    def test_tile_reductions_match_padded_tiles(self, shape):
+        """Per-tile max and any() equal those of the grid padded to whole
+        tiles (with ``-inf`` and ``False``) and reduced tile by tile."""
+        rng = rng_for(4, "tile-reductions", *shape)
+        values = rng.uniform(1.0, 50.0, shape)
+        mask = rng.random(shape) < 0.01
+        ty, tx = -(-shape[0] // 16), -(-shape[1] // 16)
+
+        def padded(grid, fill):
+            tiles = np.full((ty * 16, tx * 16), fill, dtype=grid.dtype)
+            tiles[: shape[0], : shape[1]] = grid
+            return tiles.reshape(ty, 16, tx, 16)
+
+        want = padded(values, -np.inf).max(axis=(1, 3))
+        assert tile_reduce_max(values, 16).tobytes() == want.tobytes()
+        assert np.array_equal(tile_reduce_any(mask, 16), padded(mask, False).any(axis=(1, 3)))
+
 
 class TestTemporalCache:
     def test_first_frame_is_fully_dirty(self, cascade, scenes):

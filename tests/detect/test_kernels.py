@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.detect.kernels as kernels
+from repro.backend.warps import warp_extremes
 from repro.boosting.cascade_trainer import evaluate_cascade_on_windows
-from repro.detect.kernels import cascade_eval_kernel, stage_instruction_costs
+from repro.detect.kernels import cascade_eval_kernel, rejection_histogram, stage_instruction_costs
 from repro.detect.windows import BlockMapping
 from repro.errors import ConfigurationError
 from repro.haar.cascade import Cascade, Stage, WeakClassifier
@@ -150,3 +152,33 @@ class TestCostLayer:
         assert np.all(
             result.launch.work.divergent_branches <= result.launch.work.branches
         )
+
+    @pytest.mark.parametrize(
+        "block_h, block_w",
+        [(16, 16), (8, 4), (32, 1), (1, 32), (2, 64), (3, 32), (12, 8), (4, 24)],
+    )
+    @pytest.mark.parametrize("blocks_y, blocks_x", [(3, 5), (1, 3), (2, 1)])
+    def test_warp_extremes_match_regrouped_warps(self, block_h, block_w, blocks_y, blocks_x):
+        """Each warp's max and min, whether a warp is whole block rows or
+        not, equal those of the warps regrouped by copy, C-ordered."""
+        rng = rng_for(5, "warp-extremes", block_h, block_w, blocks_y, blocks_x)
+        shape = (blocks_y * block_h, blocks_x * block_w)
+        lo = rng.integers(-1, 30, shape).astype(np.int32)
+        hi = rng.integers(0, 30, shape).astype(np.int32)
+
+        def regrouped(grid):
+            blocks = grid.reshape(blocks_y, block_h, blocks_x, block_w).transpose(0, 2, 1, 3)
+            return blocks.reshape(blocks_y * blocks_x, -1, 32)
+
+        want_max, want_min = regrouped(lo).max(axis=2), regrouped(hi).min(axis=2)
+        got_max, got_min = warp_extremes(lo, hi, block_h, block_w)
+        for got, want in ((got_max, want_max), (got_min, want_min)):
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_rejection_histogram_counts_every_chunk(self, monkeypatch):
+        depth = rng_for(6, "histogram").integers(0, 7, (61, 97)).astype(np.int32)
+        monkeypatch.setattr(kernels, "_HISTOGRAM_CHUNK", 100)
+        want = np.bincount(depth.ravel(), minlength=8)
+        got = rejection_histogram(depth, 7)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,25 +1,30 @@
 """Deterministic memory guards for the executor and its results.
 
-Seven bounds, measured with ``tracemalloc`` (allocation counts, not the
-noisy process RSS), six of them on 480x270 frames:
+Eight bounds, measured with ``tracemalloc`` (allocation counts, not the
+noisy process RSS), seven of them on 480x270 frames:
 
 * a workspace holds one largest-level scratch set (its one arena), the
   fast path's temporal cache, its frame-independent plans and its
   octave chain's stacks — not one scratch set per pyramid level — and
   the cache keeps per level only what its policy reads again;
 * the arena holds exactly the owner slots DESIGN §7 lists, one per
-  live range: three float64 anchor grids, two padded integrals, three
-  flag grids and the cascade's corner offsets (plus the reference
-  backend's sparse survivor vectors).  The bilinear scratch and the
-  launch pads borrow the integral and anchor-grid slots, as
+  live range, with the bytes its table gives at 480x270: two padded
+  integrals, two flag grids, the cascade's corner offsets and four
+  dense slots — ``vectorized``'s sized by its element budget, the
+  reference's full anchor grids (plus its sparse survivor vectors).
+  The bilinear scratch, the launch pads and ``vectorized``'s survivor
+  gathers borrow the integral and dense slots, as
   :data:`~repro.backend.base.BORROWED_SLOTS` and the table say; a
   fused N=3 batch stacks the slots, to at most three times those
   bytes, and allocates no level stack outside them;
+* ``vectorized``'s dense slots stay within its element budget, or
+  within their largest borrower, at any frame size and lane count;
 * one frame's transient peak stays below the cascade maps of all its
   levels, because the executor runs one level at a time and drops each
   level's pixels and maps before building the next: above what the
-  workspace retains, it is at most one level-0 map set, one level
-  image and one 1 MiB kernel transient;
+  workspace retains, it is at most one level-0 map set and one level
+  image, plus, on the reference, its dense stage's boolean-index gather
+  of one anchor grid;
 * a masked walk over every anchor of a level (the ``fast`` policy after
   a scene cut) peaks at its maps plus one survivor chunk's corner
   gather and index, not at a gather sized by the survivor count;
@@ -212,15 +217,29 @@ def test_fastpath_cache_keeps_what_its_policy_reads(
         assert level.result.launch is not None and level.raw is not None
 
 
-def _documented_arena_slots() -> dict[str, set[str]]:
-    """``{owner slot: borrowing names}`` of the DESIGN §7 arena table."""
+def _documented_arena_table() -> dict[str, tuple[str, set[str]]]:
+    """``{owner slot: (bytes cell, borrowing names)}`` of the DESIGN §7
+    arena table."""
     section = _DESIGN.read_text().split("## 7.", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([a-z_0-9.]+)` \|(.*)$", section, flags=re.MULTILINE)
-    # the borrowers are the backticked scratch names of the row's last cell
-    return {
-        slot: set(re.findall(r"`([a-z_0-9]+\.[a-z_0-9]+)`", row.rsplit("|", 2)[-2]))
-        for slot, row in rows
-    }
+    table = {}
+    for slot, row in rows:
+        nbytes, borrowers = row.rsplit("|", 3)[-3:-1]
+        # the borrowers are the backticked scratch names of the last cell
+        table[slot] = (nbytes, set(re.findall(r"`([a-z_0-9]+\.[a-z_0-9]+)`", borrowers)))
+    return table
+
+
+def _documented_bytes(cell: str, backend: str, cascade) -> int | None:
+    """One backend's bytes from a ``vectorized / reference`` bytes cell:
+    ``—`` is a slot the backend never takes, and ``32 R`` the corner
+    offsets of ``cascade``'s R rectangles."""
+    value = cell.split("/")[0 if backend == "vectorized" else 1].strip()
+    if value == "—":
+        return None
+    if value.startswith("32 R"):
+        return 32 * compile_cascade(cascade).num_rects
+    return int(value.replace(",", ""))
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
@@ -230,12 +249,14 @@ def test_arena_holds_the_documented_buffers(cascade, frames, backend):
     for frame in frames:
         workspace.process_frame(frame)
     arena = workspace._arena
-    slots = _documented_arena_slots()
-    assert {name: owner for owner, names in slots.items() for name in names} == BORROWED_SLOTS
-    documented = set(slots)
-    sparse = {name for name in documented if name.startswith("cascade.s_")}
-    expected = documented if backend == "reference" else documented - sparse
-    assert set(arena._buffers) == expected
+    table = _documented_arena_table()
+    borrowed = {name: owner for owner, (_, names) in table.items() for name in names}
+    assert borrowed == BORROWED_SLOTS
+    documented = {
+        slot: _documented_bytes(cell, backend, cascade) for slot, (cell, _) in table.items()
+    }
+    held = {slot: buf.nbytes for slot, buf in arena._buffers.items()}
+    assert held == {slot: n for slot, n in documented.items() if n is not None}
     assert arena.nbytes <= _arena_bound(pipeline, backend), arena.nbytes
 
 
@@ -243,7 +264,9 @@ def _arena_bound(pipeline, backend: str) -> int:
     """Bytes of the DESIGN §7 owner slots for one 480x270 lane.
 
     Every bound is from the frame shape: no level, panel or grid is
-    larger.  A slot is as large as the largest name on it.
+    larger.  A slot is as large as the largest name on it.  The
+    reference's dense slots are anchor grids; ``vectorized``'s hold its
+    element budget, one anchor-row chunk or survivor chunk.
     """
     height, width = SHAPE
     config = pipeline.config
@@ -257,13 +280,15 @@ def _arena_bound(pipeline, backend: str) -> int:
     anchors = m.anchors_y * m.anchors_x
     f64, f32, i32, i64 = 8, 4, 4, 8
     pad = (m.blocks_y * m.block_h) * (m.blocks_x * m.block_w) * i32
+    dense = anchors if backend == "reference" else vectorized._GROUP_ELEMS
     bound = (
         # tmp and vals, each also a bilinear grid and a launch pad
-        2 * max(anchors * f64, height * width * f32, pad)
-        + anchors * f64  # sums
+        2 * max(dense * f64, height * width * f32, pad)
+        + dense * f64  # sums
+        + dense  # mask
         # ii and sqii, also the bilinear row panel and top lerp
         + 2 * max((height + 1) * (width + 1) * f64, height * width * f32)
-        + 3 * anchors  # mask, alive, passed
+        + 2 * anchors  # alive, passed
         + compile_cascade(pipeline.cascade).num_rects * 4 * i64  # offsets
     )
     if backend == "reference":
@@ -271,6 +296,48 @@ def _arena_bound(pipeline, backend: str) -> int:
         nmax = int(max(64, SPARSE_THRESHOLD * anchors)) + 1
         bound += nmax * (5 * f64 + 1)
     return bound
+
+
+#: vectorized's dense slots; their borrowers are in :data:`BORROWED_SLOTS`
+_DENSE_SLOTS = ("cascade.tmp", "cascade.vals", "cascade.sums", "cascade.mask")
+#: the float64 and int64 chunks the cascade itself takes
+_CHUNK_NAMES = ("cascade.tmp", "cascade.vals", "cascade.sums", "cascade.gather", "cascade.index")
+
+
+def test_dense_slots_stay_within_the_budget(cascade, monkeypatch):
+    """``vectorized``'s dense slots hold one chunk of its element budget
+    (an anchor-row chunk, or a survivor chunk's gather and index), or
+    their largest borrower's request if that is larger — after a
+    480x270 frame, a 960x540 one and a fused N=3 batch alike; none
+    grows with the level or the lane count."""
+    pipeline = _pipeline(cascade, "vectorized", "off")
+    workspace = pipeline.make_workspace()
+    arena = workspace._arena
+    requests: dict[str, int] = {}
+    take = arena.take
+
+    def recording(name, shape, dtype):
+        view = take(name, shape, dtype)
+        requests[name] = max(requests.get(name, 0), view.nbytes)
+        return view
+
+    monkeypatch.setattr(arena, "take", recording)
+    budget = vectorized._GROUP_ELEMS
+    for (height, width), lanes in (((270, 480), 1), ((540, 960), 1), ((270, 480), 3)):
+        batch = [
+            packet.luma.astype(np.float32)
+            for packet in synthetic_stream(width, height, lanes, faces=2, seed=lanes)
+        ]
+        workspace.process_batch(batch)
+        for slot in _DENSE_SLOTS:
+            itemsize = 1 if slot == "cascade.mask" else 8
+            borrowed = [requests.get(n, 0) for n, owner in BORROWED_SLOTS.items() if owner == slot]
+            limit = max([budget * itemsize, *borrowed])
+            assert arena._buffers[slot].nbytes <= limit, (slot, height, width, lanes)
+        # the cascade's own requests, survivor gathers included, are one chunk
+        for name in _CHUNK_NAMES:
+            assert requests[name] <= budget * 8, (name, requests[name])
+        assert requests["cascade.mask"] <= budget
 
 
 def test_fused_batch_stacks_live_in_the_arena(cascade):
@@ -326,18 +393,22 @@ def test_frame_peak_stays_below_all_levels_maps(cascade, frames, backend):
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_frame_peak_is_one_level(cascade, frames, backend):
     """Above what the workspace retains, one frame peaks at one level:
-    level 0's depth/margin/sigma maps, one level image and one 1 MiB
-    kernel transient (a survivor chunk's gather and index, or the launch
-    build's warp regrouping of the level's depths).  A level whose
-    pixels or maps outlive it into the next level's kernels breaks it."""
+    level 0's depth/margin/sigma maps and one level image.  Kernel
+    scratch is the arena's, launch pricing reduces warps in the arena's
+    pads and the rejection histogram counts in chunks, so no kernel
+    transient is allowed — except the reference's dense-stage margin
+    write, a boolean-index gather of one float64 anchor grid.  A level
+    whose pixels or maps outlive it into the next level's kernels
+    breaks it."""
     pipeline = _pipeline(cascade, backend, "off")
     level0 = pipeline.process_frame(frames[1]).kernel_results[0]
     maps = level0.depth_map.nbytes + level0.margin_map.nbytes + level0.sigma_map.nbytes
+    gather = level0.margin_map.nbytes if backend == "reference" else 0
     del level0
     workspace = pipeline.make_workspace()
     workspace.process_frame(frames[0])  # plans and arena in place
     _, peak, _ = _traced(lambda: workspace.process_frame(frames[1]))
-    bound = maps + frames[1].nbytes + 2 * vectorized._GROUP_ELEMS * 8
+    bound = maps + frames[1].nbytes + gather
     assert peak <= bound, (peak, bound)
 
 
