@@ -135,9 +135,11 @@ def _iter_groups(frames: Iterable, max_batch: int) -> Iterator[tuple[int, list[n
     The engine's one batch-formation rule: groups never reorder frames
     (FIFO output depends on it), never mix frame shapes (fused kernels
     need congruent pyramids) and never exceed ``max_batch`` frames.
-    Each group's lumas are the caller's arrays, uncopied.  A full group
-    is yielded before the next frame is pulled, so groups of one add no
-    read-ahead.
+    Each group's lumas are the caller's arrays, uncopied, and the
+    generator keeps no reference to a frame outside the group it is
+    forming: once a group is yielded, its frames stay live only while
+    the consumer holds it.  A full group is yielded before the next
+    frame is pulled, so groups of one add no read-ahead.
     """
     if max_batch < 1:
         raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
@@ -151,6 +153,7 @@ def _iter_groups(frames: Iterable, max_batch: int) -> Iterator[tuple[int, list[n
         if not buf:
             start = index
         buf.append(luma)
+        del frame, luma
         if len(buf) >= max_batch:
             yield start, buf
             buf = []
@@ -311,8 +314,9 @@ class DetectionEngine:
     queue_depth:
         Extra frames in flight beyond the worker count.  Bounds memory:
         the source iterator is only advanced when an in-flight slot frees
-        (backpressure), and at most ``max(workers, 1) + queue_depth``
-        frames exist at once.
+        (backpressure): with one frame per group, at most
+        ``max(workers, 1) + queue_depth`` frames are live at once
+        (:attr:`max_in_flight`).
     mode:
         Execution mode for the simulated schedules; defaults to the
         pipeline's configured mode.
@@ -368,8 +372,7 @@ class DetectionEngine:
         self._workers = workers
         self._queue_depth = queue_depth
         self._mode = mode
-        self._requested_sharding = ShardingMode.coerce(sharding)
-        self._sharding = self._requested_sharding.resolve(workers)
+        self._sharding = ShardingMode.coerce(sharding).resolve(workers)
         start_method = (
             start_method or os.environ.get(START_METHOD_ENV) or DEFAULT_START_METHOD
         )
@@ -419,22 +422,24 @@ class DetectionEngine:
         return self._sharding
 
     @property
-    def requested_sharding(self) -> ShardingMode:
-        """The mode as configured, before ``AUTO`` resolution."""
-        return self._requested_sharding
-
-    @property
     def start_method(self) -> str:
         """The multiprocessing start method process sharding uses."""
         return self._start_method
 
     @property
     def max_in_flight(self) -> int:
-        """Upper bound on simultaneously materialised frames.
+        """Upper bound on live frames when :meth:`process_frames` pulls.
 
-        With ``batch_across_frames`` and an explicit ``device_batch``,
-        the window widens to at least one full device batch — batch
-        formation must be able to materialise the frames it fuses.
+        A frame is live from its pull until its group completes: the
+        stream loop hands each group to its job and keeps no reference
+        to it.  The source is advanced only while fewer than this many
+        frames are in flight, and the group being formed counts on top.
+        So a pull sees fewer than ``max_in_flight`` live frames whenever
+        groups are single frames, or full device batches that fill the
+        window (the stream engine's shape).  With ``batch_across_frames``
+        and an explicit ``device_batch``, the window widens to at least
+        one full device batch — batch formation must be able to
+        materialise the frames it fuses.
         """
         base = max(self._workers, 1) + self._queue_depth
         if self._batch and self._device_batch is not None:
@@ -701,9 +706,12 @@ class DetectionEngine:
 
         Output order is the submission order by construction (a FIFO of
         group futures), independent of which worker finishes first.
-        Backpressure is counted in frames: the source is only advanced
-        while fewer than :attr:`max_in_flight` frames are in flight
-        (``workers=0`` yields each group before pulling the next frame).
+        Backpressure is counted in live frames: the source is only
+        advanced while fewer than :attr:`max_in_flight` frames are in
+        flight (``workers=0`` yields each group before pulling the next
+        frame), and a group's frames die when its job completes, before
+        the next group is pulled — this loop drops its own reference at
+        submit, on every executor.
         A dead worker process surfaces as
         :class:`~repro.errors.WorkerCrashError` — never a hang — and the
         pool and ring are rebuilt on the next run.
@@ -740,13 +748,18 @@ class DetectionEngine:
 
         try:
             for index, lumas in _iter_groups(frames, self._group_cap):
+                count = len(lumas)
                 future = self._submit_group(executor, index, lumas, mode)
+                # the job is now the group's only holder: its frames die
+                # when it completes, not when the next group is formed
+                del lumas
                 if metrics is not None:
                     future.add_done_callback(
                         lambda f: done_at.__setitem__(f, time.perf_counter())
                     )
-                pending.append((future, len(lumas)))
-                frames_pending += len(lumas)
+                pending.append((future, count))
+                del future
+                frames_pending += count
                 if in_flight is not None:
                     in_flight.set(frames_pending)
                 while pending and frames_pending >= limit:

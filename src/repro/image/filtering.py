@@ -38,19 +38,44 @@ def binomial_kernel(radius: int) -> np.ndarray:
     return (row / row.sum()).astype(np.float32)
 
 
+#: elements of the band scratch each tap's products pass through: the
+#: taps accumulate into the output a band of rows at a time, so no
+#: padded copy and no full-size product is ever allocated
+_BAND_ELEMS = 1 << 14
+
+
+def _reflect(index: np.ndarray, length: int) -> np.ndarray:
+    """``np.pad``'s ``reflect`` border as source indices: the edge sample
+    is not repeated, and an axis no longer than the radius reflects
+    again."""
+    if length == 1:
+        return np.zeros_like(index)
+    period = 2 * (length - 1)
+    index = index % period
+    return np.where(index < length, index, period - index)
+
+
 def _convolve_axis(image: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     radius = (len(kernel) - 1) // 2
     if radius == 0:
         return image * kernel[0]
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(image, pad, mode="reflect")
-    out = np.zeros_like(image, dtype=np.float32)
     length = image.shape[axis]
-    for tap, weight in enumerate(kernel):
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(tap, tap + length)
-        out += weight * padded[tuple(sl)]
+    sources = [_reflect(np.arange(length) + tap - radius, length) for tap in range(len(kernel))]
+    out = np.zeros_like(image, dtype=np.float32)
+    height, width = image.shape
+    rows = max(1, _BAND_ELEMS // width)
+    band = np.empty((min(rows, height), width), dtype=np.float32)
+    for top in range(0, height, rows):
+        bottom = min(top + rows, height)
+        scratch = band[: bottom - top]
+        for weight, source in zip(kernel, sources):
+            if axis == 0:
+                np.take(image, source[top:bottom], axis=0, out=scratch, mode="clip")
+            else:
+                np.take(image[top:bottom], source, axis=1, out=scratch, mode="clip")
+            # the same per-element ops as ``out += weight * tap``, from zero
+            np.multiply(weight, scratch, out=scratch)
+            out[top:bottom] += scratch
     return out
 
 

@@ -10,10 +10,11 @@ the parent writes the pixels once into a ``multiprocessing.shared_memory``
 slot and the worker reads them in place through a zero-copy ndarray view.
 
 The ring has a fixed number of slots sized at creation.  The engine
-creates it with ``slots = max_in_flight``, so its backpressure contract
-("at most ``max_in_flight`` frames materialised at once") doubles as the
-ring's occupancy bound: a slot is acquired at submit and released at
-emit, and the bound guarantees ``put`` always finds a free slot.
+creates it with ``slots = max_in_flight``, so its live-frame bound (a
+stream's frames are live from their pull until their group completes,
+and at most ``max_in_flight`` are in flight) doubles as the ring's
+occupancy bound: a slot is acquired at submit and released when its
+group completes, so a stream of full groups always finds a free slot.
 Oversized frames (a mixed-resolution stream growing mid-flight) fall
 back to pickle transport rather than failing — :meth:`put` returns
 ``None`` and the caller ships the array inline.

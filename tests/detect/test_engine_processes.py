@@ -248,9 +248,8 @@ class TestModeSelection:
         with pytest.raises(ConfigurationError, match="sharding"):
             ShardingMode.coerce("fork-bomb")
 
-    def test_engine_exposes_requested_and_resolved(self, pipeline):
+    def test_engine_resolves_auto_sharding(self, pipeline):
         engine = DetectionEngine(pipeline, workers=4, sharding="auto")
-        assert engine.requested_sharding is ShardingMode.AUTO
         assert engine.sharding in (ShardingMode.THREADS, ShardingMode.PROCESSES)
 
     def test_unknown_start_method_rejected(self, pipeline):

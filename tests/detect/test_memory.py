@@ -1,8 +1,13 @@
 """Deterministic memory guards for the executor and its results.
 
-Eight bounds, measured with ``tracemalloc`` (allocation counts, not the
-noisy process RSS), seven of them on 480x270 frames:
+Ten bounds, measured with ``tracemalloc`` (allocation counts, not the
+noisy process RSS) or, for the stream's live frames, weak references;
+most of them on 480x270 frames:
 
+* the stream engine keeps fewer than ``max_in_flight`` earlier frames
+  alive at every pull, on threads, processes and ``workers=0``: a
+  group's frames die when its job completes, not after the next group
+  has been pulled;
 * a workspace holds one largest-level scratch set (its one arena), the
   fast path's temporal cache, its frame-independent plans and its
   octave chain's stacks — not one scratch set per pyramid level — and
@@ -25,6 +30,11 @@ noisy process RSS), seven of them on 480x270 frames:
   workspace retains, it is at most one level-0 map set and one level
   image, plus, on the reference, its dense stage's boolean-index gather
   of one anchor grid;
+* one frame's octave chain peaks at the anti-alias filter's two pass
+  outputs and one band scratch above the octave stacks: the filter
+  reads its reflected borders from the source and accumulates each
+  tap's products through the band, with no padded copy and no
+  full-size product per tap;
 * a masked walk over every anchor of a level (the ``fast`` policy after
   a scene cut) peaks at its maps plus one survivor chunk's corner
   gather and index, not at a gather sized by the survivor count;
@@ -40,6 +50,7 @@ import pickle
 import re
 import sys
 import tracemalloc
+import weakref
 from dataclasses import astuple
 from pathlib import Path
 
@@ -47,10 +58,11 @@ import numpy as np
 import pytest
 
 import repro.backend.vectorized as vectorized
+import repro.image.filtering as filtering
 from repro.backend import get_backend
 from repro.backend.base import BORROWED_SLOTS, SPARSE_THRESHOLD, ScratchArena
 from repro.backend.compiled import GroupLayout, compile_cascade
-from repro.detect.devicebatch import _Geometry
+from repro.detect.devicebatch import _build_octaves, _Geometry
 from repro.detect.engine import DetectionEngine
 from repro.detect.fastpath import FastpathConfig
 from repro.detect.kernels import CascadeLaunchTemplate, cascade_launch_costs
@@ -58,6 +70,7 @@ from repro.detect.pipeline import FaceDetectionPipeline, PipelineConfig
 from repro.detect.shard import run_group
 from repro.detect.windows import BlockMapping
 from repro.haar.cascade import Cascade
+from repro.obs.tracer import NULL_TRACER
 from repro.video.stream import synthetic_stream
 from repro.zoo import quick_cascade
 
@@ -140,6 +153,47 @@ def _one_level_scratch(pipeline, image) -> int:
     )
     template.build(maps.depth_map)
     return arena.nbytes
+
+
+@pytest.mark.parametrize(
+    "workers, sharding, batched, device_batch",
+    [
+        (2, "threads", True, 8),  # the stream bench's engine
+        (2, "threads", False, None),
+        (2, "processes", True, 4),
+        (0, "threads", True, 4),
+    ],
+    ids=["threads-batched", "threads-unbatched", "processes-batched", "inline-batched"],
+)
+def test_stream_keeps_fewer_than_max_in_flight_frames_alive(
+    cascade, workers, sharding, batched, device_batch
+):
+    """At every pull, fewer than ``max_in_flight`` earlier frames are
+    alive: the engine lets go of a group once its job completes, before
+    it pulls the next group's frames."""
+    pipeline = _pipeline(cascade, "vectorized", "exact")
+    rng = np.random.default_rng(26)
+    refs: list[weakref.ref] = []
+    alive: list[int] = []
+
+    def source():
+        for _ in range(27):
+            alive.append(sum(ref() is not None for ref in refs))
+            frame = rng.random((72, 96), dtype=np.float32) * np.float32(255.0)
+            refs.append(weakref.ref(frame))
+            yield frame
+
+    with DetectionEngine(
+        pipeline,
+        workers=workers,
+        sharding=sharding,
+        batch_across_frames=batched,
+        device_batch=device_batch,
+    ) as engine:
+        emitted = sum(1 for _ in engine.process_frames(source()))
+        bound = engine.max_in_flight
+    assert emitted == len(refs) == 27
+    assert max(alive) < bound, (max(alive), bound)
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
@@ -409,6 +463,26 @@ def test_frame_peak_is_one_level(cascade, frames, backend):
     workspace.process_frame(frames[0])  # plans and arena in place
     _, peak, _ = _traced(lambda: workspace.process_frame(frames[1]))
     bound = maps + frames[1].nbytes + gather
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_octave_chain_peaks_at_two_frames_and_a_band(cascade, frames, backend):
+    """Above its octave stacks, one frame's octave chain peaks at the
+    level-0 anti-alias: its two pass outputs and one band scratch, plus
+    32 KiB for the filter's tap index vectors and small objects.  A
+    reflect-padded copy of the frame, or one full-size product per tap,
+    breaks it."""
+    pipeline = _pipeline(cascade, backend, "off")
+    workspace = pipeline.make_workspace()
+    workspace.process_frame(frames[0])  # plans and octave stacks in place
+    geo = workspace._geometries[SHAPE]
+    stack = frames[1][None]
+    _, peak, octaves = _traced(
+        lambda: _build_octaves(geo, stack, pipeline.backend, NULL_TRACER)
+    )
+    assert len(octaves) > 2
+    bound = 2 * frames[1].nbytes + filtering._BAND_ELEMS * 4 + (32 << 10)
     assert peak <= bound, (peak, bound)
 
 

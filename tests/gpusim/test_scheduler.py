@@ -10,7 +10,7 @@ from repro.gpusim.scheduler import DeviceScheduler, ExecutionMode
 
 
 def make_launch(name, nblocks, stream=0, threads=256, instr=4000.0, dram=8192.0,
-                smem=4096, heterogeneous=False, seed=0):
+                smem=4096, heterogeneous=False, seed=0, spread=(0.2, 5.0)):
     cfg = LaunchConfig(
         grid_blocks=nblocks, threads_per_block=threads,
         regs_per_thread=16, shared_mem_per_block=smem,
@@ -18,13 +18,20 @@ def make_launch(name, nblocks, stream=0, threads=256, instr=4000.0, dram=8192.0,
     if heterogeneous:
         rng = np.random.default_rng(seed)
         work = BlockWork.from_uniform(nblocks, warp_instructions=instr, dram_bytes_read=dram)
-        work.warp_instructions = work.warp_instructions * rng.uniform(0.2, 5.0, nblocks)
+        work.warp_instructions = work.warp_instructions * rng.uniform(*spread, nblocks)
     else:
         work = BlockWork.from_uniform(
             nblocks, warp_instructions=instr, dram_bytes_read=dram,
             branches=100, divergent_branches=1,
         )
     return KernelLaunch(name=name, config=cfg, work=work, stream=stream)
+
+
+def _work_bound(sched, launches):
+    """Total base block work over all SMs: the makespan at perfect speedup."""
+    cm = sched.cost_model
+    total = sum(float(cm.block_base_seconds(l.config, l.work).sum()) for l in launches)
+    return total / GTX470.sm_count
 
 
 @pytest.fixture
@@ -151,15 +158,34 @@ class TestConservation:
         launches = [make_launch(f"k{i}", b, stream=i, heterogeneous=True, seed=i)
                     for i, b in enumerate(blocks)]
         result = sched.run(launches, ExecutionMode.CONCURRENT)
-        # Makespan cannot beat perfect-speedup over all SMs at peak
-        # efficiency.  The processor-sharing approximation recomputes shares
-        # only at dispatch time, so late joiners can transiently over-credit
-        # SM bandwidth; allow a bounded 15 % slack for that known error.
-        cm = sched.cost_model
-        total_work = sum(
-            float(cm.block_base_seconds(l.config, l.work).sum()) for l in launches
+        # Makespan cannot beat perfect speedup over all SMs at peak
+        # efficiency.  These lists (256-thread blocks, a 0.2-5x spread)
+        # stayed 3 % above it in 3,000 examples; other lists undershoot
+        # (below).
+        assert result.makespan_s >= _work_bound(sched, launches)
+
+    def test_late_joiners_can_undershoot_the_work_bound(self):
+        # The processor-sharing approximation prices a block once, at
+        # placement: blocks that join an SM later do not slow the ones
+        # already running, so SMs of small, DRAM-heavy blocks with a
+        # 400x per-block spread are over-credited.  This list, found by a
+        # hill-climb, finishes 24 % under total work / SMs (EXPERIMENTS.md,
+        # known deviation 5); a scheduler that recomputes shares on every
+        # join moves it to >= 1.
+        sched = DeviceScheduler(GTX470)
+        spread = (0.05, 20.0)
+        launches = [
+            make_launch("k0", 82, stream=0, threads=192, instr=23000.0,
+                        dram=370000.0, smem=0, heterogeneous=True, seed=0, spread=spread),
+            make_launch("k1", 231, stream=1, threads=96, instr=3700.0,
+                        dram=58000.0, smem=1024, heterogeneous=True, seed=1, spread=spread),
+            make_launch("k2", 179, stream=2, threads=96, instr=540.0,
+                        dram=46000.0, smem=8192, heterogeneous=True, seed=2, spread=spread),
+        ]
+        ratio = sched.run(launches, ExecutionMode.CONCURRENT).makespan_s / _work_bound(
+            sched, launches
         )
-        assert result.makespan_s >= total_work / GTX470.sm_count * 0.85
+        assert 0.75 < ratio < 0.77
 
     @given(blocks=st.lists(st.integers(1, 120), min_size=2, max_size=5))
     @settings(max_examples=20, deadline=None)
