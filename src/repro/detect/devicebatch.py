@@ -117,19 +117,6 @@ class TransferStats:
         """Crossings avoided relative to the per-frame path."""
         return (self.per_frame_h2d + self.per_frame_d2h) - (self.h2d + self.d2h)
 
-    def as_dict(self) -> dict:
-        """Plain-dict form for bench artifacts."""
-        return {
-            "frames": self.frames,
-            "batches": self.batches,
-            "fused_batches": self.fused_batches,
-            "h2d": self.h2d,
-            "d2h": self.d2h,
-            "per_frame_h2d": self.per_frame_h2d,
-            "per_frame_d2h": self.per_frame_d2h,
-            "saved": self.saved,
-        }
-
 
 @dataclass
 class BatchExecution:
@@ -269,8 +256,6 @@ class _LevelState:
             level_width=width,
             level_height=height,
             window=pipeline.config.pyramid.window,
-            block_w=pipeline.config.block_w,
-            block_h=pipeline.config.block_h,
         )
 
         # the backend side of the seam: reusable kernels whose scratch is

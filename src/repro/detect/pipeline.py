@@ -54,8 +54,6 @@ class PipelineConfig:
     """Static pipeline parameters."""
 
     pyramid: PyramidConfig = field(default_factory=PyramidConfig)
-    block_w: int = 16
-    block_h: int = 16
     mode: ExecutionMode = ExecutionMode.CONCURRENT
     #: compute-backend registry name; ``None`` -> ``REPRO_BACKEND`` env var
     #: or the ``reference`` default (see :mod:`repro.backend.registry`)
@@ -73,8 +71,6 @@ class PipelineConfig:
     fastpath: FastpathConfig | str | None = None
 
     def __post_init__(self) -> None:
-        if self.block_w <= 0 or self.block_h <= 0:
-            raise ConfigurationError("block dimensions must be positive")
         if self.device is not None and self.device != "auto" and self.device not in DEVICE_ORDER:
             raise ConfigurationError(
                 f"unknown compute device {self.device!r}; "
@@ -220,15 +216,14 @@ class FaceDetectionPipeline:
             self._backend = requested
             self._compute_device = requested.capabilities.device
             self._probe_report: ProbeReport | None = None
-        elif self._config.device is None:
-            # legacy chain: explicit name > REPRO_BACKEND > default, probed
-            # over that backend's own declared devices only (no auto walk)
-            resolved = resolve_backend(prefer=requested or default_backend_name())
-            self._backend = resolved.backend
-            self._compute_device = resolved.device
-            self._probe_report = resolved.report
         else:
-            resolved = resolve_backend(prefer=requested, device=self._config.device)
+            # explicit name > REPRO_BACKEND > default; without a compute
+            # device the probe keeps that backend's own devices (no auto walk)
+            compute = self._config.device
+            resolved = resolve_backend(
+                prefer=requested or (default_backend_name() if compute is None else None),
+                device=compute,
+            )
             self._backend = resolved.backend
             self._compute_device = resolved.device
             self._probe_report = resolved.report

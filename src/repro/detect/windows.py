@@ -41,7 +41,11 @@ def staging_addresses(
 
 @dataclass(frozen=True)
 class BlockMapping:
-    """Geometry of the cascade kernel's grid for one pyramid level."""
+    """Geometry of the cascade kernel's grid for one pyramid level.
+
+    The block defaults to the paper's 16×16 anchors (Section III-B),
+    which the pipeline and every ablation use.
+    """
 
     level_width: int
     level_height: int

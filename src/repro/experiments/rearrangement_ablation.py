@@ -42,10 +42,6 @@ class RearrangementComparison:
     rearranged_launch_count: int
     paper_launch_count: int
 
-    @property
-    def paper_wins(self) -> bool:
-        return self.paper_time_ms <= self.rearranged_time_ms
-
     def format_table(self) -> str:
         rows = [
             ["simulated time (ms)", round(self.paper_time_ms, 3),

@@ -19,7 +19,6 @@ rather than being hard-coded.
 
 from repro.gpusim.device import DeviceSpec, GTX470, XEON_HOST_I7_2600K, XEON_HOST_DUAL_E5472
 from repro.gpusim.kernel import BlockWork, KernelLaunch, LaunchConfig
-from repro.gpusim.stream import Stream, StreamManager
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.occupancy import OccupancyCalculator, OccupancyResult
@@ -36,8 +35,6 @@ __all__ = [
     "BlockWork",
     "KernelLaunch",
     "LaunchConfig",
-    "Stream",
-    "StreamManager",
     "PerfCounters",
     "CostModel",
     "OccupancyCalculator",

@@ -51,11 +51,6 @@ class Timeline:
         """End-to-end duration from time zero to the last kernel end."""
         return max((t.end_s for t in self.traces), default=0.0)
 
-    @property
-    def busy_s(self) -> float:
-        """Sum of kernel durations (exceeds makespan when kernels overlap)."""
-        return sum(t.duration_s for t in self.traces)
-
     def overlap_pairs(self) -> int:
         """Number of kernel pairs with intersecting execution intervals."""
         ordered = sorted(self.traces, key=lambda t: t.start_s)

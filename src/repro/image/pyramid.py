@@ -66,11 +66,6 @@ class PyramidLevel:
     height: int
     image: np.ndarray | None
 
-    @property
-    def window_size_in_frame(self) -> float:
-        """Frame-space side length of a detection window at this level."""
-        return self.scale * 24.0
-
 
 def pyramid_scales(width: int, height: int, config: PyramidConfig) -> list[float]:
     """Scale factors of every pyramid level for a ``width`` x ``height`` frame."""

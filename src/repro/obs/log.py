@@ -136,9 +136,6 @@ class StructuredLogger:
         with self._lock:
             return self._suppressed_total
 
-    def enabled_for(self, level: str) -> bool:
-        return self._enabled and LEVELS.get(level, 0) >= self._level
-
     def event(self, name: str, *, level: str = "info", **fields) -> None:
         """Emit one event (or count it as suppressed under rate limiting)."""
         if not self._enabled:

@@ -251,8 +251,6 @@ class MicroBatcher:
                             retry_after_s=item.ticket.retry_after_s,
                         )
                     )
-                if self._metrics is not None:
-                    self._metrics.counter("serve.expired").inc()
             else:
                 live.append(item)
         return live

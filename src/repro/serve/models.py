@@ -84,10 +84,6 @@ class ModelManager:
             raise BadRequestError("model manager is not booted", status=503)
         return self._slot
 
-    @property
-    def swap_in_flight(self) -> bool:
-        return self._swap_in_flight
-
     def info(self) -> dict:
         """The ``model`` block for ``/stats`` and ``GET /v1/models``."""
         return {

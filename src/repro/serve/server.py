@@ -74,6 +74,9 @@ __all__ = ["ServerConfig", "DetectionServer", "TRACE_ID_HEADER"]
 #: ``flight_path`` unset)
 DEFAULT_FLIGHT_PATH = "FLIGHT_serve.json"
 
+#: side length of the square warmup frame run through each engine
+_WARMUP_SIDE = 96
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -106,8 +109,6 @@ class ServerConfig:
     device_batch: bool = False
     max_body_bytes: int = 8 * 1024 * 1024
     admission: AdmissionConfig = AdmissionConfig()
-    #: frame side length used for the warmup frame
-    warmup_side: int = 96
     trace: bool = False
     #: structured-log format (``json`` | ``text``); level comes from
     #: ``log_level`` or the ``REPRO_LOG`` environment variable
@@ -378,8 +379,7 @@ class DetectionServer:
 
     def _warm_engine(self, engine) -> None:
         """Workspace plans + one synthetic frame through ``engine``."""
-        side = self._config.warmup_side
-        frame = np.zeros((side, side), dtype=np.float32)
+        frame = np.zeros((_WARMUP_SIDE, _WARMUP_SIDE), dtype=np.float32)
         list(engine.process_frames([frame]))
         self._metrics.counter("serve.warmup_frames").inc()
 
@@ -656,7 +656,11 @@ class DetectionServer:
             )
         except RequestSheddedError as exc:
             # DeadlineExpiredError subclasses RequestSheddedError, so
-            # queue-deadline expiry lands here too (reason "deadline")
+            # queue-deadline expiry lands here too (reason "deadline"),
+            # counted here once; admission counted the other reasons
+            # when it refused them
+            if exc.reason == "deadline":
+                self._admission.record_deadline_shed()
             status = 429
             shed_reason = exc.reason
             error = str(exc)

@@ -1,28 +1,19 @@
-"""Artifact caching for trained cascades and experiment outputs.
+"""Where cached artifacts live on disk.
 
 Cascade training is the reproduction's only expensive offline step (the
-paper quotes days for the real thing); trained cascades are cached as JSON
-under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-facedetect``) keyed by
-name, so test and benchmark runs after the first are fast.
-
-This flat cache predates the versioned model zoo (``repro.zoo.store``)
-and remains for ad-hoc cascades (e.g. the soft-cascade ablation).  It no
-longer silently trusts bare blobs: every load or store without a
-manifest sidecar backfills ``<name>.manifest.json`` recording the
-content digest, timestamp, and git SHA — so even pre-zoo artifacts carry
-a provenance record and tampering is detectable.
+paper quotes days for the real thing), so trained artifacts are cached
+under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-facedetect``) and
+runs after the first are fast.  The versioned model zoo
+(:mod:`repro.zoo.store`) keeps its versions under ``zoo/`` there, and
+the soft-cascade ablation caches its trained cascades beside it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from collections.abc import Callable
-from datetime import datetime, timezone
 from pathlib import Path
 
-__all__ = ["artifact_dir", "cached_cascade"]
+__all__ = ["artifact_dir"]
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -33,55 +24,3 @@ def artifact_dir() -> Path:
     path = Path(root) if root else Path.home() / ".cache" / "repro-facedetect"
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _backfill_manifest(path: Path, cascade, *, source: str) -> None:
-    """Write the ``<name>.manifest.json`` sidecar once per blob."""
-    sidecar = path.with_suffix("").with_suffix(".manifest.json")
-    if sidecar.exists():
-        return
-    from repro.utils.provenance import git_sha
-
-    payload = json.dumps(cascade.to_dict(), sort_keys=True, separators=(",", ":"))
-    sidecar.write_text(
-        json.dumps(
-            {
-                "artifact": path.name,
-                "name": cascade.name,
-                "stages": cascade.num_stages,
-                "weak_classifiers": cascade.num_weak_classifiers,
-                "content_digest": "sha256:" + hashlib.sha256(payload.encode()).hexdigest(),
-                "source": source,
-                "git_sha": git_sha(),
-                "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
-
-def cached_cascade(name: str, builder: Callable[[], "object"]):
-    """Load cascade ``name`` from cache or build and store it.
-
-    ``builder`` must return a :class:`repro.haar.cascade.Cascade`.  Cache
-    files that fail to parse are rebuilt rather than crashing the caller.
-    Blobs that predate manifest sidecars get one backfilled on first
-    read (``source="backfilled"``).
-    """
-    from repro.errors import CascadeFormatError
-    from repro.haar.cascade import Cascade
-
-    path = artifact_dir() / f"{name}.cascade.json"
-    if path.exists():
-        try:
-            cascade = Cascade.load(path)
-        except CascadeFormatError:
-            path.unlink()
-        else:
-            _backfill_manifest(path, cascade, source="backfilled")
-            return cascade
-    cascade = builder()
-    cascade.save(path)
-    _backfill_manifest(path, cascade, source="trained")
-    return cascade

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["WallTimer", "format_duration"]
+__all__ = ["WallTimer"]
 
 
 @dataclass
@@ -42,14 +42,3 @@ class WallTimer:
         """Zero the accumulated time."""
         self.elapsed = 0.0
         self._start = None
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration with an appropriate unit (us/ms/s)."""
-    if seconds < 0:
-        raise ValueError(f"negative duration: {seconds!r}")
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds:.2f} s"

@@ -10,24 +10,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["check_positive", "check_in_range", "check_shape_2d", "check_probability"]
-
-
-def check_positive(name: str, value: float) -> None:
-    """Raise :class:`ConfigurationError` unless ``value > 0``."""
-    if not value > 0:
-        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+__all__ = ["check_in_range", "check_shape_2d"]
 
 
 def check_in_range(name: str, value: float, lo: float, hi: float) -> None:
     """Raise :class:`ConfigurationError` unless ``lo <= value <= hi``."""
     if not (lo <= value <= hi):
         raise ConfigurationError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-
-
-def check_probability(name: str, value: float) -> None:
-    """Raise :class:`ConfigurationError` unless ``0 <= value <= 1``."""
-    check_in_range(name, value, 0.0, 1.0)
 
 
 def check_shape_2d(name: str, array: np.ndarray) -> None:

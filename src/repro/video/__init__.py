@@ -18,12 +18,7 @@ from repro.video.trailer import (
     trailer_frames,
     synthesize_trailer,
 )
-from repro.video.stream import (
-    FramePacket,
-    synthetic_stream,
-    trailer_stream,
-    decoded_stream,
-)
+from repro.video.stream import FramePacket, synthetic_stream
 
 __all__ = [
     "pack_nv12",
@@ -46,6 +41,4 @@ __all__ = [
     "synthesize_trailer",
     "FramePacket",
     "synthetic_stream",
-    "trailer_stream",
-    "decoded_stream",
 ]

@@ -1,18 +1,14 @@
-"""Streaming frame sources for the batched detection engine.
+"""Frame packets and a synthetic frame source for the batched detection engine.
 
 The paper feeds the detector from the GPU's hardware H.264 decoder, frame
 by frame, and keeps the pipeline busy by overlapping decode with detection.
-This module is the host-side equivalent: it adapts every frame producer in
-:mod:`repro.video` (synthetic scenes, Table II trailers, the mock decoder)
-to one lazy iterator protocol that
-:class:`~repro.detect.engine.DetectionEngine` can consume with bounded
-memory — frames are materialised only when the engine's backpressure
-window has room.
-
-Each item is a :class:`FramePacket` carrying the luma plane plus source
-metadata (ground-truth annotations for synthetic sources, modelled decode
-latency for the decoder).  The engine only reads ``.luma``; everything
-else rides along for evaluation and throughput accounting.
+:class:`FramePacket` is the host-side frame record the engine consumes:
+the luma plane plus source metadata (ground-truth annotations for
+synthetic scenes).  :func:`synthetic_stream` is a lazy packet source, so
+:class:`~repro.detect.engine.DetectionEngine` runs with bounded memory —
+frames are materialised only when the engine's backpressure window has
+room.  The engine only reads ``.luma``; everything else rides along for
+evaluation and throughput accounting.
 """
 
 from __future__ import annotations
@@ -24,18 +20,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import rng_for
-from repro.video.decoder import HardwareDecoder
-from repro.video.h264 import Bitstream, demux
 from repro.video.shm import SharedFrameRing, SlotTicket, attach_view
 from repro.video.synthesis import FaceAnnotation, render_scene
-from repro.video.trailer import TrailerSpec, trailer_frames
 
 __all__ = [
     "FramePacket",
     "SharedFramePacket",
     "synthetic_stream",
-    "trailer_stream",
-    "decoded_stream",
 ]
 
 
@@ -45,7 +36,7 @@ class FramePacket:
 
     index: int
     luma: np.ndarray
-    #: ground truth for synthetic sources (empty for decoded streams)
+    #: ground truth for synthetic sources (empty when a source has none)
     annotations: list[FaceAnnotation] = field(default_factory=list)
     #: modelled hardware-decode latency (0 for synthetic sources)
     decode_latency_s: float = 0.0
@@ -142,35 +133,3 @@ def synthetic_stream(
             clutter=clutter,
         )
         yield FramePacket(index=index, luma=frame, annotations=annotations)
-
-
-def trailer_stream(
-    spec: TrailerSpec | str,
-    width: int,
-    height: int,
-    n_frames: int,
-    *,
-    seed: int = 0,
-    step: int = 1,
-) -> Iterator[FramePacket]:
-    """A synthetic Table II trailer as a lazy packet stream."""
-    frames = trailer_frames(spec, width, height, n_frames, seed=seed, step=step)
-    for index, (frame, annotations) in enumerate(frames):
-        yield FramePacket(index=index, luma=frame, annotations=annotations)
-
-
-def decoded_stream(bitstream: Bitstream, *, seed: int = 0) -> Iterator[FramePacket]:
-    """Frames from the mock hardware decoder, in decode order.
-
-    P slices reference the previous frame, so the decoder session lives
-    across the whole iteration — consuming the stream out of order is not
-    possible, exactly like a CUVID session.
-    """
-    decoder = HardwareDecoder(bitstream, seed=seed)
-    for unit in demux(bitstream):
-        decoded = decoder.decode(unit)
-        yield FramePacket(
-            index=decoded.frame_index,
-            luma=decoded.luma,
-            decode_latency_s=decoded.latency_s,
-        )

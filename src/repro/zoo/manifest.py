@@ -6,10 +6,8 @@ digest, the seed, the git SHA and timestamp of the training run, the
 per-stage trainer round log, the held-out ROC operating point, and a
 content digest over the cascade's canonical JSON.  The content digest is
 the integrity check (a tampered or truncated ``cascade.json`` fails to
-load) and the ``source`` field records how the bytes were made
-(``trained``; ``backfilled`` is the tag the flat cache in
-:mod:`repro.utils.artifacts` gives blobs older than their provenance
-record).
+load) and the ``source`` field records how the bytes were made (always
+``trained``: every version comes out of :mod:`repro.zoo.training`).
 """
 
 from __future__ import annotations
@@ -50,15 +48,15 @@ class ModelManifest:
     recipe_digest: str
     content_digest: str
     seed: int
-    source: str  # "trained" | "backfilled"
+    source: str  # "trained"
     git_sha: str = "unknown"
     created_utc: str = field(default_factory=_utc_now)
     rounds: tuple[dict, ...] = ()
     evaluation: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.source not in ("trained", "backfilled"):
-            raise ZooError(f"manifest source must be trained|backfilled, got {self.source!r}")
+        if self.source != "trained":
+            raise ZooError(f"manifest source must be trained, got {self.source!r}")
 
     def to_dict(self) -> dict:
         return {

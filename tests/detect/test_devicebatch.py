@@ -110,7 +110,6 @@ class TestTransferStats:
             h2d=10, d2h=10, per_frame_h2d=40, per_frame_d2h=40,
         )
         assert stats.saved == 60
-        assert stats.as_dict()["saved"] == 60
 
 
 class TestLaunchFusion:

@@ -30,8 +30,8 @@ from repro.gpusim.scheduler import ExecutionMode
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import build_snapshot
 from repro.utils.rng import rng_for
-from repro.video.stream import trailer_stream
 from repro.video.synthesis import render_scene
+from repro.video.trailer import trailer_frames
 from repro.zoo import quick_cascade
 
 
@@ -380,8 +380,8 @@ class TestFastRecallOnATrailer:
 
     def test_fast_keeps_exact_detections(self, cascade):
         lumas = [
-            packet.luma
-            for packet in trailer_stream("50/50", 256, 192, 12, seed=0)
+            frame
+            for frame, _faces in trailer_frames("50/50", 256, 192, 12, seed=0)
             for _ in range(2)
         ]
         exact_ws = FaceDetectionPipeline(

@@ -143,8 +143,6 @@ def _one_level_scratch(pipeline, image) -> int:
         level_width=width,
         level_height=height,
         window=config.pyramid.window,
-        block_w=config.block_w,
-        block_h=config.block_h,
     )
     evaluator = backend.make_cascade_evaluator(pipeline.cascade, mapping, arena=arena)
     maps = evaluator.evaluate(ii, sqii)
@@ -328,8 +326,6 @@ def _arena_bound(pipeline, backend: str) -> int:
         level_width=width,
         level_height=height,
         window=config.pyramid.window,
-        block_w=config.block_w,
-        block_h=config.block_h,
     )
     anchors = m.anchors_y * m.anchors_x
     f64, f32, i32, i64 = 8, 4, 4, 8

@@ -79,12 +79,6 @@ class TestLevels:
         with pytest.raises(ConfigurationError):
             StructuredLogger("json").event("x", level="loud")
 
-    def test_enabled_for(self):
-        log = StructuredLogger("json", level="warning", stream=io.StringIO())
-        assert not log.enabled_for("info")
-        assert log.enabled_for("error")
-        assert not NULL_LOGGER.enabled_for("error")
-
 
 class TestRateLimit:
     def test_suppressed_events_are_counted_exactly(self):

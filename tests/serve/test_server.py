@@ -254,6 +254,32 @@ class TestAdmission:
         shed = stats["serve"]["admission"]["shed"]
         assert sum(shed.values()) == statuses.count(429)
 
+    def test_queue_deadline_expiry_is_counted_as_a_deadline_shed(self, payloads):
+        config = ServerConfig(
+            port=0,
+            cascade="quick",
+            workers=0,
+            max_batch=1,
+            admission=AdmissionConfig(queue_budget_s=1e-9),  # every request expires
+        )
+
+        @serve(config)
+        async def outcome(server, conn):
+            results = [
+                await conn.request("POST", "/v1/detect", *payloads[0]) for _ in range(3)
+            ]
+            stats = json.loads((await conn.request("GET", "/stats"))[1])
+            metrics = json.loads((await conn.request("GET", "/metrics"))[1])
+            return results, stats, metrics
+
+        results, stats, metrics = outcome
+        for status, body in results:
+            assert status == 429
+            assert json.loads(body)["reason"] == "deadline"
+        shed = stats["serve"]["admission"]["shed"]
+        assert shed == {"queue": 0, "concurrency": 0, "deadline": 3}
+        assert metrics["counters"]["serve.shed.deadline"] == 3
+
     def test_retry_after_header_on_429(self):
         config = ServerConfig(
             port=0,

@@ -1,5 +1,7 @@
 """Package-level tests: public API surface and metadata."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -39,16 +41,15 @@ class TestPackageSurface:
         import repro.video  # noqa: F401
 
     def test_all_exports_resolve(self):
-        import repro.boosting as b
-        import repro.detect as d
-        import repro.gpusim as g
-        import repro.haar as h
-        import repro.image as i
-        import repro.video as v
-
-        for module in (b, d, g, h, i, v):
-            for name in module.__all__:
-                assert hasattr(module, name), f"{module.__name__}.{name} missing"
+        """Every name in every ``repro.*`` module's ``__all__`` resolves."""
+        names = {"repro"} | {
+            info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        }
+        assert {"repro.backend", "repro.obs", "repro.serve", "repro.utils", "repro.zoo"} <= names
+        for name in sorted(names):
+            module = importlib.import_module(name)
+            for export in getattr(module, "__all__", ()):
+                assert hasattr(module, export), f"{name}.{export} missing"
 
     def test_errors_hierarchy(self):
         from repro import errors

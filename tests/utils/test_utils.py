@@ -9,13 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.utils.rng import derive_seed, rng_for
 from repro.utils.tables import format_table
-from repro.utils.timing import WallTimer, format_duration
-from repro.utils.validation import (
-    check_in_range,
-    check_positive,
-    check_probability,
-    check_shape_2d,
-)
+from repro.utils.timing import WallTimer
+from repro.utils.validation import check_in_range, check_shape_2d
 
 
 class TestRng:
@@ -93,31 +88,12 @@ class TestTiming:
         t.reset()
         assert t.elapsed == 0.0
 
-    def test_format_units(self):
-        assert format_duration(5e-7).endswith("us")
-        assert format_duration(5e-3).endswith("ms")
-        assert format_duration(2.0).endswith("s")
-
-    def test_format_rejects_negative(self):
-        with pytest.raises(ValueError):
-            format_duration(-1.0)
-
 
 class TestValidation:
-    def test_check_positive(self):
-        check_positive("x", 1)
-        with pytest.raises(ConfigurationError):
-            check_positive("x", 0)
-
     def test_check_in_range(self):
         check_in_range("x", 0.5, 0, 1)
         with pytest.raises(ConfigurationError):
             check_in_range("x", 2, 0, 1)
-
-    def test_check_probability(self):
-        check_probability("p", 1.0)
-        with pytest.raises(ConfigurationError):
-            check_probability("p", -0.1)
 
     def test_check_shape_2d(self):
         check_shape_2d("m", np.ones((2, 2)))
@@ -125,45 +101,3 @@ class TestValidation:
             check_shape_2d("m", np.ones(4))
         with pytest.raises(ConfigurationError):
             check_shape_2d("m", np.ones((0, 3)))
-
-
-class TestArtifacts:
-    def test_cache_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.haar.cascade import Cascade, Stage, WeakClassifier
-        from repro.haar.features import FeatureType, HaarFeature
-        from repro.utils.artifacts import artifact_dir, cached_cascade
-
-        assert artifact_dir() == tmp_path
-        calls = []
-
-        def build():
-            calls.append(1)
-            weak = WeakClassifier(
-                feature=HaarFeature(FeatureType.EDGE_H, 1, 1, 3, 4),
-                threshold=0.5, left=-1.0, right=1.0,
-            )
-            return Cascade(stages=(Stage((weak,), 0.0),), name="t")
-
-        a = cached_cascade("unit-test", build)
-        b = cached_cascade("unit-test", build)
-        assert a == b
-        assert len(calls) == 1  # second call hit the cache
-
-    def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.haar.cascade import Cascade, Stage, WeakClassifier
-        from repro.haar.features import FeatureType, HaarFeature
-        from repro.utils.artifacts import cached_cascade
-
-        (tmp_path / "broken.cascade.json").write_text("{ not json")
-
-        def build():
-            weak = WeakClassifier(
-                feature=HaarFeature(FeatureType.EDGE_V, 1, 1, 2, 2),
-                threshold=0.0, left=-1.0, right=1.0,
-            )
-            return Cascade(stages=(Stage((weak,), 0.0),), name="b")
-
-        cascade = cached_cascade("broken", build)
-        assert cascade.name == "b"

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.video.decoder import HardwareDecoder
-from repro.video.h264 import demux, encode_video
-from repro.video.stream import decoded_stream, synthetic_stream, trailer_stream
+from repro.video.stream import synthetic_stream
 
 
 class TestSyntheticStream:
@@ -34,33 +32,3 @@ class TestSyntheticStream:
             list(synthetic_stream(16, 16, 1))
         with pytest.raises(ConfigurationError):
             list(synthetic_stream(96, 64, 0))
-
-
-class TestTrailerStream:
-    def test_matches_trailer_frames(self):
-        from repro.video.trailer import TRAILERS, trailer_frames
-
-        spec = TRAILERS[0]
-        packets = list(trailer_stream(spec, 96, 64, 3, seed=1))
-        reference = list(trailer_frames(spec, 96, 64, 3, seed=1))
-        assert [p.index for p in packets] == [0, 1, 2]
-        for packet, (frame, annotations) in zip(packets, reference):
-            assert np.array_equal(packet.luma, frame)
-            assert packet.annotations == annotations
-
-
-class TestDecodedStream:
-    def test_matches_decoder_session(self):
-        rng = np.random.default_rng(9)
-        frames = [
-            np.clip(rng.uniform(0, 255, (48, 64)) + i, 0, 255).astype(np.float32)
-            for i in range(5)
-        ]
-        bitstream = encode_video(frames, gop=3, quant=2)
-        packets = list(decoded_stream(bitstream, seed=7))
-        reference = HardwareDecoder(bitstream, seed=7).decode_all(demux(bitstream))
-        assert [p.index for p in packets] == [d.frame_index for d in reference]
-        for packet, decoded in zip(packets, reference):
-            assert np.array_equal(packet.luma, decoded.luma)
-            assert packet.decode_latency_s == decoded.latency_s
-            assert packet.decode_latency_s > 0
