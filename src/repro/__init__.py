@@ -28,28 +28,15 @@ Quickstart::
         print(det.x, det.y, det.size, det.score)
 """
 
-from repro.detect.detector import Detection, DetectionResult, FaceDetector
+from repro._lazy import lazy_exports
 
-__all__ = ["FaceDetector", "DetectionResult", "Detection", "__version__"]
-
-
-def __getattr__(name: str) -> str:
-    """``__version__``, resolved on first read.
-
-    importlib.metadata costs every process that imports ``repro`` about a
-    megabyte and 25 ms, and only ``--version``/``info`` read the value.
-    """
-    if name != "__version__":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        # the single source of truth is pyproject.toml, surfaced through
-        # the installed distribution metadata ...
-        value = version("repro")
-    except PackageNotFoundError:  # pragma: no cover - source-tree runs
-        # ... with a fallback for PYTHONPATH=src runs of an uninstalled tree
-        # (kept in sync with pyproject.toml by tests/test_package.py)
-        value = "1.0.0"
-    globals()["__version__"] = value
-    return value
+# ``__version__`` is read from the distribution metadata on first access:
+# importlib.metadata costs a process about a megabyte and 25 ms, and only
+# ``--version``/``info`` read the value
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "detect.detector": ("FaceDetector", "DetectionResult", "Detection"),
+        "_version": ("__version__",),
+    },
+)

@@ -19,68 +19,38 @@ Public surface:
   backends and tolerance-gated for the rest.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.backend.arrayapi import ArrayApiBackend
-from repro.backend.base import (
-    SPARSE_THRESHOLD,
-    WINDOW_AREA,
-    BackendCapabilities,
-    BilinearPlan,
-    CascadeEvaluator,
-    CascadeMaps,
-    ComputeBackend,
-    IntegralPlan,
-    ScratchArena,
-)
-from repro.backend.reference import ReferenceBackend
-from repro.backend.registry import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    DeviceProbe,
-    ProbeReport,
-    ResolvedBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    probe_all,
-    register_backend,
-    resolve_backend,
-)
-from repro.backend.vectorized import VectorizedBackend
-from repro.backend.warps import warp_extremes
-
-__all__ = [
-    "SPARSE_THRESHOLD",
-    "WINDOW_AREA",
-    "BackendCapabilities",
-    "BilinearPlan",
-    "IntegralPlan",
-    "CascadeMaps",
-    "CascadeEvaluator",
-    "ComputeBackend",
-    "ScratchArena",
-    "ReferenceBackend",
-    "VectorizedBackend",
-    "ArrayApiBackend",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "DeviceProbe",
-    "ProbeReport",
-    "ResolvedBackend",
-    "register_backend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "resolve_backend",
-    "probe_all",
-    "warp_extremes",
-]
-
-# idempotent (replace=True): surviving importlib.reload matters more here
-# than double-registration protection, which is for user-defined backends
-register_backend("reference", ReferenceBackend, replace=True)
-register_backend("vectorized", VectorizedBackend, replace=True)
-register_backend(
-    "arrayapi", ArrayApiBackend, replace=True, devices=("cuda", "mps", "cpu")
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "SPARSE_THRESHOLD",
+            "WINDOW_AREA",
+            "BackendCapabilities",
+            "BilinearPlan",
+            "IntegralPlan",
+            "CascadeMaps",
+            "CascadeEvaluator",
+            "ComputeBackend",
+            "ScratchArena",
+        ),
+        "reference": ("ReferenceBackend",),
+        "vectorized": ("VectorizedBackend",),
+        "arrayapi": ("ArrayApiBackend",),
+        "registry": (
+            "DEFAULT_BACKEND",
+            "ENV_VAR",
+            "DeviceProbe",
+            "ProbeReport",
+            "ResolvedBackend",
+            "register_backend",
+            "available_backends",
+            "default_backend_name",
+            "get_backend",
+            "resolve_backend",
+            "probe_all",
+        ),
+        "warps": ("warp_extremes",),
+    },
 )

@@ -31,6 +31,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.backend.base import DEVICE_ORDER, ComputeBackend
+from repro.backend.reference import ReferenceBackend
+from repro.backend.vectorized import VectorizedBackend
 from repro.errors import BackendUnavailableError, ConfigurationError
 
 __all__ = [
@@ -333,3 +335,17 @@ def get_backend(name: str | ComputeBackend | None = None) -> ComputeBackend:
     if resolved not in _registered_names():
         raise ConfigurationError(_unknown_backend_message(resolved))
     return resolve_backend(prefer=resolved).backend
+
+
+def _arrayapi(device: str) -> ComputeBackend:
+    """The ``arrayapi`` factory: the module is imported on the first probe."""
+    from repro.backend.arrayapi import ArrayApiBackend
+
+    return ArrayApiBackend(device=device)
+
+
+# the built-ins; a process that never probes arrayapi (every run on the
+# default CPU backends) never imports it
+register_backend("reference", ReferenceBackend)
+register_backend("vectorized", VectorizedBackend)
+register_backend("arrayapi", _arrayapi, devices=("cuda", "mps", "cpu"))

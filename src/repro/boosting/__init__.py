@@ -1,44 +1,26 @@
 """Boosted-cascade training: GentleBoost, AdaBoost, and the parallel trainer."""
 
-from repro.boosting.dataset import TrainingSet, pack_windows, build_training_set
-from repro.boosting.stumps import (
-    BinnedResponses,
-    quantize_responses,
-    fit_regression_stumps,
-    fit_classification_stumps,
-    fit_stump_exact,
-)
-from repro.boosting.gentleboost import GentleBoost
-from repro.boosting.adaboost import AdaBoost
-from repro.boosting.cascade_trainer import CascadeTrainer, TrainedStageReport
-from repro.boosting.parallel import (
-    ParallelTrainer,
-    IterationTiming,
-    simulate_platform_curve,
-)
-from repro.boosting.soft_cascade import (
-    SoftCascade,
-    calibrate_soft_cascade,
-    evaluate_soft_cascade_on_windows,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TrainingSet",
-    "pack_windows",
-    "build_training_set",
-    "BinnedResponses",
-    "quantize_responses",
-    "fit_regression_stumps",
-    "fit_classification_stumps",
-    "fit_stump_exact",
-    "GentleBoost",
-    "AdaBoost",
-    "CascadeTrainer",
-    "TrainedStageReport",
-    "ParallelTrainer",
-    "IterationTiming",
-    "simulate_platform_curve",
-    "SoftCascade",
-    "calibrate_soft_cascade",
-    "evaluate_soft_cascade_on_windows",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dataset": ("TrainingSet", "pack_windows", "build_training_set"),
+        "stumps": (
+            "BinnedResponses",
+            "quantize_responses",
+            "fit_regression_stumps",
+            "fit_classification_stumps",
+            "fit_stump_exact",
+        ),
+        "gentleboost": ("GentleBoost",),
+        "adaboost": ("AdaBoost",),
+        "cascade_trainer": ("CascadeTrainer", "TrainedStageReport"),
+        "parallel": ("ParallelTrainer", "IterationTiming", "simulate_platform_curve"),
+        "soft_cascade": (
+            "SoftCascade",
+            "calibrate_soft_cascade",
+            "evaluate_soft_cascade_on_windows",
+        ),
+    },
+)

@@ -27,14 +27,7 @@ __all__ = [
     "render_face_chip",
     "render_training_chip",
     "face_eye_positions",
-    "CANONICAL_LEFT_EYE",
-    "CANONICAL_RIGHT_EYE",
 ]
-
-#: canonical eye centres in normalised face-chip coordinates (x, y); the
-#: detector's alignment convention (grouping/matching predict eyes here)
-CANONICAL_LEFT_EYE = (0.33, 0.40)
-CANONICAL_RIGHT_EYE = (0.67, 0.40)
 
 
 @dataclass(frozen=True)

@@ -12,51 +12,25 @@
 * :mod:`repro.detect.detector` — the high-level :class:`FaceDetector` API.
 """
 
-from repro.detect.windows import BlockMapping, staging_addresses
-from repro.detect.kernels import CascadeKernelResult, cascade_eval_kernel
-from repro.detect.pipeline import (
-    FaceDetectionPipeline,
-    PipelineConfig,
-    PipelineSpec,
-    FrameResult,
-)
-from repro.detect.engine import (
-    DetectionEngine,
-    EngineRun,
-    FrameWorkspace,
-    ShardingMode,
-    batch_report,
-)
-from repro.detect.grouping import RawDetection, group_detections, predicted_eyes
-from repro.detect.display import draw_detections, display_launch
-from repro.detect.detector import FaceDetector, Detection, DetectionResult
-from repro.detect.soft_kernel import SoftKernelResult, soft_cascade_eval_kernel
-from repro.detect.rearrangement import rearrangement_launches, default_stage_batches
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockMapping",
-    "staging_addresses",
-    "CascadeKernelResult",
-    "cascade_eval_kernel",
-    "FaceDetectionPipeline",
-    "PipelineConfig",
-    "PipelineSpec",
-    "FrameResult",
-    "DetectionEngine",
-    "EngineRun",
-    "FrameWorkspace",
-    "ShardingMode",
-    "batch_report",
-    "RawDetection",
-    "group_detections",
-    "predicted_eyes",
-    "draw_detections",
-    "display_launch",
-    "FaceDetector",
-    "Detection",
-    "DetectionResult",
-    "SoftKernelResult",
-    "soft_cascade_eval_kernel",
-    "rearrangement_launches",
-    "default_stage_batches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "windows": ("BlockMapping", "staging_addresses"),
+        "kernels": ("CascadeKernelResult", "cascade_eval_kernel"),
+        "pipeline": ("FaceDetectionPipeline", "PipelineConfig", "PipelineSpec", "FrameResult"),
+        "engine": (
+            "DetectionEngine",
+            "EngineRun",
+            "FrameWorkspace",
+            "ShardingMode",
+            "batch_report",
+        ),
+        "grouping": ("RawDetection", "group_detections", "predicted_eyes"),
+        "display": ("draw_detections", "display_launch"),
+        "detector": ("FaceDetector", "Detection", "DetectionResult"),
+        "soft_kernel": ("SoftKernelResult", "soft_cascade_eval_kernel"),
+        "rearrangement": ("rearrangement_launches", "default_stage_batches"),
+    },
+)

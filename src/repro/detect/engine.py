@@ -38,17 +38,16 @@ fused schedules into a :class:`~repro.gpusim.batch.BatchReport`.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,7 +60,11 @@ from repro.gpusim.batch import BatchReport
 from repro.gpusim.scheduler import ExecutionMode
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.video.shm import SharedFrameRing
+
+if TYPE_CHECKING:  # process sharding only: imported where a pool is built
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.video.shm import SharedFrameRing
 
 __all__ = [
     "FrameWorkspace",
@@ -332,7 +335,8 @@ class DetectionEngine:
     start_method:
         Multiprocessing start method for process sharding.  Defaults to
         ``REPRO_START_METHOD`` or ``spawn`` (the strictest semantics:
-        what macOS/Windows enforce).
+        what macOS/Windows enforce).  Checked only when the engine
+        shards across processes, the one mode that uses it.
     tracer:
         Span tracer shared by every worker workspace; each frame is
         wrapped in a ``frame`` span (carrying its index, the Chrome
@@ -376,11 +380,14 @@ class DetectionEngine:
         start_method = (
             start_method or os.environ.get(START_METHOD_ENV) or DEFAULT_START_METHOD
         )
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"unknown start method {start_method!r}; choose from "
-                f"{multiprocessing.get_all_start_methods()}"
-            )
+        if self._uses_processes:
+            import multiprocessing
+
+            if start_method not in multiprocessing.get_all_start_methods():
+                raise ConfigurationError(
+                    f"unknown start method {start_method!r}; choose from "
+                    f"{multiprocessing.get_all_start_methods()}"
+                )
         self._start_method = start_method
         #: stream identity handed to every worker workspace; ``None``
         #: disables temporal reuse (what the serving layer passes, since
@@ -425,6 +432,15 @@ class DetectionEngine:
     def start_method(self) -> str:
         """The multiprocessing start method process sharding uses."""
         return self._start_method
+
+    @property
+    def _uses_processes(self) -> bool:
+        """Whether groups run on the process pool (``workers=0`` runs inline).
+
+        Only then does the engine import :mod:`multiprocessing` and the
+        shared-memory ring, and check the start method.
+        """
+        return self._workers > 0 and self._sharding is ShardingMode.PROCESSES
 
     @property
     def max_in_flight(self) -> int:
@@ -504,6 +520,9 @@ class DetectionEngine:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             spec = WorkerSpec(
                 pipeline=self._pipeline.spec(),
                 tracing=self._tracer.enabled,
@@ -573,10 +592,10 @@ class DetectionEngine:
 
     def _executor(self) -> Executor:
         """The executor this engine's sharding mode runs groups on."""
+        if self._uses_processes:
+            return self._ensure_pool()
         if self._workers == 0:
             return _INLINE
-        if self._sharding is ShardingMode.PROCESSES:
-            return self._ensure_pool()
         return self._ensure_thread_pool()
 
     def _run_group(
@@ -617,7 +636,9 @@ class DetectionEngine:
         (mixed-resolution streams) fall back to inline transport.
         """
         job, frames, ring, tickets = self._run_group, lumas, None, []
-        if isinstance(executor, ProcessPoolExecutor):
+        if self._uses_processes:
+            from repro.video.shm import SharedFrameRing
+
             with self._lock:
                 if self._ring is None:
                     self._ring = SharedFrameRing(
@@ -632,7 +653,7 @@ class DetectionEngine:
             job = run_group
         try:
             inner = executor.submit(job, index, frames, mode, time.perf_counter(), traces)
-        except BrokenProcessPool as exc:
+        except BrokenExecutor as exc:
             # a dead worker can mark the pool broken before any victim
             # future resolves; the completion hook handles both alike
             inner = Future()
@@ -659,7 +680,9 @@ class DetectionEngine:
                         ring.release(ticket)
         try:
             reply: ShardReply = inner.result()
-        except BrokenProcessPool as exc:
+        except BrokenExecutor as exc:
+            # BrokenProcessPool's base: only the process pool breaks (the
+            # thread pool has no initializer to fail)
             self._abandon(executor, ring)
             crash = WorkerCrashError(
                 f"engine worker process died (start method "

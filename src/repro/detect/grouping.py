@@ -13,10 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.faces import CANONICAL_LEFT_EYE, CANONICAL_RIGHT_EYE
 from repro.errors import EvaluationError
 
-__all__ = ["RawDetection", "predicted_eyes", "s_eyes_between", "group_detections"]
+__all__ = [
+    "RawDetection",
+    "predicted_eyes",
+    "s_eyes_between",
+    "group_detections",
+    "CANONICAL_LEFT_EYE",
+    "CANONICAL_RIGHT_EYE",
+]
+
+#: canonical eye centres in normalised window coordinates (x, y): the
+#: detector's alignment convention, where grouping predicts the eyes of a
+#: window (the face renderer's default eyes sit here too)
+CANONICAL_LEFT_EYE = (0.33, 0.40)
+CANONICAL_RIGHT_EYE = (0.67, 0.40)
 
 
 @dataclass(frozen=True)

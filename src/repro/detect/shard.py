@@ -46,7 +46,6 @@ from repro.detect.pipeline import PipelineSpec
 from repro.errors import ConfigurationError
 from repro.gpusim.scheduler import ExecutionMode
 from repro.obs.tracer import Span, Tracer
-from repro.video.shm import SlotTicket, attach_view
 
 __all__ = [
     "WorkerSpec",
@@ -204,6 +203,8 @@ def run_group(
     start = time.perf_counter()
     resident = workspace is None
     if resident:
+        from repro.video.shm import SlotTicket, attach_view
+
         workspace = _STATE.get("workspace")
         if workspace is None:
             raise ConfigurationError("worker used before init_worker ran")

@@ -1,21 +1,14 @@
 """Accuracy evaluation: S metrics, Hungarian matching, TPR/FP curves."""
 
-from repro.evaluation.metrics import s_square, s_eyes
-from repro.evaluation.hungarian import hungarian
-from repro.evaluation.matching import MatchResult, match_detections, ScoredDetection
-from repro.evaluation.roc import roc_curve, RocCurve
-from repro.evaluation.datasets import mugshot_dataset, background_dataset, MugshotSample
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "s_square",
-    "s_eyes",
-    "hungarian",
-    "MatchResult",
-    "match_detections",
-    "ScoredDetection",
-    "roc_curve",
-    "RocCurve",
-    "mugshot_dataset",
-    "background_dataset",
-    "MugshotSample",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "metrics": ("s_square", "s_eyes"),
+        "hungarian": ("hungarian",),
+        "matching": ("MatchResult", "match_detections", "ScoredDetection"),
+        "roc": ("roc_curve", "RocCurve"),
+        "datasets": ("mugshot_dataset", "background_dataset", "MugshotSample"),
+    },
+)

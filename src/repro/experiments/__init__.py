@@ -7,6 +7,11 @@ shape criteria and print paper-style output.  Sizes come from
 for paper-scale runs).
 """
 
-from repro.experiments.config import ExperimentProfile, QUICK, FULL, active_profile
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentProfile", "QUICK", "FULL", "active_profile"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("ExperimentProfile", "QUICK", "FULL", "active_profile"),
+    },
+)

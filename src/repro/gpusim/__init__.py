@@ -17,33 +17,19 @@ streams — emerges from the scheduler's residency-dependent efficiency model
 rather than being hard-coded.
 """
 
-from repro.gpusim.device import DeviceSpec, GTX470, XEON_HOST_I7_2600K, XEON_HOST_DUAL_E5472
-from repro.gpusim.kernel import BlockWork, KernelLaunch, LaunchConfig
-from repro.gpusim.counters import PerfCounters
-from repro.gpusim.costmodel import CostModel
-from repro.gpusim.occupancy import OccupancyCalculator, OccupancyResult
-from repro.gpusim.scheduler import DeviceScheduler, ExecutionMode, ScheduleResult
-from repro.gpusim.batch import BatchReport
-from repro.gpusim.trace import KernelTrace, Timeline
-from repro.gpusim.profiler import CommandLineProfiler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeviceSpec",
-    "GTX470",
-    "XEON_HOST_I7_2600K",
-    "XEON_HOST_DUAL_E5472",
-    "BlockWork",
-    "KernelLaunch",
-    "LaunchConfig",
-    "PerfCounters",
-    "CostModel",
-    "OccupancyCalculator",
-    "OccupancyResult",
-    "DeviceScheduler",
-    "ExecutionMode",
-    "ScheduleResult",
-    "BatchReport",
-    "KernelTrace",
-    "Timeline",
-    "CommandLineProfiler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "device": ("DeviceSpec", "GTX470", "XEON_HOST_I7_2600K", "XEON_HOST_DUAL_E5472"),
+        "kernel": ("BlockWork", "KernelLaunch", "LaunchConfig"),
+        "counters": ("PerfCounters",),
+        "costmodel": ("CostModel",),
+        "occupancy": ("OccupancyCalculator", "OccupancyResult"),
+        "scheduler": ("DeviceScheduler", "ExecutionMode", "ScheduleResult"),
+        "batch": ("BatchReport",),
+        "trace": ("KernelTrace", "Timeline"),
+        "profiler": ("CommandLineProfiler",),
+    },
+)

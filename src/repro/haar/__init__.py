@@ -1,63 +1,38 @@
 """Haar-like features, their enumeration, packed encoding, and cascades."""
 
-from repro.haar.features import (
-    FeatureType,
-    Rect,
-    HaarFeature,
-    feature_rects,
-    feature_values_grid,
-    feature_values_at,
-    feature_projection,
-    memory_accesses,
-)
-from repro.haar.enumeration import (
-    axis_slots,
-    enumerate_features,
-    feature_count,
-    table1_counts,
-    TABLE1_EXPECTED,
-    full_feature_pool,
-    subsampled_feature_pool,
-)
-from repro.haar.cascade import WeakClassifier, Stage, Cascade
-from repro.haar.encoding import (
-    pack_geometry,
-    unpack_geometry,
-    EncodedCascade,
-    encode_cascade,
-    decode_cascade,
-    raw_cascade_bytes,
-)
-from repro.haar.opencv_like import (
-    OPENCV_FRONTAL_STAGE_SIZES,
-    paper_stage_sizes,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FeatureType",
-    "Rect",
-    "HaarFeature",
-    "feature_rects",
-    "feature_values_grid",
-    "feature_values_at",
-    "feature_projection",
-    "memory_accesses",
-    "axis_slots",
-    "enumerate_features",
-    "feature_count",
-    "table1_counts",
-    "TABLE1_EXPECTED",
-    "full_feature_pool",
-    "subsampled_feature_pool",
-    "WeakClassifier",
-    "Stage",
-    "Cascade",
-    "pack_geometry",
-    "unpack_geometry",
-    "EncodedCascade",
-    "encode_cascade",
-    "decode_cascade",
-    "raw_cascade_bytes",
-    "OPENCV_FRONTAL_STAGE_SIZES",
-    "paper_stage_sizes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "features": (
+            "FeatureType",
+            "Rect",
+            "HaarFeature",
+            "feature_rects",
+            "feature_values_grid",
+            "feature_values_at",
+            "feature_projection",
+            "memory_accesses",
+        ),
+        "enumeration": (
+            "axis_slots",
+            "enumerate_features",
+            "feature_count",
+            "table1_counts",
+            "TABLE1_EXPECTED",
+            "full_feature_pool",
+            "subsampled_feature_pool",
+        ),
+        "cascade": ("WeakClassifier", "Stage", "Cascade"),
+        "encoding": (
+            "pack_geometry",
+            "unpack_geometry",
+            "EncodedCascade",
+            "encode_cascade",
+            "decode_cascade",
+            "raw_cascade_bytes",
+        ),
+        "opencv_like": ("OPENCV_FRONTAL_STAGE_SIZES", "paper_stage_sizes"),
+    },
+)

@@ -5,55 +5,31 @@ bilinear texture fetches, anti-alias filtering, and integral images built
 from parallel prefix sums and tiled matrix transpositions.
 """
 
-from repro.image.texture import Texture2D
-from repro.image.pyramid import (
-    PyramidConfig,
-    PyramidLevel,
-    build_pyramid,
-    pyramid_scales,
-    downscale,
-    scaling_launch,
-)
-from repro.image.filtering import binomial_kernel, separable_convolve, antialias
-from repro.image.scan import inclusive_scan_rows, blelloch_block_scan, scan_row_launches
-from repro.image.transpose import tiled_transpose, transpose_launch
-from repro.image.integral import (
-    integral_image,
-    squared_integral_image,
-    integral_image_sequential,
-    integral_image_gpu_path,
-    rect_sum,
-    integral_launches,
-)
-from repro.image.tilted import (
-    tilted_integral_image,
-    tilted_rect_sum,
-    tilted_rect_pixel_count,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Texture2D",
-    "PyramidConfig",
-    "PyramidLevel",
-    "build_pyramid",
-    "pyramid_scales",
-    "downscale",
-    "scaling_launch",
-    "binomial_kernel",
-    "separable_convolve",
-    "antialias",
-    "inclusive_scan_rows",
-    "blelloch_block_scan",
-    "scan_row_launches",
-    "tiled_transpose",
-    "transpose_launch",
-    "integral_image",
-    "squared_integral_image",
-    "integral_image_sequential",
-    "integral_image_gpu_path",
-    "rect_sum",
-    "integral_launches",
-    "tilted_integral_image",
-    "tilted_rect_sum",
-    "tilted_rect_pixel_count",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "texture": ("Texture2D",),
+        "pyramid": (
+            "PyramidConfig",
+            "PyramidLevel",
+            "build_pyramid",
+            "pyramid_scales",
+            "downscale",
+            "scaling_launch",
+        ),
+        "filtering": ("binomial_kernel", "separable_convolve", "antialias"),
+        "scan": ("inclusive_scan_rows", "blelloch_block_scan", "scan_row_launches"),
+        "transpose": ("tiled_transpose", "transpose_launch"),
+        "integral": (
+            "integral_image",
+            "squared_integral_image",
+            "integral_image_sequential",
+            "integral_image_gpu_path",
+            "rect_sum",
+            "integral_launches",
+        ),
+        "tilted": ("tilted_integral_image", "tilted_rect_sum", "tilted_rect_pixel_count"),
+    },
+)

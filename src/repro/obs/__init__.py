@@ -14,48 +14,29 @@ instrumentation point a no-op with a shared, allocation-free context
 manager, and the determinism tests assert that enabling tracing does
 not change a single output byte.
 
-``repro.obs.capture.run_trace`` (imported directly, not re-exported
-here, to keep this package import-light) runs frames through the
-batched engine and returns the trace + metrics artefacts the
-``repro trace`` CLI writes.
+``repro.obs.capture.run_trace`` (imported from its module, not from
+this namespace) runs frames through the batched engine and returns the
+trace + metrics artefacts the ``repro trace`` CLI writes.
 """
 
-from repro.obs.chrome import (
-    engine_trace_events,
-    kernel_events,
-    span_events,
-    validate_chrome_events,
-    write_chrome_trace,
-)
-from repro.obs.context import TraceContext
-from repro.obs.flight import FlightRecorder
-from repro.obs.log import NULL_LOGGER, StructuredLogger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.prom import PROM_CONTENT_TYPE, render_prometheus, sanitize_metric_name
-from repro.obs.report import build_snapshot, render_snapshot, stage_busy_seconds
-from repro.obs.tracer import NULL_TRACER, Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "NULL_TRACER",
-    "TraceContext",
-    "FlightRecorder",
-    "StructuredLogger",
-    "NULL_LOGGER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PROM_CONTENT_TYPE",
-    "render_prometheus",
-    "sanitize_metric_name",
-    "span_events",
-    "kernel_events",
-    "engine_trace_events",
-    "validate_chrome_events",
-    "write_chrome_trace",
-    "build_snapshot",
-    "render_snapshot",
-    "stage_busy_seconds",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tracer": ("Tracer", "Span", "NULL_TRACER"),
+        "context": ("TraceContext",),
+        "flight": ("FlightRecorder",),
+        "log": ("StructuredLogger", "NULL_LOGGER"),
+        "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "prom": ("PROM_CONTENT_TYPE", "render_prometheus", "sanitize_metric_name"),
+        "chrome": (
+            "span_events",
+            "kernel_events",
+            "engine_trace_events",
+            "validate_chrome_events",
+            "write_chrome_trace",
+        ),
+        "report": ("build_snapshot", "render_snapshot", "stage_busy_seconds"),
+    },
+)

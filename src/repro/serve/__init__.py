@@ -20,15 +20,13 @@ in-process library; this package is the request boundary in front of the
   client behind ``repro loadtest``.
 """
 
-from repro.serve.admission import AdmissionConfig, AdmissionController, AdmissionTicket
-from repro.serve.batcher import MicroBatcher
-from repro.serve.server import DetectionServer, ServerConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "AdmissionTicket",
-    "MicroBatcher",
-    "DetectionServer",
-    "ServerConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "admission": ("AdmissionConfig", "AdmissionController", "AdmissionTicket"),
+        "batcher": ("MicroBatcher",),
+        "server": ("DetectionServer", "ServerConfig"),
+    },
+)

@@ -7,8 +7,8 @@ the luma plane plus source metadata (ground-truth annotations for
 synthetic scenes).  :func:`synthetic_stream` is a lazy packet source, so
 :class:`~repro.detect.engine.DetectionEngine` runs with bounded memory —
 frames are materialised only when the engine's backpressure window has
-room.  The engine only reads ``.luma``; everything else rides along for
-evaluation and throughput accounting.
+room.  The engine only reads ``.luma``; the annotations ride along for
+evaluation.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class FramePacket:
     luma: np.ndarray
     #: ground truth for synthetic sources (empty when a source has none)
     annotations: list[FaceAnnotation] = field(default_factory=list)
-    #: modelled hardware-decode latency (0 for synthetic sources)
-    decode_latency_s: float = 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -61,7 +59,6 @@ class FramePacket:
             index=self.index,
             ticket=ticket,
             annotations=self.annotations,
-            decode_latency_s=self.decode_latency_s,
         )
 
 
@@ -78,7 +75,6 @@ class SharedFramePacket:
     index: int
     ticket: SlotTicket
     annotations: list[FaceAnnotation] = field(default_factory=list)
-    decode_latency_s: float = 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,7 +92,6 @@ class SharedFramePacket:
             index=self.index,
             luma=self.luma,
             annotations=self.annotations,
-            decode_latency_s=self.decode_latency_s,
         )
 
 

@@ -22,27 +22,24 @@ import os
 import shutil
 from collections.abc import Callable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.boosting.cascade_trainer import (
-    CascadeTrainer,
-    TrainedStageReport,
-    TrainerCheckpoint,
-    default_negative_source,
-    evaluate_cascade_on_windows,
-)
-from repro.data.backgrounds import render_background, sample_patches
-from repro.data.faces import render_training_chip
-from repro.errors import CascadeFormatError, ZooError
+from repro.errors import CascadeFormatError
 from repro.haar.cascade import Cascade
-from repro.haar.enumeration import subsampled_feature_pool
 from repro.haar.features import WINDOW
 from repro.utils.provenance import git_sha
 from repro.utils.rng import rng_for
 from repro.zoo.manifest import ModelManifest, cascade_digest
 from repro.zoo.recipes import TrainingRecipe, recipe_for
 from repro.zoo.store import ModelStore, default_store
+
+# The boosting and data stacks are imported inside the functions that
+# train or evaluate: loading a published cascade (every detector and
+# server) needs neither.
+if TYPE_CHECKING:
+    from repro.boosting.cascade_trainer import TrainedStageReport, TrainerCheckpoint
 
 __all__ = [
     "train_model",
@@ -57,6 +54,8 @@ CHECKPOINT_VERSION = 1
 
 
 def _render_faces(count: int, seed: int) -> np.ndarray:
+    from repro.data.faces import render_training_chip
+
     rng = rng_for(seed, "zoo-faces")
     return np.stack([render_training_chip(rng, WINDOW) for _ in range(count)])
 
@@ -74,6 +73,8 @@ def _report_to_dict(report: TrainedStageReport) -> dict:
 
 
 def _report_from_dict(data: dict) -> TrainedStageReport:
+    from repro.boosting.cascade_trainer import TrainedStageReport
+
     return TrainedStageReport(
         index=int(data["index"]),
         size=int(data["size"]),
@@ -127,6 +128,8 @@ def load_checkpoint(
     is *stale* — resuming from it would not be deterministic — so it is
     discarded rather than trusted.
     """
+    from repro.boosting.cascade_trainer import TrainerCheckpoint
+
     path = directory / "checkpoint.json"
     try:
         payload = json.loads(path.read_text())
@@ -161,6 +164,10 @@ def load_checkpoint(
 
 def evaluate_recipe(cascade: Cascade, recipe: TrainingRecipe, seed: int) -> dict:
     """ROC operating point on evaluation-only face/background windows."""
+    from repro.boosting.cascade_trainer import evaluate_cascade_on_windows
+    from repro.data.backgrounds import render_background, sample_patches
+    from repro.data.faces import render_training_chip
+
     n_eval = max(64, recipe.n_faces // 4)
     rng = rng_for(seed, "zoo-eval-faces")
     faces = np.stack([render_training_chip(rng, WINDOW) for _ in range(n_eval)])
@@ -201,6 +208,9 @@ def train_model(
     discards any existing checkpoint first.  ``on_stage`` is called after
     each stage's checkpoint is durable (the CLI uses it for progress).
     """
+    from repro.boosting.cascade_trainer import CascadeTrainer, default_negative_source
+    from repro.haar.enumeration import subsampled_feature_pool
+
     if isinstance(recipe, str):
         recipe = recipe_for(recipe)
     store = store if store is not None else default_store()

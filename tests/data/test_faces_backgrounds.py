@@ -5,14 +5,13 @@ import pytest
 
 from repro.data.backgrounds import render_background, sample_patches
 from repro.data.faces import (
-    CANONICAL_LEFT_EYE,
-    CANONICAL_RIGHT_EYE,
     FaceParams,
     face_eye_positions,
     render_face,
     render_face_chip,
     render_training_chip,
 )
+from repro.detect.grouping import CANONICAL_LEFT_EYE, CANONICAL_RIGHT_EYE
 from repro.errors import ConfigurationError
 from repro.utils.rng import rng_for
 
@@ -61,6 +60,10 @@ class TestFaceRenderer:
     def test_canonical_eye_constants(self):
         assert CANONICAL_LEFT_EYE[0] < CANONICAL_RIGHT_EYE[0]
         assert CANONICAL_LEFT_EYE[1] == CANONICAL_RIGHT_EYE[1]
+        # the detector predicts eyes where the renderer draws them untilted
+        left, right = face_eye_positions(100, FaceParams())
+        assert left == pytest.approx([100 * v for v in CANONICAL_LEFT_EYE])
+        assert right == pytest.approx([100 * v for v in CANONICAL_RIGHT_EYE])
 
 
 class TestTrainingChips:

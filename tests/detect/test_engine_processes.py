@@ -15,7 +15,6 @@ import os
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro.detect.engine import DetectionEngine, ShardingMode

@@ -134,6 +134,9 @@ def test_process_sharding_job(workflow):
     # there too, and so does the import guard: spawn workers re-import repro
     assert "tests/detect/test_memory.py" in text
     assert "tests/test_import_cost.py" in text
+    # spawn workers start from a fresh interpreter, through the lazy
+    # package namespaces that this test resolves first-touch
+    assert "tests/test_namespaces.py" in text
     # process workers each replay from their own slim fast-path cache
     assert "tests/detect/test_fastpath.py" in text
 

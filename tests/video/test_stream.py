@@ -15,7 +15,6 @@ class TestSyntheticStream:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.luma, pb.luma)
             assert pa.shape == (64, 96)
-            assert pa.decode_latency_s == 0.0
 
     def test_frames_differ_across_indices_and_seeds(self):
         a, b = list(synthetic_stream(96, 64, 2, seed=3))
